@@ -12,9 +12,15 @@ type result = {
 }
 
 (** Test-only fault injection applied to every node delay computed by
-    {!compute}; used by the oracle suite to prove its differential gates
-    are not vacuous. Must stay [None] outside those tests. *)
+    {!compute_into} (and so {!compute}); used by the oracle suite to
+    prove its differential gates are not vacuous. Must stay [None]
+    outside those tests. *)
 val fault : (float -> float) option ref
+
+(** The Elmore kernel over the tree in a workspace: fills [ws.delay]
+    (per node), [ws.down_cap] and [ws.sums] (total cap, total
+    wirelength). Terminal loads come from [ws.tcap]. Allocation-free. *)
+val compute_into : Workspace.t -> r:float -> c:float -> unit
 
 (** [compute tree ~r ~c ~term_cap] where [term_cap i] is the load of
     caller terminal [i] (the root terminal's value is ignored). *)

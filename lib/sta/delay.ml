@@ -15,7 +15,7 @@
 
 open Netlist
 
-type topology = Star | Steiner_tree
+type topology = Rctree.Steiner.topology = Star | Steiner_tree
 
 (* Primary-input pads drive their net through a nominal pad driver. *)
 let pad_drive_res = 5.0
@@ -43,22 +43,16 @@ type t = {
   slew : float array; (* per pin *)
   net_cap : float array; (* per net: total load seen by the driver *)
   net_wirelen : float array; (* per net: routed (tree) wirelength *)
+  net_first_arc : int array;
+  mutable workspaces : Rctree.Workspace.t array;
+  dirty_stamp : int array;
+  mutable epoch : int;
 }
-
-let create graph ~topology =
-  {
-    graph;
-    topology;
-    slew = Array.make (Graph.num_pins graph) 0.0;
-    net_cap = Array.make (Design.num_nets graph.Graph.design) 0.0;
-    net_wirelen = Array.make (Design.num_nets graph.Graph.design) 0.0;
-  }
 
 (* Arc ids of a net's sinks, aligned with sink order: net arcs were pushed
    per net, in sink order, before all cell arcs, so they form a contiguous
-   block. We precompute each net's first arc id. *)
-let net_first_arc graph =
-  let d = graph.Graph.design in
+   block starting at each net's first arc id. *)
+let net_first_arc (d : Design.t) =
   let firsts = Array.make (Design.num_nets d) 0 in
   let acc = ref 0 in
   for nid = 0 to Design.num_nets d - 1 do
@@ -67,47 +61,72 @@ let net_first_arc graph =
   done;
   firsts
 
-(* Refresh one net: topology, Elmore, net arc delays, driver/sink slews.
-   [firsts] maps net id to its first (contiguous) arc id. *)
-let update_net t firsts nid =
-  let graph = t.graph in
+let create graph ~topology =
   let d = graph.Graph.design in
-  let r = d.r_per_unit and c = d.c_per_unit in
-  let nsinks = Design.net_num_sinks d nid in
-  let driver = d.net_driver.(nid) in
-  let xs = Array.make (nsinks + 1) 0.0 and ys = Array.make (nsinks + 1) 0.0 in
-  xs.(0) <- Design.pin_x d driver;
-  ys.(0) <- Design.pin_y d driver;
-  for k = 0 to nsinks - 1 do
-    let pid = Design.net_sink d nid k in
-    xs.(k + 1) <- Design.pin_x d pid;
-    ys.(k + 1) <- Design.pin_y d pid
-  done;
-  let tree =
-    match t.topology with
-    | Star -> Rctree.Steiner.star ~xs ~ys
-    | Steiner_tree -> Rctree.Steiner.steiner ~xs ~ys
-  in
-  let term_cap k = d.pin_cap.{Design.net_sink d nid (k - 1)} in
-  let res = Rctree.Elmore.compute tree ~r ~c ~term_cap in
-  t.net_cap.(nid) <- res.Rctree.Elmore.total_cap;
-  t.net_wirelen.(nid) <- res.Rctree.Elmore.total_wirelen;
-  let drive_res, slew_base, slew_load = driver_params d driver in
-  let drv_slew = slew_base +. (slew_load *. res.Rctree.Elmore.total_cap) in
+  {
+    graph;
+    topology;
+    slew = Array.make (Graph.num_pins graph) 0.0;
+    net_cap = Array.make (Design.num_nets d) 0.0;
+    net_wirelen = Array.make (Design.num_nets d) 0.0;
+    net_first_arc = net_first_arc d;
+    workspaces = [||];
+    dirty_stamp = Array.make (Design.num_nets d) 0;
+    epoch = 0;
+  }
+
+(* One tree workspace per chunk of the net pass, grown on demand. *)
+let ensure_workspaces t k =
+  let have = Array.length t.workspaces in
+  if have < k then
+    t.workspaces <-
+      Array.init k (fun i -> if i < have then t.workspaces.(i) else Rctree.Workspace.create ())
+
+(* Write a net's arcs and slews from the Elmore pass in [ws]. The driver
+   parameters arrive boxed (library record fields or the pad constants),
+   so passing them costs no allocation. *)
+let write_net t (ws : Rctree.Workspace.t) nid driver drive_res slew_base slew_load =
+  let d = t.graph.Graph.design in
+  let arc_delay = t.graph.Graph.arc_delay in
+  let total_cap = ws.sums.(0) in
+  t.net_cap.(nid) <- total_cap;
+  t.net_wirelen.(nid) <- ws.sums.(1);
+  let drv_slew = slew_base +. (slew_load *. total_cap) in
   t.slew.(driver) <- drv_slew;
-  (* Map caller terminals back to tree nodes once (O(nodes)). *)
-  let node_of_term = Array.make (nsinks + 1) (-1) in
-  Array.iteri
-    (fun v term -> if term >= 0 then node_of_term.(term) <- v)
-    tree.Rctree.Steiner.terminal;
-  let base = firsts.(nid) in
-  for k = 0 to nsinks - 1 do
-    let node = node_of_term.(k + 1) in
-    assert (node >= 0);
-    let wire_d = res.Rctree.Elmore.sink_delay.(node) in
-    graph.Graph.arc_delay.(base + k) <- (drive_res *. res.Rctree.Elmore.total_cap) +. wire_d;
-    t.slew.(Design.net_sink d nid k) <- drv_slew +. (wire_slew_factor *. wire_d)
+  let base = t.net_first_arc.(nid) and off = d.net_pin_off.(nid) + 1 in
+  for k = 0 to d.net_pin_off.(nid + 1) - off - 1 do
+    let wire_d = ws.delay.(ws.node_of_term.(k + 1)) in
+    arc_delay.(base + k) <- (drive_res *. total_cap) +. wire_d;
+    t.slew.(d.net_pin_ids.(off + k)) <- drv_slew +. (wire_slew_factor *. wire_d)
   done
+
+(* Refresh one net: topology, Elmore, net arc delays, driver/sink slews.
+   Allocation-free once [ws] has grown to the net's degree. *)
+let update_net t ws nid =
+  let d = t.graph.Graph.design in
+  let driver = d.net_driver.(nid) in
+  let off = d.net_pin_off.(nid) + 1 in
+  let nsinks = d.net_pin_off.(nid + 1) - off in
+  Rctree.Workspace.reserve ws (nsinks + 1);
+  let owner = d.pin_owner.(driver) in
+  ws.tx.(0) <- d.x.{owner} +. d.pin_off_x.{driver};
+  ws.ty.(0) <- d.y.{owner} +. d.pin_off_y.{driver};
+  for k = 0 to nsinks - 1 do
+    let pid = d.net_pin_ids.(off + k) in
+    let o = d.pin_owner.(pid) in
+    ws.tx.(k + 1) <- d.x.{o} +. d.pin_off_x.{pid};
+    ws.ty.(k + 1) <- d.y.{o} +. d.pin_off_y.{pid};
+    ws.tcap.(k + 1) <- d.pin_cap.{pid}
+  done;
+  ws.n_terms <- nsinks + 1;
+  Rctree.Steiner.build_into ws t.topology;
+  Rctree.Elmore.compute_into ws ~r:d.r_per_unit ~c:d.c_per_unit;
+  match Design.kind d owner with
+  | Design.Logic ->
+      let lc = Design.libcell d owner in
+      write_net t ws nid driver lc.Libcell.drive_res lc.Libcell.slew_base lc.Libcell.slew_load
+  | Design.Input_pad -> write_net t ws nid driver pad_drive_res pad_slew_base pad_slew_load
+  | Design.Output_pad | Design.Blockage -> invalid_arg "Delay.driver_params: not a driver"
 
 (* Refresh the cell arcs leaving a pin (their delay depends on the pin's
    input slew, which a dirty net feeding the pin may have changed). *)
@@ -131,13 +150,18 @@ let update_cell_arcs_from t pin =
 let update t =
   let graph = t.graph in
   let d = graph.Graph.design in
-  let firsts = net_first_arc graph in
+  let nnets = Design.num_nets d in
+  ensure_workspaces t (Util.Parallel.chunk_count ~n:nnets);
   (* Pass 1: nets — topology, Elmore, net arc delays, slews. Each net
      writes only its own arcs, caps and pin slews (driver + sinks are
      unique to a net), so the loop is safely data-parallel — this is the
-     paper's GPU-accelerated timing kernel on CPU domains. *)
-  Util.Parallel.for_ ~grain:128 ~name:"sta.delay.nets" (Design.num_nets d) (fun nid ->
-      update_net t firsts nid);
+     paper's GPU-accelerated timing kernel on CPU domains. Each chunk
+     owns one tree workspace; a net's result does not depend on which. *)
+  Util.Parallel.for_chunks ~grain:128 ~name:"sta.delay.nets" ~n:nnets (fun ~chunk ~lo ~hi ->
+      let ws = t.workspaces.(chunk) in
+      for nid = lo to hi - 1 do
+        update_net t ws nid
+      done);
   (* Pass 2: cell arcs — slews at inputs are now final. *)
   for a = 0 to graph.Graph.num_arcs - 1 do
     if not graph.Graph.arc_is_net.(a) then begin
@@ -156,21 +180,27 @@ let update t =
 (** Incremental delay refresh after moving only [cells]: recomputes the
     nets touching those cells (and the cell arcs their sink slews feed);
     everything else keeps its delays. Equivalent to [update] for the
-    affected placement change — the tests assert exact agreement. *)
+    affected placement change — the tests assert exact agreement. Nets
+    are deduplicated by stamping them with a per-call epoch; each net
+    writes only its own arcs and slews, so the visiting order (first
+    touch) does not matter. *)
 let update_moved t ~cells =
-  let graph = t.graph in
-  let d = graph.Graph.design in
-  let firsts = net_first_arc graph in
-  let dirty_nets = Hashtbl.create 64 in
+  let d = t.graph.Graph.design in
+  ensure_workspaces t 1;
+  let ws = t.workspaces.(0) in
+  t.epoch <- t.epoch + 1;
+  let epoch = t.epoch in
   List.iter
     (fun id ->
-      Design.iter_cell_pins d id (fun pid ->
-          let net = d.pin_net.(pid) in
-          if net >= 0 then Hashtbl.replace dirty_nets net ()))
-    cells;
-  Hashtbl.iter
-    (fun nid () ->
-      update_net t firsts nid;
-      (* Sink slews changed: their cells' input->output arcs follow. *)
-      Design.iter_net_sinks d nid (fun sink -> update_cell_arcs_from t sink))
-    dirty_nets
+      for j = d.cell_pin_off.(id) to d.cell_pin_off.(id + 1) - 1 do
+        let net = d.pin_net.(d.cell_pin_ids.(j)) in
+        if net >= 0 && t.dirty_stamp.(net) <> epoch then begin
+          t.dirty_stamp.(net) <- epoch;
+          update_net t ws net;
+          (* Sink slews changed: their cells' input->output arcs follow. *)
+          for k = d.net_pin_off.(net) + 1 to d.net_pin_off.(net + 1) - 1 do
+            update_cell_arcs_from t d.net_pin_ids.(k)
+          done
+        end
+      done)
+    cells

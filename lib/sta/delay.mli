@@ -6,7 +6,7 @@
     Output slews depend only on load, so a net pass followed by a cell-arc
     pass is exact (no fixed point needed). *)
 
-type topology = Star | Steiner_tree
+type topology = Rctree.Steiner.topology = Star | Steiner_tree
 
 (** Driver (resistance, slew_base, slew_load); pads use nominal pad
     parameters. Raises [Invalid_argument] for non-driver pins. *)
@@ -18,11 +18,16 @@ type t = {
   slew : float array; (* per pin *)
   net_cap : float array; (* per net: total load seen by the driver *)
   net_wirelen : float array; (* per net: routed (tree) wirelength *)
+  net_first_arc : int array; (* per net: id of its first (contiguous) net arc *)
+  mutable workspaces : Rctree.Workspace.t array; (* one per chunk of the net pass *)
+  dirty_stamp : int array; (* per net: last [update_moved] epoch that re-timed it *)
+  mutable epoch : int;
 }
 
 val create : Graph.t -> topology:topology -> t
 
-(** Full refresh of every net and cell arc. *)
+(** Full refresh of every net and cell arc. Allocation-free per net once
+    the per-chunk tree workspaces have grown to the largest net. *)
 val update : t -> unit
 
 (** Incremental refresh after moving only [cells]: recompute the nets

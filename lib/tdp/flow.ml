@@ -58,9 +58,21 @@ let flow_topology = Sta.Delay.Steiner_tree
    placement gradient's, then add it. Keeps every timing force a fixed
    fraction of the wirelength+density force regardless of design scale —
    the role of the paper's beta, made scale-free (DESIGN.md). *)
-let add_normalized ~obs ~mult ~wl_norm ~gx ~gy fill =
+type force_scratch = { mutable tx : float array; mutable ty : float array }
+
+let add_normalized ~scratch ~obs ~mult ~wl_norm ~gx ~gy fill =
   let n = Array.length gx in
-  let tx = Array.make n 0.0 and ty = Array.make n 0.0 in
+  (* The raw force lands in the flow's scratch: sized on first use,
+     zero-filled in place on every later call. *)
+  if Array.length scratch.tx <> n then begin
+    scratch.tx <- Array.make n 0.0;
+    scratch.ty <- Array.make n 0.0
+  end
+  else begin
+    Array.fill scratch.tx 0 n 0.0;
+    Array.fill scratch.ty 0 n 0.0
+  end;
+  let tx = scratch.tx and ty = scratch.ty in
   fill ~gx:tx ~gy:ty;
   let aux = ref 0.0 in
   for i = 0 to n - 1 do
@@ -177,6 +189,7 @@ let run ?(seed = 1) ?(warm = false) ?(legalize = true) ?(topology = flow_topolog
   in
   let cfg_default = if warm then warm_config Config.default else Config.default in
   let extraction_state = ref None in
+  let force = { tx = [||]; ty = [||] } in
   let gp_params, hooks =
     match meth with
     | Vanilla ->
@@ -204,7 +217,7 @@ let run ?(seed = 1) ?(warm = false) ?(legalize = true) ?(topology = flow_topolog
             extra_grad =
               (fun ~iter:_ ~wl_norm ~gx ~gy ->
                 Obs.Ctx.span obs "timing_grad" (fun () ->
-                    add_normalized ~obs ~mult:0.4 ~wl_norm ~gx ~gy (fun ~gx ~gy ->
+                    add_normalized ~scratch:force ~obs ~mult:0.4 ~wl_norm ~gx ~gy (fun ~gx ~gy ->
                         Diff_timing.add_grad dt ~mult:1.0 ~gx ~gy)));
           }
         in
@@ -220,7 +233,7 @@ let run ?(seed = 1) ?(warm = false) ?(legalize = true) ?(topology = flow_topolog
             extra_grad =
               (fun ~iter:_ ~wl_norm ~gx ~gy ->
                 Obs.Ctx.span obs "timing_grad" (fun () ->
-                    add_normalized ~obs ~mult:0.3 ~wl_norm ~gx ~gy (fun ~gx ~gy ->
+                    add_normalized ~scratch:force ~obs ~mult:0.3 ~wl_norm ~gx ~gy (fun ~gx ~gy ->
                         Distribution.add_grad ds ~mult:1.0 ~gx ~gy)));
           }
         in
@@ -239,8 +252,8 @@ let run ?(seed = 1) ?(warm = false) ?(legalize = true) ?(topology = flow_topolog
             extra_grad =
               (fun ~iter:_ ~wl_norm ~gx ~gy ->
                 Obs.Ctx.span obs "pp_grad" (fun () ->
-                    add_normalized ~obs ~mult:cfg_default.beta ~wl_norm ~gx ~gy (fun ~gx ~gy ->
-                        Pin_level.add_grad_raw pl ~gx ~gy)));
+                    add_normalized ~scratch:force ~obs ~mult:cfg_default.beta ~wl_norm ~gx ~gy
+                      (fun ~gx ~gy -> Pin_level.add_grad_raw pl ~gx ~gy)));
           }
         in
         (timing_gp_params ~warm ~seed cfg_default, hooks)
@@ -279,7 +292,7 @@ let run ?(seed = 1) ?(warm = false) ?(legalize = true) ?(topology = flow_topolog
             extra_grad =
               (fun ~iter ~wl_norm ~gx ~gy ->
                 Obs.Ctx.span obs "pp_grad" (fun () ->
-                    add_normalized ~obs
+                    add_normalized ~scratch:force ~obs
                       ~mult:(Extraction.effective_beta ex *. cooldown iter)
                       ~wl_norm ~gx ~gy
                       (fun ~gx ~gy -> Extraction.add_grad_raw ex ~gx ~gy)));

@@ -316,3 +316,62 @@ let test_buffering_matches_brute_force () =
   done
 
 let suite = suite @ [ ("buffering matches brute force", `Quick, test_buffering_matches_brute_force) ]
+
+(* The committed tie fixture (test/fixtures/steiner_trees, written by
+   test/gen_steiner_fixture.ml) pins [steiner]'s exact trees — node
+   order, tie-breaking and the bits of every coordinate — on terminal
+   sets full of ties: duplicates, collinear runs, integer grids and
+   signed zeros. It also pins the bits of [Elmore.compute] over each
+   tree (r = 0.37, c = 0.21, as the generator uses), i.e. the kernel's
+   summation order. *)
+let fixture_path rel =
+  if Sys.file_exists rel then rel
+  else
+    let alt = Filename.concat "test" rel in
+    if Sys.file_exists alt then alt
+    else Alcotest.failf "fixture %s not found (run from the repo root or via dune runtest)" rel
+
+let test_steiner_tie_fixture () =
+  let ic = open_in (fixture_path "fixtures/steiner_trees") in
+  let fields tag =
+    match String.split_on_char ' ' (input_line ic) with
+    | t :: rest when t = tag -> Array.of_list rest
+    | _ -> Alcotest.failf "steiner fixture: expected a %s line" tag
+  in
+  let floats tag = Array.map float_of_string (fields tag) in
+  let ints tag = Array.map int_of_string (fields tag) in
+  let bits a = Array.map Int64.bits_of_float a in
+  let cases = ref 0 in
+  (try
+     while true do
+       let line = input_line ic in
+       if String.length line > 0 && line.[0] <> '#' then begin
+         let k, n, m = Scanf.sscanf line "case %d %d %d" (fun k n m -> (k, n, m)) in
+         let xs = floats "in_x" in
+         let ys = floats "in_y" in
+         let caps = floats "in_cap" in
+         Alcotest.(check int) "terminal count" n (Array.length xs);
+         let t = Rctree.Steiner.steiner ~xs ~ys in
+         let what f = Printf.sprintf "case %d %s" k f in
+         Alcotest.(check int) (what "nodes") m (Rctree.Steiner.num_nodes t);
+         Alcotest.(check (array int)) (what "parent") (ints "parent") t.parent;
+         Alcotest.(check (array int)) (what "terminal") (ints "terminal") t.terminal;
+         Alcotest.(check (array int64)) (what "xs") (bits (floats "xs")) (bits t.xs);
+         Alcotest.(check (array int64)) (what "ys") (bits (floats "ys")) (bits t.ys);
+         Alcotest.(check (array int64))
+           (what "edge_len")
+           (bits (floats "edge_len"))
+           (bits t.edge_len);
+         let e = Rctree.Elmore.compute t ~r:0.37 ~c:0.21 ~term_cap:(fun i -> caps.(i)) in
+         Alcotest.(check (array int64))
+           (what "total_cap, total_wirelen")
+           (bits (floats "elmore"))
+           (bits [| e.total_cap; e.total_wirelen |]);
+         Alcotest.(check (array int64)) (what "delay") (bits (floats "delay")) (bits e.sink_delay);
+         incr cases
+       end
+     done
+   with End_of_file -> close_in ic);
+  Alcotest.(check bool) (Printf.sprintf "%d fixture cases" !cases) true (!cases >= 200)
+
+let suite = suite @ [ ("steiner matches tie fixture", `Quick, test_steiner_tie_fixture) ]

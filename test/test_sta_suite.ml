@@ -330,16 +330,105 @@ let suite =
     ("star vs steiner topology", `Quick, test_star_vs_steiner_topology);
   ]
 
-(* Parallel delay kernel must agree exactly with the sequential one. *)
-let test_parallel_delay_equivalence () =
-  with_generated_timer (fun d timer ->
-      let tns_seq = Helpers.with_domains 1 (fun () -> Sta.Timer.tns timer) in
-      let tns_par =
-        Helpers.with_domains 4 (fun () ->
-            let timer_par = Sta.Timer.create d in
-            Sta.Timer.update timer_par;
-            Sta.Timer.tns timer_par)
-      in
-      check_float "parallel == sequential" tns_seq tns_par)
+(* One full delay pass on a fresh graph; every array it writes, as bits. *)
+let delay_bits d topology =
+  let g = Sta.Graph.build d in
+  let dl = Sta.Delay.create g ~topology in
+  Sta.Delay.update dl;
+  let bits a = Array.map Int64.bits_of_float a in
+  ( bits g.Sta.Graph.arc_delay,
+    bits dl.Sta.Delay.slew,
+    bits dl.Sta.Delay.net_cap,
+    bits dl.Sta.Delay.net_wirelen )
 
-let suite = suite @ [ ("parallel delay kernel", `Quick, test_parallel_delay_equivalence) ]
+let topology_name = function Sta.Delay.Star -> "star" | Sta.Delay.Steiner_tree -> "steiner"
+
+(* The parallel delay kernel must agree bit for bit with the sequential
+   one: arc delays, slews, net caps and wirelengths at 1, 2 and 4
+   domains, for both topologies. Each chunk reuses its own tree
+   workspace, so this also catches state leaking between nets. *)
+let test_parallel_delay_equivalence () =
+  with_generated_timer (fun d _timer ->
+      List.iter
+        (fun topology ->
+          let arc1, slew1, cap1, wl1 = Helpers.with_domains 1 (fun () -> delay_bits d topology) in
+          List.iter
+            (fun nd ->
+              let arc, slew, cap, wl = Helpers.with_domains nd (fun () -> delay_bits d topology) in
+              let what f = Printf.sprintf "%s %s @%d domains" (topology_name topology) f nd in
+              Alcotest.(check (array int64)) (what "arc_delay") arc1 arc;
+              Alcotest.(check (array int64)) (what "slew") slew1 slew;
+              Alcotest.(check (array int64)) (what "net_cap") cap1 cap;
+              Alcotest.(check (array int64)) (what "net_wirelen") wl1 wl)
+            [ 2; 4 ])
+        [ Sta.Delay.Star; Sta.Delay.Steiner_tree ])
+
+(* The reused per-chunk workspaces against a fresh tree per net: the
+   allocating [Steiner]/[Elmore] wrappers must give the same net caps,
+   wirelengths and net-arc delays, bit for bit. *)
+let test_delay_matches_fresh_trees () =
+  with_generated_timer (fun d _timer ->
+      List.iter
+        (fun topology ->
+          let g = Sta.Graph.build d in
+          let dl = Sta.Delay.create g ~topology in
+          Sta.Delay.update dl;
+          let arc = ref 0 in
+          for nid = 0 to Design.num_nets d - 1 do
+            let pins = Design.net_pins d nid in
+            let xs = Array.map (Design.pin_x d) pins and ys = Array.map (Design.pin_y d) pins in
+            let tree =
+              match topology with
+              | Sta.Delay.Star -> Rctree.Steiner.star ~xs ~ys
+              | Sta.Delay.Steiner_tree -> Rctree.Steiner.steiner ~xs ~ys
+            in
+            let res =
+              Rctree.Elmore.compute tree ~r:d.r_per_unit ~c:d.c_per_unit ~term_cap:(fun k ->
+                  d.pin_cap.{pins.(k)})
+            in
+            let what f = Printf.sprintf "%s net %d %s" (topology_name topology) nid f in
+            let same f a b =
+              Alcotest.(check int64) (what f) (Int64.bits_of_float a) (Int64.bits_of_float b)
+            in
+            same "net_cap" res.total_cap dl.net_cap.(nid);
+            same "net_wirelen" res.total_wirelen dl.net_wirelen.(nid);
+            let drive_res, _, _ = Sta.Delay.driver_params d pins.(0) in
+            for k = 1 to Array.length pins - 1 do
+              let wire_d = Rctree.Elmore.terminal_delay tree res k in
+              same "arc_delay" ((drive_res *. res.total_cap) +. wire_d) g.arc_delay.(!arc);
+              incr arc
+            done
+          done)
+        [ Sta.Delay.Star; Sta.Delay.Steiner_tree ])
+
+(* Steady-state [Delay.update] must not allocate per net: after one
+   warm-up pass has grown the tree workspaces, a full re-time of sb1
+   stays under 16 minor words per net. *)
+let test_delay_update_alloc () =
+  Helpers.with_domains 1 (fun () ->
+      let d = Workloads.Suite.load ~scale:0.5 ~calibrate:false "sb1" in
+      let g = Sta.Graph.build d in
+      let nnets = float_of_int (Design.num_nets d) in
+      List.iter
+        (fun topology ->
+          let dl = Sta.Delay.create g ~topology in
+          Sta.Delay.update dl;
+          let iters = 5 in
+          let w0 = Gc.minor_words () in
+          for _ = 1 to iters do
+            Sta.Delay.update dl
+          done;
+          let per_net = (Gc.minor_words () -. w0) /. (float_of_int iters *. nnets) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: minor words/net = %.2f (want < 16)" (topology_name topology)
+               per_net)
+            true (per_net < 16.0))
+        [ Sta.Delay.Star; Sta.Delay.Steiner_tree ])
+
+let suite =
+  suite
+  @ [
+      ("parallel delay kernel", `Quick, test_parallel_delay_equivalence);
+      ("delay == fresh tree per net", `Quick, test_delay_matches_fresh_trees);
+      ("delay update allocation-free", `Quick, test_delay_update_alloc);
+    ]
