@@ -8,16 +8,15 @@
       dune exec bench/main.exe -- --json BENCH_results.json table2
       dune exec bench/main.exe -- -domains 4 table2 -- parallel kernels
       dune exec bench/main.exe -- scaling           -- domain-scaling sweep
-      dune exec bench/main.exe -- spectral --grid-max 512 -- DCT/Poisson engine sweep
+      dune exec bench/main.exe -- spectral --grid-max 512 -- Poisson engine sweep
 
     Sections: table1 table2 table3 table4 fig3 fig4 fig5 micro scaling
     spectral scale formats smoke all ("smoke" is the CI sentinel sweep
-    and not part of "all"; "spectral" sweeps the real-even plan engine vs
-    the seed complex-FFT path over grids up to [--grid-max], default
-    2048; "scale" runs the SoA kernel ladder over designs up to
-    [--cells-max] cells, default 100k; "formats" times cold Bookshelf /
-    LEF-DEF parses over the same ladder — MB/s and minor words per
-    cell).
+    and not part of "all"; "spectral" sweeps the real-even plan engine
+    over grids up to [--grid-max], default 2048; "scale" runs the SoA
+    kernel ladder over designs up to [--cells-max] cells, default 100k;
+    "formats" times cold Bookshelf / LEF-DEF parses over the same ladder
+    — MB/s and minor words per cell).
     Default design scale is 0.5 (full bench in minutes); 1.0 doubles the
     design sizes at ~4x the runtime. [--json FILE] additionally dumps
     every flow result the run produced (runtime, breakdown, tns/wns,
@@ -897,13 +896,11 @@ let stats_section () =
   Printf.printf "Efficient-TDP best or tied in %d/%d (design, seed) pairs\n\n" !wins !total
 
 (* ------------------------------------------------------------------ *)
-(* Spectral engine sweep: the packed real-even plan engine vs the seed
-   per-line complex-FFT path, per-solve wall time and minor-heap
-   allocation over a grid ladder (square and non-square), plus a
-   flow-level density-phase A/B. Emits gateable bench-results-v1 entries
-   (design "spectral<rows>x<cols>", labels "plan"/"seed") with fixed rep
-   counts so the recorded runtime is deterministic work, not a clock
-   budget. *)
+(* Spectral engine sweep: per-solve wall time and minor-heap allocation
+   of the plan engine (solve + field + energy) over a grid ladder (square
+   and non-square). Emits gateable bench-results-v1 entries (design
+   "spectral<rows>x<cols>", label "plan") with fixed rep counts so the
+   recorded runtime is deterministic work, not a clock budget. *)
 
 let spectral () =
   let all_grids =
@@ -922,11 +919,9 @@ let spectral () =
   if skipped > 0 then
     Printf.printf "[spectral] --grid-max %d: %d grid(s) skipped\n" !grid_max skipped;
   let t =
-    Util.Tablefmt.create
-      ~title:"SPECTRAL: Poisson solve+field+energy, plan engine vs seed complex-FFT path"
-      ~headers:
-        [ "Grid"; "Reps"; "Plan ms"; "Seed ms"; "Speedup"; "Plan w/solve"; "Seed w/solve" ]
-      ~aligns:[ Left; Right; Right; Right; Right; Right; Right ]
+    Util.Tablefmt.create ~title:"SPECTRAL: Poisson solve+field+energy on the plan engine"
+      ~headers:[ "Grid"; "Reps"; "ms/solve"; "words/solve" ]
+      ~aligns:[ Left; Right; Right; Right ]
   in
   let rng = Util.Rng.create 42 in
   List.iter
@@ -940,43 +935,33 @@ let spectral () =
       (* Fixed work per grid (~2^24 points swept) so runtimes are
          comparable across runs and big grids stay affordable. *)
       let reps = max 4 ((1 lsl 24) / n) in
-      let measure use_seed =
-        Numerics.Poisson.use_seed_engine := use_seed;
-        for _ = 1 to 2 do
-          Numerics.Poisson.solve_into p ~rho ~psi;
-          Numerics.Poisson.field_into p ~psi ~ex ~ey;
-          ignore (Numerics.Poisson.energy rho psi)
-        done;
-        let w0 = Gc.minor_words () in
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to reps do
-          Numerics.Poisson.solve_into p ~rho ~psi;
-          Numerics.Poisson.field_into p ~psi ~ex ~ey;
-          ignore (Numerics.Poisson.energy rho psi)
-        done;
-        let dt = Unix.gettimeofday () -. t0 in
-        let dw = Gc.minor_words () -. w0 in
-        (dt, dw)
+      let step () =
+        Numerics.Poisson.solve_into p ~rho ~psi;
+        Numerics.Poisson.field_into p ~psi ~ex ~ey;
+        ignore (Numerics.Poisson.energy rho psi)
       in
-      let plan_s, plan_w = measure false in
-      let seed_s, seed_w = measure true in
-      Numerics.Poisson.use_seed_engine := false;
+      step ();
+      step ();
+      let w0 = Gc.minor_words () in
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to reps do
+        step ()
+      done;
+      let dt = Unix.gettimeofday () -. t0 in
+      let dw = Gc.minor_words () -. w0 in
       let fr = float_of_int reps in
       Util.Tablefmt.add_row t
         [
           Printf.sprintf "%dx%d" rows cols;
           string_of_int reps;
-          Printf.sprintf "%.3f" (plan_s /. fr *. 1e3);
-          Printf.sprintf "%.3f" (seed_s /. fr *. 1e3);
-          Printf.sprintf "%.2fx" (seed_s /. Float.max 1e-9 plan_s);
-          Printf.sprintf "%.0f" (plan_w /. fr);
-          Printf.sprintf "%.0f" (seed_w /. fr);
+          Printf.sprintf "%.3f" (dt /. fr *. 1e3);
+          Printf.sprintf "%.0f" (dw /. fr);
         ];
-      let entry label dt dw =
+      extra_entries :=
         Obs.Json.Obj
           [
-            ("label", Obs.Json.String label);
-            ("name", Obs.Json.String label);
+            ("label", Obs.Json.String "plan");
+            ("name", Obs.Json.String "plan");
             ("design", Obs.Json.String (Printf.sprintf "spectral%dx%d" rows cols));
             ("reps", Obs.Json.Int reps);
             ("runtime", Obs.Json.Float dt);
@@ -988,157 +973,19 @@ let spectral () =
                   ("words_per_solve", Obs.Json.Float (dw /. fr));
                 ] );
           ]
-      in
-      extra_entries := entry "seed" seed_s seed_w :: entry "plan" plan_s plan_w :: !extra_entries)
+        :: !extra_entries)
     grids;
   Util.Tablefmt.print t;
-  print_newline ();
-  (* Flow-level A/B: the same Efficient-TDP flow with the density phase
-     on each engine; the "density" self time is the electro phase the
-     acceptance bar measures. Distinct cache keys so both land in the
-     [--json] dump as separate gateable entries. *)
-  let dname = "sb1" in
-  let plan_r = run_flow dname (Tdp.Flow.Efficient Tdp.Config.default) in
-  Numerics.Poisson.use_seed_engine := true;
-  let seed_r =
-    Fun.protect
-      ~finally:(fun () -> Numerics.Poisson.use_seed_engine := false)
-      (fun () ->
-        run_flow_err ~key_label:"spectral:seed-engine" dname (Tdp.Flow.Efficient Tdp.Config.default))
-  in
-  match (plan_r, seed_r) with
-  | Ok plan, Ok seed ->
-      let density (r : Tdp.Flow.result) =
-        try List.assoc "density" r.breakdown_self with Not_found -> 0.0
-      in
-      Printf.printf
-        "flow-level electro phase (density self-time) on %s: plan %.3fs, seed %.3fs (%.2fx)\n\n"
-        dname (density plan) (density seed)
-        (density seed /. Float.max 1e-9 (density plan))
-  | _ -> Printf.printf "flow-level A/B on %s skipped: a flow failed\n\n" dname
+  print_newline ()
 
 (* ------------------------------------------------------------------ *)
 (* Scale: the SoA database on the 100k+ cell ladder. Per rung: design
-   generation time, memory footprint (words/cell), per-iteration time and
-   minor-heap allocation of the wirelength and density kernels, and an
-   AoS record-layout mirror of both inner loops — the seed's boxed
-   cell/pin/net records reconstructed — quantifying what the flat layout
-   bought. The largest rung also runs one full vanilla GP for the
-   per-phase self-time breakdown and peak RSS. [--cells-max] bounds the
-   ladder (default 100k; pass 500000/1000000 for the big rungs). JSON
-   entries (design "scale<N>k", labels wl-soa/density-soa/wl-aos/
-   density-aos/gp) gate in bin/bench_diff. *)
-
-module Aos = struct
-  (* The pre-SoA record layout, reconstructed for measurement only: one
-     boxed record per cell/pin/net; mixed int/float records box every
-     float field, and each pin position costs two pointer hops. *)
-  type cell = { id : int; mutable x : float; mutable y : float; w : float; h : float }
-
-  type pin = { owner : int; off_x : float; off_y : float }
-
-  type net = { pins : int array; weight : float }
-
-  type t = { cells : cell array; pins : pin array; nets : net array; die : Geom.Rect.t }
-
-  let of_design (d : Netlist.Design.t) =
-    let open Netlist in
-    {
-      cells =
-        Array.init (Design.num_cells d) (fun i ->
-            { id = i; x = d.Design.x.{i}; y = d.Design.y.{i}; w = d.Design.w.{i}; h = d.Design.h.{i} });
-      pins =
-        Array.init (Design.num_pins d) (fun p ->
-            {
-              owner = d.Design.pin_owner.(p);
-              off_x = d.Design.pin_off_x.{p};
-              off_y = d.Design.pin_off_y.{p};
-            });
-      nets =
-        Array.init (Design.num_nets d) (fun n ->
-            { pins = Design.net_pins d n; weight = d.Design.net_weight.{n} });
-      die = d.Design.die;
-    }
-
-  (* Same WA math and scratch as Gp.Wirelength.wa_one_dim; only the data
-     layout differs. *)
-  let wa_one_dim t (net : net) ~x_dim ~gamma ~xs ~ea ~eb ~(grad : float array) =
-    let n = Array.length net.pins in
-    if n <= 1 then 0.0
-    else begin
-      let xmax = ref Float.neg_infinity and xmin = ref Float.infinity in
-      for i = 0 to n - 1 do
-        let p = t.pins.(net.pins.(i)) in
-        let c = t.cells.(p.owner) in
-        let v = if x_dim then c.x +. p.off_x else c.y +. p.off_y in
-        xs.(i) <- v;
-        if v > !xmax then xmax := v;
-        if v < !xmin then xmin := v
-      done;
-      let xmax = !xmax and xmin = !xmin in
-      let s_max = ref 0.0 and t_max = ref 0.0 in
-      let s_min = ref 0.0 and t_min = ref 0.0 in
-      for i = 0 to n - 1 do
-        let a = exp ((xs.(i) -. xmax) /. gamma) in
-        let b = exp ((xmin -. xs.(i)) /. gamma) in
-        ea.(i) <- a;
-        eb.(i) <- b;
-        s_max := !s_max +. a;
-        t_max := !t_max +. (xs.(i) *. a);
-        s_min := !s_min +. b;
-        t_min := !t_min +. (xs.(i) *. b)
-      done;
-      let wa_max = !t_max /. !s_max and wa_min = !t_min /. !s_min in
-      for i = 0 to n - 1 do
-        let gmax = ea.(i) *. (1.0 +. ((xs.(i) -. wa_max) /. gamma)) /. !s_max in
-        let gmin = eb.(i) *. (1.0 -. ((xs.(i) -. wa_min) /. gamma)) /. !s_min in
-        let cell = t.pins.(net.pins.(i)).owner in
-        grad.(cell) <- grad.(cell) +. (net.weight *. (gmax -. gmin))
-      done;
-      wa_max -. wa_min
-    end
-
-  let wa_grad t ~gamma ~xs ~ea ~eb ~gx ~gy =
-    let total = ref 0.0 in
-    Array.iter
-      (fun net ->
-        let ex = wa_one_dim t net ~x_dim:true ~gamma ~xs ~ea ~eb ~grad:gx in
-        let ey = wa_one_dim t net ~x_dim:false ~gamma ~xs ~ea ~eb ~grad:gy in
-        total := !total +. (net.weight *. (ex +. ey)))
-      t.nets;
-    !total
-
-  (* Density binning, same inflation rule as Gp.Densitygrid.deposit. *)
-  let density_update t ~bins_x ~bins_y ~bin_w ~bin_h ~movable (acc : float array) =
-    Array.fill acc 0 (Array.length acc) 0.0;
-    let die = t.die in
-    let inflate size bin = if size < bin then (bin, size /. bin) else (size, 1.0) in
-    Array.iter
-      (fun (c : cell) ->
-        if Bytes.get movable c.id = '\001' then begin
-          let ew, sx = inflate c.w bin_w in
-          let eh, sy = inflate c.h bin_h in
-          let scale = sx *. sy in
-          let xl = c.x -. (ew /. 2.0) and xh = c.x +. (ew /. 2.0) in
-          let yl = c.y -. (eh /. 2.0) and yh = c.y +. (eh /. 2.0) in
-          let bxl = max 0 (int_of_float (floor ((xl -. die.Geom.Rect.xl) /. bin_w))) in
-          let bxh = min (bins_x - 1) (int_of_float (floor ((xh -. die.Geom.Rect.xl) /. bin_w))) in
-          let byl = max 0 (int_of_float (floor ((yl -. die.Geom.Rect.yl) /. bin_h))) in
-          let byh = min (bins_y - 1) (int_of_float (floor ((yh -. die.Geom.Rect.yl) /. bin_h))) in
-          for by = byl to byh do
-            let b_yl = die.Geom.Rect.yl +. (float_of_int by *. bin_h) in
-            let oy = Float.min yh (b_yl +. bin_h) -. Float.max yl b_yl in
-            if oy > 0.0 then
-              for bx = bxl to bxh do
-                let b_xl = die.Geom.Rect.xl +. (float_of_int bx *. bin_w) in
-                let ox = Float.min xh (b_xl +. bin_w) -. Float.max xl b_xl in
-                if ox > 0.0 then
-                  acc.((by * bins_x) + bx) <- acc.((by * bins_x) + bx) +. (ox *. oy *. scale)
-              done
-          done
-        end)
-      t.cells
-end
+   generation time, memory footprint (words/cell), and per-iteration time
+   and minor-heap allocation of the wirelength and density kernels. The
+   largest rung also runs one full vanilla GP for the per-phase self-time
+   breakdown and peak RSS. [--cells-max] bounds the ladder (default 100k;
+   pass 500000/1000000 for the big rungs). JSON entries (design
+   "scale<N>k", labels wl-soa/density-soa/gp) gate in bin/bench_diff. *)
 
 let cells_max = ref 100_000
 
@@ -1146,14 +993,9 @@ let scale_section () =
   let ladder = List.filter (fun c -> c <= !cells_max) [ 20_000; 100_000; 500_000; 1_000_000 ] in
   let t =
     Util.Tablefmt.create
-      ~title:
-        "SCALE: SoA database ladder (per-iteration kernel ms / minor words; AoS = record layout)"
-      ~headers:
-        [
-          "Cells"; "Gen s"; "MiB"; "w/cell"; "WL ms"; "WL w"; "Dens ms"; "Dens w"; "AoS WL ms";
-          "AoS Dens ms"; "WL x"; "Dens x";
-        ]
-      ~aligns:[ Right; Right; Right; Right; Right; Right; Right; Right; Right; Right; Right; Right ]
+      ~title:"SCALE: SoA database ladder (per-iteration kernel ms / minor words)"
+      ~headers:[ "Cells"; "Gen s"; "MiB"; "w/cell"; "WL ms"; "WL w"; "Dens ms"; "Dens w" ]
+      ~aligns:[ Right; Right; Right; Right; Right; Right; Right; Right ]
   in
   let entry ~design ~label ~runtime ~reps ~minor_words extra =
     Obs.Json.Obj
@@ -1185,38 +1027,26 @@ let scale_section () =
       let nc = Netlist.Design.num_cells d in
       let reps = max 3 (3_000_000 / cells) in
       let fr = float_of_int reps in
-      (* Interleaved best-of-reps for an (SoA, AoS) kernel pair: the two
-         alternate within every rep, so scheduler/frequency noise from the
-         shared box hits both equally and the speedup ratio stays stable;
-         minima discard the noisy reps entirely (means swung 2x run to
-         run). Word counts carry a few words of harness overhead from the
-         boxed [Gc.minor_words]/[gettimeofday] results. *)
-      let measure2 f g =
+      (* Best-of-reps: minima discard the noisy reps from the shared box
+         entirely (means swung 2x run to run). Word counts carry a few
+         words of harness overhead from the boxed
+         [Gc.minor_words]/[gettimeofday] results. *)
+      let measure f =
         f ();
-        g ();
         (* warm-up: scratch growth, first-touch *)
-        let bf = ref Float.infinity and bg = ref Float.infinity in
-        let wf = ref 0.0 and wg = ref 0.0 in
+        let best = ref Float.infinity and words = ref 0.0 in
         for _ = 1 to reps do
           let t0 = Unix.gettimeofday () in
           let w0 = Gc.minor_words () in
           f ();
           let w1 = Gc.minor_words () in
           let t1 = Unix.gettimeofday () in
-          let w2 = Gc.minor_words () in
-          g ();
-          let w3 = Gc.minor_words () in
-          let t2 = Unix.gettimeofday () in
-          if t1 -. t0 < !bf then bf := t1 -. t0;
-          if t2 -. t1 < !bg then bg := t2 -. t1;
-          wf := !wf +. (w1 -. w0);
-          wg := !wg +. (w3 -. w2)
+          if t1 -. t0 < !best then best := t1 -. t0;
+          words := !words +. (w1 -. w0)
         done;
-        ((!bf *. fr, !wf /. fr), (!bg *. fr, !wg /. fr))
+        (!best *. fr, !words /. fr)
       in
-      (* SoA kernels exactly as the Nesterov loop drives them; the AoS
-         mirror (same math, boxed record layout) is built up front so each
-         pair can be measured interleaved. *)
+      (* Kernels exactly as the Nesterov loop drives them. *)
       let ws = Gp.Wirelength.make_ws d in
       let gx = Array.make nc 0.0 and gy = Array.make nc 0.0 in
       let nmov = Netlist.Design.num_movable d in
@@ -1225,36 +1055,13 @@ let scale_section () =
         max 16 (pow2 16)
       in
       let grid = Gp.Densitygrid.create d ~bins_x:bins ~bins_y:bins in
-      let a = Aos.of_design d in
-      let max_deg =
-        let m = ref 1 in
-        for n = 0 to Netlist.Design.num_nets d - 1 do
-          m := max !m (Netlist.Design.net_degree d n)
-        done;
-        !m
-      in
-      let axs = Array.make max_deg 0.0 in
-      let aea = Array.make max_deg 0.0 in
-      let aeb = Array.make max_deg 0.0 in
-      let (wl_s, wl_w), (aos_wl_s, aos_wl_w) =
-        measure2
-          (fun () ->
+      let wl_s, wl_w =
+        measure (fun () ->
             Array.fill gx 0 nc 0.0;
             Array.fill gy 0 nc 0.0;
             ignore (Gp.Wirelength.wa_wirelength_grad_ws ws d ~gamma:4.0 ~gx ~gy))
-          (fun () ->
-            Array.fill gx 0 nc 0.0;
-            Array.fill gy 0 nc 0.0;
-            ignore (Aos.wa_grad a ~gamma:4.0 ~xs:axs ~ea:aea ~eb:aeb ~gx ~gy))
       in
-      let acc = Array.make (bins * bins) 0.0 in
-      let (dens_s, dens_w), (aos_dens_s, aos_dens_w) =
-        measure2
-          (fun () -> Gp.Densitygrid.update grid d)
-          (fun () ->
-            Aos.density_update a ~bins_x:bins ~bins_y:bins ~bin_w:grid.Gp.Densitygrid.bin_w
-              ~bin_h:grid.Gp.Densitygrid.bin_h ~movable:d.Netlist.Design.movable acc)
-      in
+      let dens_s, dens_w = measure (fun () -> Gp.Densitygrid.update grid d) in
       let rss = float_of_int (Obs.Resource.peak_rss_bytes ()) in
       Util.Tablefmt.add_row t
         [
@@ -1266,10 +1073,6 @@ let scale_section () =
           Printf.sprintf "%.0f" wl_w;
           Printf.sprintf "%.1f" (dens_s /. fr *. 1e3);
           Printf.sprintf "%.0f" dens_w;
-          Printf.sprintf "%.1f" (aos_wl_s /. fr *. 1e3);
-          Printf.sprintf "%.1f" (aos_dens_s /. fr *. 1e3);
-          Printf.sprintf "%.2fx" (aos_wl_s /. Float.max 1e-9 wl_s);
-          Printf.sprintf "%.2fx" (aos_dens_s /. Float.max 1e-9 dens_s);
         ];
       let common =
         [
@@ -1281,11 +1084,7 @@ let scale_section () =
         entry ~design:dname ~label:"wl-soa" ~runtime:wl_s ~reps ~minor_words:wl_w common
         :: entry ~design:dname ~label:"density-soa" ~runtime:dens_s ~reps ~minor_words:dens_w
              common
-        :: entry ~design:dname ~label:"wl-aos" ~runtime:aos_wl_s ~reps ~minor_words:aos_wl_w []
-        :: entry ~design:dname ~label:"density-aos" ~runtime:aos_dens_s ~reps
-             ~minor_words:aos_dens_w []
-        :: !extra_entries;
-      ignore aos_dens_w)
+        :: !extra_entries)
     ladder;
   Util.Tablefmt.print t;
   print_newline ();

@@ -2,7 +2,12 @@
     wire parasitics — the numbers DESIGN.md's generator claims are
     checked against.
 
-    Example: design_stats -d sb1 --scale 0.5 *)
+    Examples:
+      design_stats -d sb1 --scale 0.5
+      design_stats --design-file sb1.aux
+
+    Design files load through Formats.Auto (.aux or .def); a malformed
+    file exits 6 with kind parse_error, like bin/place. *)
 
 open Cmdliner
 open Netlist
@@ -16,11 +21,14 @@ let histogram values ~buckets =
     values;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
 
-let run design file scale =
+let run design file lef scale =
+  Util.Errors.or_exit @@ fun () ->
   let d =
     match file with
-    | Some path -> Io.load_file path
-    | None -> Workloads.Suite.load ~scale ~calibrate:false design
+    | Some path -> Formats.Auto.load ?lef path
+    | None ->
+        if lef <> None then Util.Errors.config_error ~what:"lef" "--lef needs --design-file";
+        Workloads.Suite.load ~scale ~calibrate:false design
   in
   Printf.printf "design %s\n" d.name;
   Printf.printf "  die          %.0f x %.0f sites, utilization %.2f\n"
@@ -86,12 +94,17 @@ let run design file scale =
 let design = Arg.(value & opt string "sb1" & info [ "d"; "design" ] ~docv:"NAME" ~doc:"Suite design name.")
 
 let file =
-  Arg.(value & opt (some string) None & info [ "design-file" ] ~docv:"FILE" ~doc:"Load a design file.")
+  Arg.(value & opt (some string) None
+       & info [ "design-file" ] ~docv:"FILE" ~doc:"Load a design file (.aux or .def).")
+
+let lef =
+  Arg.(value & opt (some string) None
+       & info [ "lef" ] ~docv:"LEF" ~doc:"Macro library for a .def design file.")
 
 let scale = Arg.(value & opt float 0.5 & info [ "scale" ] ~docv:"S" ~doc:"Generator size multiplier.")
 
 let cmd =
   let doc = "print netlist statistics for a design" in
-  Cmd.v (Cmd.info "design_stats" ~doc) Term.(const run $ design $ file $ scale)
+  Cmd.v (Cmd.info "design_stats" ~doc) Term.(const run $ design $ file $ lef $ scale)
 
 let () = exit (Cmd.eval cmd)

@@ -1,29 +1,26 @@
 (** Generate a synthetic benchmark design and write it to disk.
 
     Examples:
-      gen_bench -d sb1 -o sb1.design
-      gen_bench -d sb10 --scale 1.0 --no-calibrate -o big.design
-      gen_bench --cells 500000 -o scale500k.design   # scale ladder
       gen_bench -d sb1 -o sb1.aux                    # Bookshelf bundle
       gen_bench -d sb1 -o sb1.def                    # DEF + sibling LEF
+      gen_bench -d sb10 --scale 1.0 --no-calibrate -o big.aux
+      gen_bench --cells 500000 -o scale500k.aux      # scale ladder
 
     The output format follows the file extension (Formats.Auto): .aux
     writes the Bookshelf bundle (.nodes/.nets/.pl/.scl/.cells), .def a
-    LEF/DEF pair, anything else the native format. *)
+    LEF/DEF pair; any other extension is a config error (exit 2). *)
 
 open Cmdliner
 
 let run design scale calibrate cells out =
+  Util.Errors.or_exit @@ fun () ->
   let d =
     match cells with
     | Some cells -> Workloads.Suite.load_sized ~calibrate ~cells ()
     | None -> Workloads.Suite.load ~scale ~calibrate design
   in
-  (match out with
-  | Some path ->
-      Formats.Auto.save path d;
-      Printf.printf "wrote %s\n" path
-  | None -> Netlist.Io.save stdout d);
+  Formats.Auto.save out d;
+  Printf.printf "wrote %s\n" out;
   Printf.printf "design %s: %d cells, %d nets, %d pins, clock %.1f ps, die %.0fx%.0f\n"
     d.name
     (Netlist.Design.num_cells d)
@@ -45,8 +42,8 @@ let calibrate =
   Arg.(value & flag & info [ "no-calibrate" ] ~doc)
 
 let out =
-  let doc = "Output file (stdout when omitted)." in
-  Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE" ~doc)
+  let doc = "Output file: .aux (Bookshelf bundle) or .def (DEF plus sibling LEF)." in
+  Arg.(required & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE" ~doc)
 
 let cells =
   let doc =

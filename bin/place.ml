@@ -2,9 +2,9 @@
 
     Examples:
       place -d sb18 --flow efficient
-      place --design-file my.design --flow dp4 --out placed.design
-      place --bookshelf design.aux --write-pl placed.pl
-      place --lef tech.lef --def design.def --wire-rc 0.06,0.5 --write-def placed.def
+      place --design-file design.aux --flow dp4 --out placed.pl
+      place --lef tech.lef --design-file design.def --wire-rc 0.06,0.5 --out placed.def
+      place --design-file design.aux --out placed.def --out placed.pl
       place -d sb4 --flow efficient --loss linear --paths-per-endpoint 10
       place -d sb4 --flow efficient --trace-out run.jsonl --report-json report.json
       place -d sb4 --heartbeat-out hb.jsonl --heartbeat-every 10
@@ -87,9 +87,8 @@ let write_error_report path ctx e =
   close_out oc;
   Obs.Log.info "wrote structured report to %s" path
 
-let run design file bookshelf lef def wire_rc clock scale flow loss k domains fault_inject
-    out write_def write_pl curve trace_out report_json heartbeat_out heartbeat_every
-    log_level =
+let run design file lef wire_rc clock scale flow loss k domains fault_inject outs curve
+    trace_out report_json heartbeat_out heartbeat_every log_level =
   (match log_level with Some l -> Obs.Log.set_level l | None -> ());
   Util.Parallel.set_num_domains domains;
   Obs.Log.info "parallel: %d domain(s)" !Util.Parallel.num_domains;
@@ -126,24 +125,18 @@ let run design file bookshelf lef def wire_rc clock scale flow loss k domains fa
         | Ok rc -> Some rc
         | Error msg -> Util.Errors.config_error ~what:"wire-rc" msg)
   in
-  (* One foreign-file source at a time; extension dispatch via Formats.Auto
-     (--bookshelf and --def are explicit spellings of the same path). *)
-  (* A malformed file is its own failure kind (exit 6, kind
-     "parse_error" in the report), not an [Invalid_design]: the bytes
-     never became a design, and harnesses distinguish "fix the file
-     syntax" from "fix the netlist". *)
-  let load_foreign path =
-    try Formats.Auto.load ?lef ?wire_rc ?clock path
-    with Netlist.Io.Parse_error (line, msg) ->
-      Util.Errors.parse_failed ~file:path ~line msg
-  in
+  List.iter Formats.Auto.check_save outs;
+  (* Design files dispatch on their extension through Formats.Auto. A
+     malformed file is its own failure kind (exit 6, kind "parse_error"
+     in the report), not an [Invalid_design]: the bytes never became a
+     design, and harnesses distinguish "fix the file syntax" from "fix
+     the netlist". *)
   let d =
-    match (bookshelf, def, file) with
-    | Some path, None, None | None, Some path, None | None, None, Some path ->
-        load_foreign path
-    | None, None, None ->
+    match file with
+    | Some path -> Formats.Auto.load ?lef ?wire_rc ?clock path
+    | None ->
         if lef <> None then
-          Util.Errors.config_error ~what:"lef" "--lef needs --def";
+          Util.Errors.config_error ~what:"lef" "--lef needs --design-file";
         let d = Workloads.Suite.load ~scale design in
         (match wire_rc with
         | Some rc ->
@@ -152,9 +145,6 @@ let run design file bookshelf lef def wire_rc clock scale flow loss k domains fa
         | None -> ());
         (match clock with Some c -> d.Netlist.Design.clock_period <- c | None -> ());
         d
-    | _ ->
-        Util.Errors.config_error ~what:"design"
-          "pick one of --bookshelf, --def and --design-file"
   in
   Obs.Log.info "design %s: %d cells, %d nets, clock %.1f ps" d.name
     (Netlist.Design.num_cells d) (Netlist.Design.num_nets d) d.clock_period;
@@ -202,41 +192,26 @@ let run design file bookshelf lef def wire_rc clock scale flow loss k domains fa
   (match trace_out with
   | Some path -> Obs.Log.info "wrote trace to %s (summarise with: trace_report %s)" path path
   | None -> ());
-  (match out with
-  | Some path ->
-      Netlist.Io.save_file path d;
-      Obs.Log.info "wrote placed design to %s" path
-  | None -> ());
-  (match write_def with
-  | Some path ->
-      Formats.Lefdef.write ~lef_path:(Filename.remove_extension path ^ ".lef")
-        ~def_path:path d;
-      Obs.Log.info "wrote placed DEF (plus sibling LEF) to %s" path
-  | None -> ());
-  (match write_pl with
-  | Some path ->
-      Formats.Bookshelf.write_pl path d;
-      Obs.Log.info "wrote placement (.pl) to %s" path
-  | None -> ())
+  List.iter
+    (fun path ->
+      Formats.Auto.save path d;
+      Obs.Log.info "wrote placed design to %s" path)
+    outs
   with Util.Errors.Error e -> on_error e
 
 let design = Arg.(value & opt string "sb18" & info [ "d"; "design" ] ~docv:"NAME" ~doc:"Suite design name.")
 
 let file =
-  Arg.(value & opt (some string) None & info [ "design-file" ] ~docv:"FILE" ~doc:"Load a design file instead of generating.")
-
-let bookshelf =
   Arg.(value & opt (some string) None
-       & info [ "bookshelf" ] ~docv:"AUX"
-           ~doc:"Load a Bookshelf design from its .aux (ICCAD-2015 dialect).")
+       & info [ "design-file" ] ~docv:"FILE"
+           ~doc:"Load a design file instead of generating: a Bookshelf .aux (ICCAD-2015 \
+                 dialect) or a DEF (COMPONENTS/PINS/NETS/DIEAREA/ROW).")
 
 let lef =
   Arg.(value & opt (some string) None
-       & info [ "lef" ] ~docv:"LEF" ~doc:"Macro library for --def (MACRO/PIN geometry).")
-
-let def =
-  Arg.(value & opt (some string) None
-       & info [ "def" ] ~docv:"DEF" ~doc:"Load a DEF design (COMPONENTS/PINS/NETS/DIEAREA/ROW).")
+       & info [ "lef" ] ~docv:"LEF"
+           ~doc:"Macro library (MACRO/PIN geometry) for a .def design file; defaults to the \
+                 DEF's sibling .lef when one exists.")
 
 let wire_rc =
   Arg.(value & opt (some string) None
@@ -247,15 +222,6 @@ let wire_rc =
 let clock =
   Arg.(value & opt (some float) None
        & info [ "clock" ] ~docv:"PS" ~doc:"Override the clock period (ps).")
-
-let write_def =
-  Arg.(value & opt (some string) None
-       & info [ "write-def" ] ~docv:"FILE"
-           ~doc:"Write the placed design as DEF (plus a sibling .lef).")
-
-let write_pl =
-  Arg.(value & opt (some string) None
-       & info [ "write-pl" ] ~docv:"FILE" ~doc:"Write the placement as a Bookshelf .pl.")
 
 let scale = Arg.(value & opt float 0.5 & info [ "scale" ] ~docv:"S" ~doc:"Generator size multiplier.")
 
@@ -278,11 +244,15 @@ let domains =
 let fault_inject =
   Arg.(value & opt (some string) None
        & info [ "fault-inject" ] ~docv:"SPEC"
-           ~doc:"Robustness-test fault injection: site=kind\\@start[+count],... with site in \
+           ~doc:"Robustness-test fault injection: site=kind@start[+count],... with site in \
                  {wl_grad, elmore} and kind in {nan, inf, -inf, huge}. Defaults to \
                  \\$FAULT_INJECT.")
 
-let out = Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Save the placed design.")
+let outs =
+  Arg.(value & opt_all string []
+       & info [ "o"; "out" ] ~docv:"FILE"
+           ~doc:"Save the placed design; the extension picks the format: .def (DEF plus a \
+                 sibling .lef), .aux (Bookshelf bundle) or .pl (placement only). Repeatable.")
 
 let curve = Arg.(value & flag & info [ "curve" ] ~doc:"Print the timing-phase metric curve.")
 
@@ -315,8 +285,8 @@ let cmd =
   let doc = "timing-driven global placement (Efficient-TDP and baselines)" in
   Cmd.v (Cmd.info "place" ~doc)
     Term.(
-      const run $ design $ file $ bookshelf $ lef $ def $ wire_rc $ clock $ scale $ flow
-      $ loss $ k $ domains $ fault_inject $ out $ write_def $ write_pl $ curve $ trace_out
-      $ report_json $ heartbeat_out $ heartbeat_every $ log_level)
+      const run $ design $ file $ lef $ wire_rc $ clock $ scale $ flow $ loss $ k $ domains
+      $ fault_inject $ outs $ curve $ trace_out $ report_json $ heartbeat_out
+      $ heartbeat_every $ log_level)
 
 let () = exit (Cmd.eval cmd)

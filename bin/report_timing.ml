@@ -2,8 +2,12 @@
     critical paths via both extraction commands.
 
     Examples:
-      report_timing --design-file placed.design -n 10
-      report_timing -d sb18 --run-gp -n 5 -k 2 *)
+      report_timing --design-file placed.def -n 10
+      report_timing --design-file design.aux --run-gp -n 5
+      report_timing -d sb18 --run-gp -n 5 -k 2
+
+    Design files load through Formats.Auto (.aux or .def); a malformed
+    file exits 6 with kind parse_error, like bin/place. *)
 
 open Cmdliner
 
@@ -16,11 +20,14 @@ let print_path (g : Sta.Graph.t) i (p : Sta.Paths.path) =
   Printf.printf "-- path %d --\n" i;
   Format.printf "%a@." (fun fmt p -> Sta.Report.pp_path fmt g p) p
 
-let run design file scale run_gp n k =
+let run design file lef scale run_gp n k =
+  Util.Errors.or_exit @@ fun () ->
   let d =
     match file with
-    | Some path -> Netlist.Io.load_file path
-    | None -> Workloads.Suite.load ~scale design
+    | Some path -> Formats.Auto.load ?lef path
+    | None ->
+        if lef <> None then Util.Errors.config_error ~what:"lef" "--lef needs --design-file";
+        Workloads.Suite.load ~scale design
   in
   if run_gp then ignore (Gp.Globalplace.run d);
   let timer = Sta.Timer.create d in
@@ -52,7 +59,12 @@ let run design file scale run_gp n k =
 let design = Arg.(value & opt string "sb18" & info [ "d"; "design" ] ~docv:"NAME" ~doc:"Suite design name.")
 
 let file =
-  Arg.(value & opt (some string) None & info [ "design-file" ] ~docv:"FILE" ~doc:"Load a design file.")
+  Arg.(value & opt (some string) None
+       & info [ "design-file" ] ~docv:"FILE" ~doc:"Load a design file (.aux or .def).")
+
+let lef =
+  Arg.(value & opt (some string) None
+       & info [ "lef" ] ~docv:"LEF" ~doc:"Macro library for a .def design file.")
 
 let scale = Arg.(value & opt float 0.5 & info [ "scale" ] ~docv:"S" ~doc:"Generator size multiplier.")
 
@@ -65,6 +77,6 @@ let k = Arg.(value & opt int 1 & info [ "k" ] ~docv:"K" ~doc:"Paths per endpoint
 let cmd =
   let doc = "static timing report with critical path extraction" in
   Cmd.v (Cmd.info "report_timing" ~doc)
-    Term.(const run $ design $ file $ scale $ run_gp $ n $ k)
+    Term.(const run $ design $ file $ lef $ scale $ run_gp $ n $ k)
 
 let () = exit (Cmd.eval cmd)

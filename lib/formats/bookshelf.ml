@@ -9,7 +9,7 @@ let specials = ":"
 let dir_of_lp (lp : L.lib_pin) = match lp.kind with L.Input -> D.In | L.Output -> D.Out
 
 let perr ~name ~line fmt =
-  Printf.ksprintf (fun msg -> raise (Netlist.Io.Parse_error (line, name ^ ": " ^ msg))) fmt
+  Printf.ksprintf (fun msg -> raise (Scan.Parse_error (line, name ^ ": " ^ msg))) fmt
 
 (* ---------------------------------------------------------------- aux -- *)
 
@@ -65,7 +65,7 @@ let read_aux_listing ~auxname path meta =
 
 let open_listed ~auxname l =
   try Scan.open_file ~specials l.fpath
-  with Netlist.Io.Parse_error (_, msg) -> perr ~name:auxname ~line:l.flno "%s" msg
+  with Scan.Parse_error (_, msg) -> perr ~name:auxname ~line:l.flno "%s" msg
 
 (* ---------------------------------------------------------------- scl -- *)
 

@@ -4,7 +4,7 @@
     optional [.cells] sidecar and [# etdp] headers written by {!write})
     straight into {!Netlist.Builder} — single pass per file, no
     intermediate AST, token spans instead of per-line strings. Every
-    malformed input raises [Netlist.Io.Parse_error (line, msg)].
+    malformed input raises [Scan.Parse_error (line, msg)].
 
     Grammar subset and semantic mapping are documented in DESIGN.md §13.
     Key conventions: [.pl]/[.nodes] use lower-left corners (converted to
@@ -23,7 +23,7 @@ val read_aux : string -> Netlist.Design.t
     reproduces the design bit for bit (ids, CSR, coordinates, flags). *)
 val write : dir:string -> stem:string -> Netlist.Design.t -> string
 
-(** Write just the placement ([.pl]) — the [--write-pl] flow output. *)
+(** Write just the placement ([.pl]) — the [place --out <file>.pl] output. *)
 val write_pl : string -> Netlist.Design.t -> unit
 
 (** Overlay positions (and fixed flags) from a [.pl] file onto an

@@ -4,7 +4,7 @@
     DIRECTION/CAPACITANCE/PORT RECT); DEF supplies the design (DESIGN,
     UNITS, DIEAREA, ROW, COMPONENTS, PINS, NETS, BLOCKAGES). Both parse
     single-pass through {!Scan} straight into {!Netlist.Builder}; every
-    malformed input raises [Netlist.Io.Parse_error (line, msg)]. Unknown
+    malformed input raises [Scan.Parse_error (line, msg)]. Unknown
     top-level sections (VIAS, SPECIALNETS, ...) are skipped.
 
     Semantic mapping: a macro whose name resolves in the default library

@@ -1,5 +1,7 @@
 (** Streaming tokenizer (see the interface). *)
 
+exception Parse_error of int * string
+
 let max_token_len = 4096
 let max_line_len = 8 * 1024 * 1024
 let chunk_len = 64 * 1024
@@ -69,7 +71,7 @@ let open_file ?(specials = "") ?name path =
       let t = make ~specials ~name (Chan ch) in
       t.owned <- Some ch;
       t
-  | exception Sys_error msg -> raise (Netlist.Io.Parse_error (0, msg))
+  | exception Sys_error msg -> raise (Parse_error (0, msg))
 
 let close t =
   match t.owned with
@@ -83,12 +85,12 @@ let line_number t = t.lno
 
 let fail t fmt =
   Printf.ksprintf
-    (fun msg -> raise (Netlist.Io.Parse_error (t.lno, t.sname ^ ": " ^ msg)))
+    (fun msg -> raise (Parse_error (t.lno, t.sname ^ ": " ^ msg)))
     fmt
 
 let fail_at t ~line fmt =
   Printf.ksprintf
-    (fun msg -> raise (Netlist.Io.Parse_error (line, t.sname ^ ": " ^ msg)))
+    (fun msg -> raise (Parse_error (line, t.sname ^ ": " ^ msg)))
     fmt
 
 let refill t =

@@ -5,13 +5,18 @@
     tokens are (start, length) spans into it — nothing is materialized
     unless the caller asks ({!tok}). Numeric tokens are parsed through a
     per-length scratch pool, so a parse allocates only the boxed float
-    result. Errors raise {!Netlist.Io.Parse_error} carrying the current
+    result. Errors raise {!Parse_error} carrying the current
     line number and a message prefixed with the scanner's [name].
 
     Limits (all reported as parse errors, never crashes): tokens are
     capped at {!max_token_len} bytes, lines at {!max_line_len}. CRLF
     endings are stripped; a stray ['\r'] inside a line stays part of its
     token (and typically surfaces as a malformed-number error). *)
+
+(** [Parse_error (line, msg)]: malformed input at 1-based [line] (0 when
+    the file could not be opened). Every format reader raises it;
+    [Auto.load] turns it into [Util.Errors.Parse_failed]. *)
+exception Parse_error of int * string
 
 type t
 

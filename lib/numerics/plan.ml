@@ -9,8 +9,8 @@
       butterflies, so the transform allocates nothing);
     - the Makhoul even/odd interleave permutation and the quarter-wave
       cosine/sine tables that turn an N-point complex FFT into a length-N
-      DCT-II / DCT-III (the seed path used a length-2N complex FFT per
-      line);
+      DCT-II / DCT-III (the original seed engine used a length-2N complex
+      FFT per line);
     - per-domain scratch buffers so line batches fan out across
       [Util.Parallel] without touching the allocator.
 
@@ -27,10 +27,14 @@
     the only per-call allocation is the dispatch closures handed to
     [Util.Parallel].
 
-    Numerical note: results agree with the seed [Dct] path only to
-    rounding (different FFT lengths and twiddle evaluation associate the
-    floating-point work differently). The [Oracle.Ref_numerics]
-    differential gates bound the difference against direct summation. *)
+    Numerical note: the [Oracle.Ref_numerics] differential gates bound
+    every transform against direct O(n^2) summation. *)
+
+let is_power_of_two n = n > 0 && n land (n - 1) = 0
+
+let check_size n =
+  if not (is_power_of_two n) then
+    invalid_arg (Printf.sprintf "Plan: size must be a power of two, got %d" n)
 
 (* ------------------------------------------------------------------ *)
 (* Per-line-length tables.                                             *)
@@ -53,7 +57,7 @@ type line = {
 }
 
 let make_line n =
-  Fft.check_size n;
+  check_size n;
   let log2n =
     let rec go acc m = if m = 1 then acc else go (acc + 1) (m lsr 1) in
     go 0 n
@@ -250,8 +254,8 @@ let cols t = t.cols
 let make_scratch m = { zre = Array.make m 0.0; zim = Array.make m 0.0; xa = Array.make m 0.0; xb = Array.make m 0.0 }
 
 let create ~rows ~cols =
-  Fft.check_size rows;
-  Fft.check_size cols;
+  check_size rows;
+  check_size cols;
   let m = max rows cols in
   {
     rows;

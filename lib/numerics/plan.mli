@@ -6,7 +6,7 @@
     both line lengths, and owns per-domain scratch buffers. Two real
     lines are packed into one complex FFT (Makhoul's N-point DCT via the
     even/odd interleave), so a 2D DCT costs one N-point complex FFT per
-    *pair* of lines instead of the seed path's one 2N-point FFT per
+    *pair* of lines instead of one 2N-point FFT per
     line.
 
     Steady-state transforms over an existing plan perform zero
@@ -16,11 +16,16 @@
     (named [dct.rows] / [dct.cols] / [poisson.filter], so [par.*]
     metrics stay alive).
 
-    Results agree with the seed [Dct] path only to rounding — the
-    [Oracle.Ref_numerics] differential gates bound both engines against
-    direct summation. *)
+    The [Oracle.Ref_numerics] differential gates bound every transform
+    against direct summation. *)
 
 type t
+
+val is_power_of_two : int -> bool
+
+(** Raises [Invalid_argument] unless the size is a power of two; the
+    message names the offending size. *)
+val check_size : int -> unit
 
 (** [create ~rows ~cols] builds a plan for row-major [rows*cols] grids.
     Both dimensions must be powers of two (raises [Invalid_argument]

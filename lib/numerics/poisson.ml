@@ -9,8 +9,7 @@
     The transform work runs on a per-solver [Plan]: real-even packed
     transforms with the mode scale fused into the column pass, over
     plan-owned scratch — [solve_into]/[field_into] perform zero
-    minor-heap allocation in steady state. The seed complex-FFT path
-    ([Dct]) is kept behind {!use_seed_engine} for A/B comparison. *)
+    minor-heap allocation in steady state. *)
 
 type t = {
   rows : int;
@@ -20,13 +19,8 @@ type t = {
   plan : Plan.t;
 }
 
-(* A/B flag: route [solve]/[solve_into] through the seed per-line
-   complex-FFT [Dct] path instead of the packed real-even plan. Results
-   agree to rounding, not bitwise. *)
-let use_seed_engine = ref false
-
 let create ~rows ~cols =
-  if not (Fft.is_power_of_two rows && Fft.is_power_of_two cols) then
+  if not (Plan.is_power_of_two rows && Plan.is_power_of_two cols) then
     Util.Errors.config_error ~what:"poisson.grid"
       (Printf.sprintf "grid dimensions must be powers of two, got %dx%d" rows cols);
   let inv = Array.make (rows * cols) 0.0 in
@@ -60,21 +54,14 @@ let probe obs ~what a =
   end
 
 (** Potential psi from charge density rho (row-major [rows*cols]) into a
-    caller-owned buffer. [rho == psi] is allowed. The plan path fuses
-    forward transform, mode scale and inverse transform; it allocates
-    nothing in steady state on a single domain. *)
+    caller-owned buffer. [rho == psi] is allowed. The plan fuses forward
+    transform, mode scale and inverse transform; it allocates nothing in
+    steady state on a single domain. *)
 let solve_into ?(obs = Obs.Ctx.null) t ~rho ~psi =
   assert (Array.length rho = t.rows * t.cols);
   assert (Array.length psi = t.rows * t.cols);
   probe obs ~what:"density" rho;
-  if !use_seed_engine then begin
-    let coeffs = Dct.dct2_2d rho ~rows:t.rows ~cols:t.cols in
-    Util.Parallel.for_ ~name:"poisson.scale" (t.rows * t.cols) (fun i ->
-        coeffs.(i) <- coeffs.(i) *. t.inv_freq_sq.(i));
-    let out = Dct.idct2_2d coeffs ~rows:t.rows ~cols:t.cols in
-    Array.blit out 0 psi 0 (t.rows * t.cols)
-  end
-  else Plan.apply_filter t.plan ~scale:t.inv_freq_sq ~src:rho ~dst:psi;
+  Plan.apply_filter t.plan ~scale:t.inv_freq_sq ~src:rho ~dst:psi;
   probe obs ~what:"psi" psi
 
 (** Allocating wrapper over {!solve_into}. *)

@@ -12,12 +12,6 @@
 
 type t
 
-(** A/B flag: when set, [solve]/[solve_into] route through the seed
-    per-line complex-FFT [Dct] path instead of the packed real-even
-    plan. The two engines agree to rounding, not bitwise. Default
-    [false]. *)
-val use_seed_engine : bool ref
-
 (** Grid dimensions must be powers of two; raises
     [Util.Errors.Error (Config_error _)] (what = ["poisson.grid"])
     otherwise. *)

@@ -280,7 +280,7 @@ let default_props =
 
 (* Serialize the design to a foreign format, corrupt one byte at a time,
    and reparse. The parsers' only acceptable outcomes are a clean parse
-   (the mutation was benign), Io.Parse_error, or a structural
+   (the mutation was benign), Scan.Parse_error, or a structural
    Invalid_design from Builder.finish — any other exception (assert,
    Invalid_argument, out-of-bounds, stack overflow) is a fuzz failure.
    Mutation positions/values come from a stream seeded by the file
@@ -329,7 +329,7 @@ let mutate_reparse ~fmt_name ~write ~parse =
                     write_bin file (Bytes.to_string mutated);
                     (match parse entry with
                     | (_ : Netlist.Design.t) -> ()
-                    | exception Netlist.Io.Parse_error _ -> ()
+                    | exception Formats.Scan.Parse_error _ -> ()
                     | exception Util.Errors.Error (Util.Errors.Invalid_design _) -> ()
                     | exception e ->
                         if !problem = None then
@@ -384,11 +384,13 @@ let mkdir_p dir =
 let dump_failure ~dump_dir prop_name (p : Workloads.Genparams.t) message =
   mkdir_p dump_dir;
   let base = Filename.concat dump_dir (Printf.sprintf "%s-seed%d" prop_name p.seed) in
-  Netlist.Io.save_file (base ^ ".design") (Workloads.Generate.generate p);
+  (* A Bookshelf bundle: bit-exact, so reloading it through
+     Formats.Auto.load reproduces the generated design exactly. *)
+  Formats.Auto.save (base ^ ".aux") (Workloads.Generate.generate p);
   let oc = open_out (base ^ ".txt") in
   Printf.fprintf oc "prop: %s\nparams: %s\nmessage: %s\n" prop_name (params_to_string p) message;
   close_out oc;
-  base ^ ".design"
+  base ^ ".aux"
 
 let run ?dump_dir ?(iters = 10) ~seed props =
   let rng = Util.Rng.create seed in

@@ -35,14 +35,16 @@ val default_props : prop list
 
 (** Format robustness: serialize the design to Bookshelf / LEF+DEF in a
     temp directory, corrupt one byte at a time (deterministic positions),
-    and reparse. A clean parse, [Netlist.Io.Parse_error] and a structural
+    and reparse. A clean parse, [Formats.Scan.Parse_error] and a structural
     [Invalid_design] are all acceptable outcomes; any other escaped
     exception fails the property. *)
 val format_props : prop list
 
 (** [run ~seed ~iters props] draws [iters] parameter sets from the seeded
     stream and checks every property on each. Failures come back shrunk;
-    when [dump_dir] is given, each failure's design and parameters are
-    also written there ([failure.dump] names the design file). *)
+    when [dump_dir] is given, each failure's design is also written
+    there as a Bookshelf bundle ([failure.dump] names its [.aux]; reload
+    it with [Formats.Auto.load] to reproduce the design bit for bit),
+    next to a [.txt] with the parameters and message. *)
 val run :
   ?dump_dir:string -> ?iters:int -> seed:int -> prop list -> failure list

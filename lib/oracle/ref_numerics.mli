@@ -1,7 +1,7 @@
 (** Direct-summation references for the spectral kernels: O(N^2) DCT
     pairs, the discrete Neumann Laplacian applied point-wise, a direct
     Poisson solve, and sequential field/energy — the oracles for
-    [Numerics.Dct], [Numerics.Poisson] and the transformed fast paths
+    [Numerics.Plan], [Numerics.Poisson] and the transformed fast paths
     built on them (the Zhang-Sapatnekar methodology: a fast transform is
     only trusted against direct summation). *)
 

@@ -69,11 +69,9 @@ let op_load t req =
               | Ok rc -> Some rc
               | Error msg -> Util.Errors.config_error ~what:"params.wire_rc" msg)
         in
-        (* Same failure taxonomy as bin/place: malformed bytes are a
-           parse_error reply, not an invalid_design. *)
-        (try Formats.Auto.load ?lef ?wire_rc ?clock path
-         with Netlist.Io.Parse_error (line, msg) ->
-           Util.Errors.parse_failed ~file:path ~line msg)
+        (* Auto.load raises the same taxonomy as bin/place: malformed
+           bytes are a parse_error reply, not an invalid_design. *)
+        Formats.Auto.load ?lef ?wire_rc ?clock path
     | None, Some short ->
         let scale = Protocol.param_float req "scale" in
         Workloads.Suite.load ?scale short

@@ -79,6 +79,12 @@ let fields = function
   | Parse_failed { file; line; detail } ->
       [ ("file", file); ("line", string_of_int line); ("detail", detail) ]
 
+let or_exit f =
+  try f ()
+  with Error e ->
+    prerr_endline (Printf.sprintf "error [%s]: %s" (kind e) (message e));
+    exit (exit_code e)
+
 let () =
   Printexc.register_printer (function
     | Error e -> Some (Printf.sprintf "Util.Errors.Error(%s: %s)" (kind e) (message e))

@@ -36,5 +36,10 @@ val exit_code : t -> int
 (** Human-readable one-liner. *)
 val message : t -> string
 
+(** [or_exit f] runs [f]; on [Error e] it prints
+    ["error [<kind>]: <message>"] to stderr and exits with
+    [exit_code e]. The shared handler of the small CLI tools. *)
+val or_exit : (unit -> 'a) -> 'a
+
 (** Flat key/value payload for structured reports. *)
 val fields : t -> (string * string) list

@@ -10,6 +10,52 @@ let with_domains n f =
   Util.Parallel.set_num_domains n;
   Fun.protect ~finally:(fun () -> Util.Parallel.set_num_domains saved) f
 
+(* Run [f] on a fresh temp directory, removed with its files afterwards. *)
+let with_temp_dir f =
+  let dir = Filename.temp_dir "etdp_test" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+(* Save [d] through Formats.Auto as [file] (the extension picks the
+   format) in a temp directory and run [f] on its path. *)
+let with_saved ?(file = "d.aux") d f =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir file in
+      Formats.Auto.save path d;
+      f path)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path s =
+  let oc = open_out_bin path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
+
+let contains ~sub s =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  m = 0 || go 0
+
+(* Byte dump of a design: its Bookshelf bundle, file by file. *)
+let bundle_bytes d =
+  with_saved d (fun path ->
+      let dir = Filename.dirname path in
+      Sys.readdir dir |> Array.to_list |> List.sort compare
+      |> List.map (fun e -> e ^ "\n" ^ read_file (Filename.concat dir e))
+      |> String.concat "\n")
+
+(* Plan-engine 2D DCT-II (or, with [inverse], DCT-III) of a row-major
+   grid into a fresh array; [~rows:1] gives the 1D transform. *)
+let plan_dct ?(inverse = false) x ~rows ~cols =
+  let p = Numerics.Plan.create ~rows ~cols in
+  let dst = Array.make (rows * cols) 0.0 in
+  (if inverse then Numerics.Plan.idct2_2d else Numerics.Plan.dct2_2d) p ~src:x ~dst;
+  dst
+
 let die100 = Geom.Rect.make ~xl:0.0 ~yl:0.0 ~xh:100.0 ~yh:100.0
 
 let inv = Libcell.find_in_library "INV_X1"

@@ -215,12 +215,12 @@ let test_io_delays_roundtrip () =
   let d = Helpers.chain_design () in
   d.input_delay <- 12.5;
   d.output_delay <- 7.25;
-  let path = Filename.temp_file "tdp_iod" ".txt" in
-  Io.save_file path d;
-  let d2 = Io.load_file path in
-  Sys.remove path;
-  check_float "input delay" 12.5 d2.input_delay;
-  check_float "output delay" 7.25 d2.output_delay
+  List.iter
+    (fun file ->
+      let d2 = Helpers.with_saved ~file d Formats.Auto.load in
+      check_float (file ^ " input delay") 12.5 d2.input_delay;
+      check_float (file ^ " output delay") 7.25 d2.output_delay)
+    [ "d.aux"; "d.def" ]
 
 let test_pp_path_report () =
   let d = Helpers.chain_design () in
@@ -232,13 +232,8 @@ let test_pp_path_report () =
       let s =
         Format.asprintf "%a" (fun fmt p -> Sta.Report.pp_path fmt (Sta.Timer.graph timer) p) p
       in
-      let contains needle hay =
-        let nl = String.length needle and hl = String.length hay in
-        let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-        go 0
-      in
-      Alcotest.(check bool) "mentions startpoint" true (contains "Startpoint" s);
-      Alcotest.(check bool) "mentions slack" true (contains "slack" s)
+      Alcotest.(check bool) "mentions startpoint" true (Helpers.contains ~sub:"Startpoint" s);
+      Alcotest.(check bool) "mentions slack" true (Helpers.contains ~sub:"slack" s)
 
 (* ---------------- SVG rendering ---------------- *)
 
@@ -246,13 +241,9 @@ let test_svg_render () =
   let d = Helpers.small_calibrated () in
   ignore (Gp.Globalplace.run ~params:{ Gp.Globalplace.default_params with max_iters = 120 } d);
   let s = Evalkit.Svg.render d in
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "is svg" true (contains "<svg" s && contains "</svg>" s);
-  Alcotest.(check bool) "has rects" true (contains "<rect" s);
+  Alcotest.(check bool) "is svg" true
+    (Helpers.contains ~sub:"<svg" s && Helpers.contains ~sub:"</svg>" s);
+  Alcotest.(check bool) "has rects" true (Helpers.contains ~sub:"<rect" s);
   (* every logic cell becomes a rect: more rects than cells/2 *)
   let count_sub sub =
     let n = ref 0 and i = ref 0 in
@@ -335,31 +326,26 @@ let test_drv_checks () =
   (* Worst values are threshold-independent. *)
   check_float "same worst cap" loose.worst_cap tight.worst_cap
 
+(* The placement-only save ([.pl]): a header, then one lower-left
+   record per cell, fixed cells flagged. *)
 let test_save_placement_format () =
   let d = Helpers.chain_design () in
-  let path = Filename.temp_file "tdp_pl" ".txt" in
-  let oc = open_out path in
-  Io.save_placement oc d;
-  close_out oc;
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
-  Sys.remove path;
-  Alcotest.(check int) "one line per movable" (Design.num_movable d) (List.length !lines);
-  List.iter
-    (fun l ->
+  let lines =
+    Helpers.with_saved ~file:"d.pl" d (fun path ->
+        String.split_on_char '\n' (String.trim (Helpers.read_file path)))
+  in
+  Alcotest.(check string) "header" "UCLA pl 1.0" (List.hd lines);
+  Alcotest.(check int) "one line per cell" (Design.num_cells d) (List.length lines - 1);
+  List.iteri
+    (fun id l ->
       match String.split_on_char ' ' l with
-      | [ "p"; id; x; y ] ->
-          let id = int_of_string id in
-          Alcotest.(check bool) "movable id" true (Design.is_movable d id);
-          check_float "x matches" d.x.{id} (float_of_string x);
-          check_float "y matches" d.y.{id} (float_of_string y)
+      | name :: x :: y :: ":" :: "N" :: fixed ->
+          Alcotest.(check string) "name" (Design.cell_name d id) name;
+          Alcotest.(check bool) "fixed flag" (not (Design.is_movable d id)) (fixed = [ "/FIXED" ]);
+          check_float "x matches" d.x.{id} (float_of_string x +. (d.w.{id} /. 2.0));
+          check_float "y matches" d.y.{id} (float_of_string y +. (d.h.{id} /. 2.0))
       | _ -> Alcotest.fail ("bad placement line: " ^ l))
-    !lines
+    (List.tl lines)
 
 let suite =
   [

@@ -1,6 +1,6 @@
 (* Format gates: bit-exact round trips through Bookshelf and LEF/DEF for
    every suite design, the committed torture fixtures (each must fail
-   with Io.Parse_error at its recorded line), the committed golden
+   with Scan.Parse_error at its recorded line), the committed golden
    Bookshelf design, the serialize/mutate/reparse fuzz battery and the
    metrics-identity contract (a reparsed design runs the flow to the
    same numbers). *)
@@ -122,7 +122,7 @@ let pl_overlay_roundtrip () =
   done
 
 (* --- torture fixtures: every committed malformed file must raise
-   Io.Parse_error at exactly the recorded line with the recorded
+   Scan.Parse_error at exactly the recorded line with the recorded
    message fragment. *)
 
 (* dune runtest materializes fixtures/ beside the executable; a manual
@@ -160,11 +160,6 @@ let read_expect path =
       in
       (get "entry", int_of_string (get "line"), get "msg"))
 
-let contains ~needle hay =
-  let nh = String.length needle and lh = String.length hay in
-  let rec go i = i + nh <= lh && (String.sub hay i nh = needle || go (i + 1)) in
-  nh = 0 || go 0
-
 let torture_cases () =
   let bad_dir = Lazy.force bad_dir in
   let expects =
@@ -187,11 +182,11 @@ let torture_cases () =
       in
       match parse () with
       | () -> Alcotest.failf "%s: parsed cleanly, expected Parse_error" entry
-      | exception Io.Parse_error (line, msg) ->
+      | exception Formats.Scan.Parse_error (line, msg) ->
           if line <> want_line then
             Alcotest.failf "%s: Parse_error at line %d (%s), expected line %d" entry line msg
               want_line;
-          if not (contains ~needle:want_msg msg) then
+          if not (Helpers.contains ~sub:want_msg msg) then
             Alcotest.failf "%s: message %S lacks %S" entry msg want_msg
       | exception e ->
           Alcotest.failf "%s: raised %s, expected Parse_error" entry (Printexc.to_string e))

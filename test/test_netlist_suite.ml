@@ -1,4 +1,5 @@
-(* Tests for the netlist library: Libcell, Design, Builder, Io. *)
+(* Tests for the netlist library: Libcell, Design, Builder, and design
+   file I/O through Formats.Auto. *)
 
 open Netlist
 
@@ -240,63 +241,67 @@ let test_cell_rect () =
   check_float "w" Helpers.inv.Libcell.width (Geom.Rect.width r);
   check_float "centered" 30.0 (Geom.Rect.center r).x
 
-(* ---------------- Io ---------------- *)
+(* ---------------- Design file I/O (Formats.Auto) ---------------- *)
+
+let bits = Int64.bits_of_float
 
 let test_io_roundtrip () =
   let d = Lazy.force Helpers.small_generated in
-  let path = Filename.temp_file "tdp_design" ".txt" in
-  Io.save_file path d;
-  let d2 = Io.load_file path in
-  Sys.remove path;
-  Alcotest.(check int) "cells" (Design.num_cells d) (Design.num_cells d2);
-  Alcotest.(check int) "nets" (Design.num_nets d) (Design.num_nets d2);
-  Alcotest.(check int) "pins" (Design.num_pins d) (Design.num_pins d2);
-  check_float "hpwl preserved" (Design.total_hpwl d) (Design.total_hpwl d2);
-  check_float "clock" d.clock_period d2.clock_period;
-  (* Net-by-net structural identity. *)
-  for nid = 0 to Design.num_nets d - 1 do
-    Alcotest.(check int) "degree" (Design.net_degree d nid) (Design.net_degree d2 nid);
-    Alcotest.(check int) "driver owner"
-      d.pin_owner.(d.net_driver.(nid))
-      d2.pin_owner.(d2.net_driver.(nid))
-  done
+  Helpers.with_saved d (fun path ->
+      let d2 = Formats.Auto.load path in
+      Alcotest.(check int) "cells" (Design.num_cells d) (Design.num_cells d2);
+      Alcotest.(check int) "nets" (Design.num_nets d) (Design.num_nets d2);
+      Alcotest.(check int) "pins" (Design.num_pins d) (Design.num_pins d2);
+      Alcotest.(check int64) "hpwl bit-exact" (bits (Design.total_hpwl d))
+        (bits (Design.total_hpwl d2));
+      Alcotest.(check int64) "clock bit-exact" (bits d.clock_period) (bits d2.clock_period);
+      (* Net-by-net structural identity. *)
+      for nid = 0 to Design.num_nets d - 1 do
+        Alcotest.(check int) "degree" (Design.net_degree d nid) (Design.net_degree d2 nid);
+        Alcotest.(check int) "driver owner"
+          d.pin_owner.(d.net_driver.(nid))
+          d2.pin_owner.(d2.net_driver.(nid))
+      done)
 
 let test_io_roundtrip_twice_identical () =
   let d = Helpers.chain_design () in
-  let buf1 = Buffer.create 1024 in
-  let buf2 = Buffer.create 1024 in
-  let to_string d =
-    let path = Filename.temp_file "tdp_d" ".txt" in
-    Io.save_file path d;
-    let ic = open_in path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    Sys.remove path;
-    s
-  in
-  Buffer.add_string buf1 (to_string d);
-  let d2 = (fun () ->
-      let path = Filename.temp_file "tdp_d" ".txt" in
-      Io.save_file path d;
-      let x = Io.load_file path in
-      Sys.remove path;
-      x) ()
-  in
-  Buffer.add_string buf2 (to_string d2);
-  Alcotest.(check string) "save(load(save)) = save" (Buffer.contents buf1) (Buffer.contents buf2)
+  let d2 = Helpers.with_saved d Formats.Auto.load in
+  Alcotest.(check string) "save(load(save)) = save" (Helpers.bundle_bytes d)
+    (Helpers.bundle_bytes d2)
+
+let expect_parse_failed what ~line path =
+  match Formats.Auto.load path with
+  | _ -> Alcotest.failf "%s: loaded cleanly, expected parse_error" what
+  | exception Util.Errors.Error (Util.Errors.Parse_failed { file; line = l; _ } as e) ->
+      Alcotest.(check string) (what ^ ": kind") "parse_error" (Util.Errors.kind e);
+      Alcotest.(check int) (what ^ ": exit code") 6 (Util.Errors.exit_code e);
+      Alcotest.(check string) (what ^ ": file") path file;
+      Alcotest.(check int) (what ^ ": line") line l;
+      Util.Errors.message e
 
 let test_io_parse_error () =
-  let path = Filename.temp_file "tdp_bad" ".txt" in
-  let oc = open_out path in
-  output_string oc "design x\nbogus record here\nend\n";
-  close_out oc;
-  Alcotest.(check bool) "parse error raised" true
-    (try
-       ignore (Io.load_file path);
-       false
-     with Io.Parse_error _ -> true);
-  Sys.remove path
+  Helpers.with_temp_dir (fun dir ->
+      let path = Filename.concat dir "bad.aux" in
+      Helpers.write_file path "RowBasedPlacement : bad.nodes\nbogus record here\n";
+      ignore (expect_parse_failed "malformed aux" ~line:2 path);
+      ignore (expect_parse_failed "missing file" ~line:0 (Filename.concat dir "none.aux")))
+
+(* An extension no reader handles is a typed parse_error naming the
+   supported extensions; saving to one is a config_error. *)
+let test_io_unknown_extension () =
+  Helpers.with_temp_dir (fun dir ->
+      let path = Filename.concat dir "x.design" in
+      Helpers.write_file path "design x\n";
+      let msg = expect_parse_failed "unknown extension" ~line:0 path in
+      List.iter
+        (fun ext ->
+          Alcotest.(check bool) ("message names " ^ ext) true
+            (Helpers.contains ~sub:ext msg))
+        [ ".aux"; ".def" ];
+      match Formats.Auto.save path (Helpers.chain_design ()) with
+      | () -> Alcotest.fail "save to .design: expected config_error"
+      | exception Util.Errors.Error (Util.Errors.Config_error { what; _ }) ->
+          Alcotest.(check string) "save what" "out" what)
 
 (* A builder is reusable after [reset]: populating, resetting and
    populating again must give a byte-identical design DB, with no leaked
@@ -305,16 +310,7 @@ let test_io_parse_error () =
    designs through one process, so any parser or builder state that
    survives a build corrupts the next one. *)
 let test_builder_reset_reuse () =
-  let dump d =
-    let p = Filename.temp_file "netlist_reset" ".design" in
-    Io.save_file p d;
-    let ic = open_in p in
-    Fun.protect
-      ~finally:(fun () ->
-        close_in ic;
-        Sys.remove p)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
+  let dump = Helpers.bundle_bytes in
   let populate b =
     let pi = Builder.add_input_pad b ~cname:"pi" ~x:0.0 ~y:50.0 in
     let u1 = Builder.add_logic b ~cname:"u1" ~lib:Helpers.inv ~x:30.0 ~y:50.0 () in
@@ -337,14 +333,9 @@ let test_builder_reset_reuse () =
   Alcotest.(check string) "reset builder rebuilds identically" first again;
   (* And twice more to catch state that only leaks on the second reuse. *)
   Builder.reset b;
-  Alcotest.(check string) "third build identical" first (dump (populate b));
-  let path = Filename.temp_file "netlist_reload" ".design" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc first;
-      close_out oc;
+  let third = populate b in
+  Alcotest.(check string) "third build identical" first (dump third);
+  Helpers.with_saved third (fun path ->
       let d1 = dump (Formats.Auto.load path) in
       let d2 = dump (Formats.Auto.load path) in
       Alcotest.(check string) "Formats.Auto load-twice identical DBs" d1 d2;
@@ -373,5 +364,6 @@ let suite =
     ("io roundtrip generated design", `Quick, test_io_roundtrip);
     ("io roundtrip stable", `Quick, test_io_roundtrip_twice_identical);
     ("io parse error", `Quick, test_io_parse_error);
+    ("io unknown extension", `Quick, test_io_unknown_extension);
     ("builder reset reuse / load twice", `Quick, test_builder_reset_reuse);
   ]

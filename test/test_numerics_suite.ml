@@ -1,4 +1,5 @@
-(* Unit + property tests for the numerics library: FFT, DCT, Poisson. *)
+(* Unit + property tests for the numerics library: the plan DCT engine
+   and the Poisson solver. *)
 
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
@@ -10,78 +11,20 @@ let max_abs_diff a b =
 
 let random_array rng n = Array.init n (fun _ -> Util.Rng.float_range rng (-5.0) 5.0)
 
-(* ---------------- FFT ---------------- *)
+(* ---------------- Plan sizes ---------------- *)
 
-let test_fft_roundtrip () =
-  let rng = Util.Rng.create 1 in
-  List.iter
-    (fun n ->
-      let re = random_array rng n and im = random_array rng n in
-      let re0 = Array.copy re and im0 = Array.copy im in
-      Numerics.Fft.forward re im;
-      Numerics.Fft.inverse re im;
-      Alcotest.(check bool)
-        (Printf.sprintf "roundtrip n=%d" n)
-        true
-        (max_abs_diff re re0 < 1e-10 && max_abs_diff im im0 < 1e-10))
-    [ 1; 2; 4; 8; 64; 256 ]
-
-let test_fft_delta () =
-  (* FFT of a delta at 0 is the all-ones spectrum. *)
-  let n = 16 in
-  let re = Array.make n 0.0 and im = Array.make n 0.0 in
-  re.(0) <- 1.0;
-  Numerics.Fft.forward re im;
-  Array.iter (fun v -> Alcotest.(check (float 1e-12)) "flat re" 1.0 v) re;
-  Array.iter (fun v -> Alcotest.(check (float 1e-12)) "flat im" 0.0 v) im
-
-let test_fft_constant () =
-  (* FFT of a constant is a delta of height n at frequency 0. *)
-  let n = 8 in
-  let re = Array.make n 1.0 and im = Array.make n 0.0 in
-  Numerics.Fft.forward re im;
-  Alcotest.(check (float 1e-12)) "dc" 8.0 re.(0);
-  for k = 1 to n - 1 do
-    Alcotest.(check (float 1e-10)) "zero elsewhere" 0.0 (Float.abs re.(k) +. Float.abs im.(k))
-  done
-
-let test_fft_parseval () =
-  let rng = Util.Rng.create 2 in
-  let n = 64 in
-  let re = random_array rng n and im = Array.make n 0.0 in
-  let time_energy = Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 re in
-  let re' = Array.copy re and im' = Array.copy im in
-  Numerics.Fft.forward re' im';
-  let freq_energy =
-    ref 0.0
-  in
-  for i = 0 to n - 1 do
-    freq_energy := !freq_energy +. (re'.(i) *. re'.(i)) +. (im'.(i) *. im'.(i))
-  done;
-  Alcotest.(check bool) "parseval" true
-    (Float.abs ((!freq_energy /. float_of_int n) -. time_energy) < 1e-8 *. (1.0 +. time_energy))
-
+(* Every plan line is a radix-2 FFT length. *)
 let test_fft_bad_size () =
   (* The message must name the offending size. *)
   Alcotest.check_raises "not power of two"
-    (Invalid_argument "Fft: size must be a power of two, got 3") (fun () ->
-      Numerics.Fft.forward (Array.make 3 0.0) (Array.make 3 0.0))
+    (Invalid_argument "Plan: size must be a power of two, got 3") (fun () ->
+      ignore (Numerics.Plan.create ~rows:4 ~cols:3))
 
-let test_fft_linearity () =
-  let rng = Util.Rng.create 3 in
-  let n = 32 in
-  let a = random_array rng n and b = random_array rng n in
-  let sum = Array.init n (fun i -> a.(i) +. (2.0 *. b.(i))) in
-  let fa = (Array.copy a, Array.make n 0.0) in
-  let fb = (Array.copy b, Array.make n 0.0) in
-  let fs = (Array.copy sum, Array.make n 0.0) in
-  Numerics.Fft.forward (fst fa) (snd fa);
-  Numerics.Fft.forward (fst fb) (snd fb);
-  Numerics.Fft.forward (fst fs) (snd fs);
-  let expect_re = Array.init n (fun i -> (fst fa).(i) +. (2.0 *. (fst fb).(i))) in
-  Alcotest.(check bool) "linear" true (max_abs_diff (fst fs) expect_re < 1e-9)
+(* ---------------- DCT (plan engine, 1D as a one-row grid) ---------------- *)
 
-(* ---------------- DCT ---------------- *)
+let dct2 x = Helpers.plan_dct x ~rows:1 ~cols:(Array.length x)
+
+let idct2 x = Helpers.plan_dct ~inverse:true x ~rows:1 ~cols:(Array.length x)
 
 let naive_dct2 x =
   let n = Array.length x in
@@ -104,7 +47,7 @@ let test_dct_vs_naive () =
       Alcotest.(check bool)
         (Printf.sprintf "dct==naive n=%d" n)
         true
-        (max_abs_diff (Numerics.Dct.dct2 x) (naive_dct2 x) < 1e-9))
+        (max_abs_diff (dct2 x) (naive_dct2 x) < 1e-9))
     [ 2; 4; 8; 16; 32 ]
 
 let test_dct_roundtrip () =
@@ -112,7 +55,7 @@ let test_dct_roundtrip () =
   List.iter
     (fun n ->
       let x = random_array rng n in
-      let back = Numerics.Dct.idct2 (Numerics.Dct.dct2 x) in
+      let back = idct2 (dct2 x) in
       Alcotest.(check bool) (Printf.sprintf "idct(dct)=id n=%d" n) true (max_abs_diff back x < 1e-9))
     [ 2; 8; 64; 128 ]
 
@@ -120,14 +63,14 @@ let test_dct2d_roundtrip () =
   let rng = Util.Rng.create 6 in
   let rows = 16 and cols = 8 in
   let g = random_array rng (rows * cols) in
-  let back = Numerics.Dct.idct2_2d (Numerics.Dct.dct2_2d g ~rows ~cols) ~rows ~cols in
+  let back = Helpers.plan_dct ~inverse:true (Helpers.plan_dct g ~rows ~cols) ~rows ~cols in
   Alcotest.(check bool) "2d roundtrip" true (max_abs_diff back g < 1e-9)
 
 let q_dct_roundtrip =
   qtest "dct roundtrip (random)" QCheck.(list_of_size (QCheck.Gen.return 16) (float_bound_inclusive 10.0))
     (fun l ->
       let x = Array.of_list l in
-      max_abs_diff (Numerics.Dct.idct2 (Numerics.Dct.dct2 x)) x < 1e-8)
+      max_abs_diff (idct2 (dct2 x)) x < 1e-8)
 
 (* ---------------- Plan (packed real-even engine) ---------------- *)
 
@@ -167,9 +110,9 @@ let q_plan_pair_roundtrip =
       Numerics.Plan.idct2_pair plan ~xa ~xb ~a:ra ~b:rb;
       max_abs_diff ra a < 1e-8 && max_abs_diff rb b < 1e-8)
 
-(* 2D plan transforms vs the seed per-line complex-FFT path, on square
-   and non-square (both orientations, odd line counts after pairing). *)
-let test_plan_2d_vs_seed () =
+(* 2D plan transforms vs direct summation, on square and non-square
+   (both orientations, odd line counts after pairing). *)
+let test_plan_2d_vs_direct () =
   let rng = Util.Rng.create 22 in
   List.iter
     (fun (rows, cols) ->
@@ -178,9 +121,9 @@ let test_plan_2d_vs_seed () =
       let dst = Array.make (rows * cols) 0.0 in
       Numerics.Plan.dct2_2d plan ~src:g ~dst;
       Alcotest.(check bool)
-        (Printf.sprintf "plan dct2_2d %dx%d == seed" rows cols)
+        (Printf.sprintf "plan dct2_2d %dx%d == direct" rows cols)
         true
-        (max_abs_diff dst (Numerics.Dct.dct2_2d g ~rows ~cols) < 1e-8);
+        (max_abs_diff dst (Oracle.Ref_numerics.dct2_2d_direct g ~rows ~cols) < 1e-8);
       let back = Array.make (rows * cols) 0.0 in
       Numerics.Plan.idct2_2d plan ~src:dst ~dst:back;
       Alcotest.(check bool)
@@ -266,28 +209,6 @@ let test_poisson_field_points_downhill () =
   Alcotest.(check bool) "pushes right of blob" true (ex.((16 * cols) + 20) > 0.0);
   Alcotest.(check bool) "pushes left of blob" true (ex.((16 * cols) + 12) < 0.0)
 
-(* Plan engine vs the retained seed engine through the public Poisson
-   API — the A/B flag must select genuinely different code that agrees
-   to rounding. *)
-let test_poisson_engines_agree () =
-  let rng = Util.Rng.create 24 in
-  let rows = 32 and cols = 16 in
-  let rho = random_array rng (rows * cols) in
-  let p = Numerics.Poisson.create ~rows ~cols in
-  let psi_plan = Numerics.Poisson.solve p rho in
-  Numerics.Poisson.use_seed_engine := true;
-  let psi_seed =
-    Fun.protect
-      ~finally:(fun () -> Numerics.Poisson.use_seed_engine := false)
-      (fun () -> Numerics.Poisson.solve p rho)
-  in
-  Alcotest.(check bool) "plan == seed engine" true (max_abs_diff psi_plan psi_seed < 1e-9)
-
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
 (* Non-power-of-two grids must surface as a typed Config_error at the
    Poisson boundary (exit code 2 in binaries), not a bare
    Invalid_argument from deep inside the FFT. *)
@@ -296,7 +217,7 @@ let test_poisson_bad_grid () =
   | _ -> Alcotest.fail "expected Config_error for a 48-row grid"
   | exception Util.Errors.Error (Util.Errors.Config_error { what; detail }) ->
       Alcotest.(check string) "what" "poisson.grid" what;
-      Alcotest.(check bool) "detail names the size" true (contains_sub detail "48x64")
+      Alcotest.(check bool) "detail names the size" true (Helpers.contains ~sub:"48x64" detail)
 
 (* The steady-state solve loop must not touch the minor heap: warmed-up
    [solve_into] + [field_into] over caller-owned buffers, sequential
@@ -333,21 +254,15 @@ let test_poisson_zero_alloc () =
 
 let suite =
   [
-    ("fft roundtrip", `Quick, test_fft_roundtrip);
-    ("fft delta", `Quick, test_fft_delta);
-    ("fft constant", `Quick, test_fft_constant);
-    ("fft parseval", `Quick, test_fft_parseval);
     ("fft bad size", `Quick, test_fft_bad_size);
-    ("fft linearity", `Quick, test_fft_linearity);
     ("dct vs naive", `Quick, test_dct_vs_naive);
     ("dct roundtrip", `Quick, test_dct_roundtrip);
     ("dct 2d roundtrip", `Quick, test_dct2d_roundtrip);
     q_dct_roundtrip;
     ("plan pair vs naive", `Quick, test_plan_pair_vs_naive);
     q_plan_pair_roundtrip;
-    ("plan 2d vs seed", `Quick, test_plan_2d_vs_seed);
+    ("plan 2d vs direct", `Quick, test_plan_2d_vs_direct);
     ("plan in place", `Quick, test_plan_in_place);
-    ("poisson engines agree", `Quick, test_poisson_engines_agree);
     ("poisson bad grid", `Quick, test_poisson_bad_grid);
     ("poisson zero alloc", `Quick, test_poisson_zero_alloc);
     ("poisson residual", `Quick, test_poisson_residual);

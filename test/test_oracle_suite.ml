@@ -301,18 +301,20 @@ let numerics_diff () =
   at_domains (fun () ->
       let rng = Util.Rng.create 11 in
       let x = Array.init 32 (fun _ -> Util.Rng.float_range rng (-1.0) 1.0) in
+      let n = Array.length x in
+      let coeffs = Helpers.plan_dct x ~rows:1 ~cols:n in
       check_ok "dct2"
-        (Compare.check_array ~rtol:1e-9 ~atol:1e-9 ~what:"dct2" (Numerics.Dct.dct2 x)
+        (Compare.check_array ~rtol:1e-9 ~atol:1e-9 ~what:"dct2" coeffs
            (Ref_numerics.dct2_direct x));
-      let coeffs = Numerics.Dct.dct2 x in
       check_ok "idct2"
-        (Compare.check_array ~rtol:1e-9 ~atol:1e-9 ~what:"idct2" (Numerics.Dct.idct2 coeffs)
+        (Compare.check_array ~rtol:1e-9 ~atol:1e-9 ~what:"idct2"
+           (Helpers.plan_dct ~inverse:true coeffs ~rows:1 ~cols:n)
            (Ref_numerics.idct2_direct coeffs));
       let rows = 16 and cols = 16 in
       let grid = Array.init (rows * cols) (fun _ -> Util.Rng.float_range rng (-1.0) 1.0) in
       check_ok "dct2_2d"
         (Compare.check_array ~rtol:1e-9 ~atol:1e-8 ~what:"dct2_2d"
-           (Numerics.Dct.dct2_2d grid ~rows ~cols)
+           (Helpers.plan_dct grid ~rows ~cols)
            (Ref_numerics.dct2_2d_direct grid ~rows ~cols));
       let rho = grid in
       let p = Numerics.Poisson.create ~rows ~cols in
@@ -576,25 +578,43 @@ let fuzz_shrinker () =
     (Fuzz.params_to_string small2)
 
 let fuzz_dump () =
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "oracle_dump_test" in
-  let planted =
-    { Fuzz.name = "always"; check = (fun _ -> Error "planted failure") }
+  Helpers.with_temp_dir @@ fun dir ->
+  (* Fails on any design with a macro, so the shrunk counterexample keeps
+     one: macro corners are non-dyadic fractions of the die, which a
+     fixed-precision text dump would round. *)
+  let has_macro d =
+    List.exists
+      (fun i -> Netlist.Design.kind d i = Netlist.Design.Blockage)
+      (List.init (Netlist.Design.num_cells d) Fun.id)
   in
-  let failures = Fuzz.run ~dump_dir:dir ~iters:1 ~seed:1 [ planted ] in
-  (match failures with
+  let planted =
+    {
+      Fuzz.name = "has-macro";
+      check = (fun d -> if has_macro d then Error "planted failure" else Ok ());
+    }
+  in
+  match Fuzz.run ~dump_dir:dir ~iters:1 ~seed:2 [ planted ] with
   | [ f ] -> (
-      Alcotest.(check string) "prop name" "always" f.Fuzz.prop_name;
+      Alcotest.(check string) "prop name" "has-macro" f.Fuzz.prop_name;
       match f.Fuzz.dump with
       | Some path ->
           Alcotest.(check bool) "design dump exists" true (Sys.file_exists path);
-          (* The dump must reload as a valid design. *)
-          ignore (Netlist.Io.load_file path);
-          Sys.remove path;
-          let txt = Filename.chop_suffix path ".design" ^ ".txt" in
-          if Sys.file_exists txt then Sys.remove txt
+          Alcotest.(check bool) "parameters dumped" true
+            (Sys.file_exists (Filename.chop_suffix path ".aux" ^ ".txt"));
+          (* The dump reproduces the counterexample bit for bit. *)
+          let want = Workloads.Generate.generate f.Fuzz.params in
+          let got = Formats.Auto.load path in
+          let bits = Int64.bits_of_float in
+          Alcotest.(check int64) "clock_period bitwise" (bits want.clock_period)
+            (bits got.clock_period);
+          Alcotest.(check int) "cells" (Netlist.Design.num_cells want)
+            (Netlist.Design.num_cells got);
+          for i = 0 to Netlist.Design.num_cells want - 1 do
+            if bits want.x.{i} <> bits got.x.{i} || bits want.y.{i} <> bits got.y.{i} then
+              Alcotest.failf "cell %d position differs after reload" i
+          done
       | None -> Alcotest.fail "expected a dump path")
-  | fs -> Alcotest.failf "expected exactly one failure, got %d" (List.length fs));
-  if Sys.file_exists dir then Sys.rmdir dir
+  | fs -> Alcotest.failf "expected exactly one failure, got %d" (List.length fs)
 
 (* ------------------------------------------------------------------ *)
 (* Golden harness                                                      *)

@@ -202,7 +202,7 @@ let test_dct_poisson_equivalence () =
   in
   let run nd =
     with_domains nd (fun () ->
-        let spec = Numerics.Dct.dct2_2d charge ~rows ~cols in
+        let spec = Helpers.plan_dct charge ~rows ~cols in
         let p = Numerics.Poisson.create ~rows ~cols in
         let psi = Numerics.Poisson.solve p charge in
         let ex, ey = Numerics.Poisson.field p charge in

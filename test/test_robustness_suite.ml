@@ -361,94 +361,87 @@ let test_flow_rejects_invalid_design () =
 (* Resolve the binary relative to the test executable so the tests work
    both under `dune runtest` (cwd = _build/default/test) and `dune exec`
    from anywhere. *)
-let place_exe =
+let bin_exe name =
   Filename.concat
     (Filename.dirname Sys.executable_name)
-    (Filename.concat Filename.parent_dir_name (Filename.concat "bin" "place.exe"))
+    (Filename.concat Filename.parent_dir_name (Filename.concat "bin" (name ^ ".exe")))
 
-let run_place args = Sys.command (place_exe ^ " " ^ args ^ " >/dev/null 2>&1")
+let place_exe = bin_exe "place"
 
-let write_file path s =
-  let oc = open_out path in
-  output_string oc s;
-  close_out oc
+let run_bin name args = Sys.command (bin_exe name ^ " " ^ args ^ " >/dev/null 2>&1")
 
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let contains ~sub s =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
-let tiny_design_text ~x1 =
-  Printf.sprintf
-    "design tiny\n\
-     die 0.0 0.0 100.0 100.0\n\
-     rowheight 1.0\n\
-     clock 500.0\n\
-     wire 0.1 0.2\n\
-     c pi I 0.0 50.0\n\
-     c u1 L INV_X1 M %s 50.0\n\
-     c po O 100.0 50.0\n\
-     n n1 0:p 1:a1\n\
-     n n2 1:o 2:p\n\
-     end\n"
-    x1
+let run_place = run_bin "place"
 
 let test_place_exit_codes () =
-  let design = Filename.temp_file "robustness_tiny" ".design" in
-  let bad_design = Filename.temp_file "robustness_bad" ".design" in
-  let report = Filename.temp_file "robustness_report" ".json" in
-  Fun.protect
-    ~finally:(fun () -> List.iter Sys.remove [ design; bad_design; report ])
-    (fun () ->
-      write_file design (tiny_design_text ~x1:"50.0");
-      write_file bad_design (tiny_design_text ~x1:"nan");
-      let base = Printf.sprintf "--design-file %s --flow vanilla --log-level quiet" design in
-      (* Success: exit 0 and a null error field in the report. *)
-      Alcotest.(check int) "success exit 0" 0
-        (run_place (Printf.sprintf "%s --report-json %s" base report));
-      Alcotest.(check bool) "success report has null error" true
-        (contains ~sub:"\"error\":null" (read_file report));
-      (* Config errors: exit 2. *)
-      Alcotest.(check int) "unknown flow exit 2" 2
-        (run_place (Printf.sprintf "--design-file %s --flow nope --log-level quiet" design));
-      Alcotest.(check int) "unknown fault site exit 2" 2
-        (run_place (base ^ " --fault-inject bogus=nan@0"));
-      Alcotest.(check int) "malformed fault spec exit 2" 2
-        (run_place (base ^ " --fault-inject wl_grad=nan"));
-      (* Invalid design: exit 3. *)
-      Alcotest.(check int) "nan coordinate exit 3" 3
-        (run_place
-           (Printf.sprintf "--design-file %s --flow vanilla --log-level quiet" bad_design));
-      (* Malformed foreign file: exit 6, with the structured parse_error
-         (kind + file/line/detail) in the report. *)
-      write_file bad_design "design tiny\nbogus record here\nend\n";
-      Alcotest.(check int) "malformed file exit 6" 6
-        (run_place
-           (Printf.sprintf "--design-file %s --log-level quiet --report-json %s" bad_design
-              report));
-      let rpt = read_file report in
-      Alcotest.(check bool) "parse_error kind in report" true
-        (contains ~sub:"\"kind\":\"parse_error\"" rpt);
-      Alcotest.(check bool) "offending line in report" true (contains ~sub:"\"line\":\"2\"" rpt);
-      (* Divergence under a persistent injected fault: exit 4, and the
-         report carries the structured error plus the guard counters. *)
-      Alcotest.(check int) "persistent fault exit 4" 4
-        (run_place (Printf.sprintf "%s --fault-inject wl_grad=nan@0 --report-json %s" base report));
-      let rpt = read_file report in
-      Alcotest.(check bool) "diverged error kind in report" true
-        (contains ~sub:"\"kind\":\"diverged\"" rpt);
-      Alcotest.(check bool) "guard counters in report" true
-        (contains ~sub:"guard.rollbacks" rpt);
-      (* The FAULT_INJECT environment variable is an alternative spelling. *)
-      Alcotest.(check int) "FAULT_INJECT env exit 4" 4
-        (Sys.command
-           (Printf.sprintf "FAULT_INJECT=wl_grad=nan@0 %s %s >/dev/null 2>&1" place_exe base)))
+  Helpers.with_temp_dir @@ fun dir ->
+  let at = Filename.concat dir in
+  let design = at "tiny.aux" and bad_design = at "bad.aux" and report = at "report.json" in
+  Formats.Auto.save design (Helpers.chain_design ());
+  (* Parses cleanly but fails validation: a negative clock period. *)
+  let bad = Helpers.chain_design () in
+  bad.Design.clock_period <- -500.0;
+  Formats.Auto.save bad_design bad;
+  let base = Printf.sprintf "--design-file %s --flow vanilla --log-level quiet" design in
+  (* Success: exit 0 and a null error field in the report. *)
+  Alcotest.(check int) "success exit 0" 0
+    (run_place (Printf.sprintf "%s --report-json %s" base report));
+  Alcotest.(check bool) "success report has null error" true
+    (Helpers.contains ~sub:"\"error\":null" (Helpers.read_file report));
+  (* Config errors: exit 2. *)
+  Alcotest.(check int) "unknown flow exit 2" 2
+    (run_place (Printf.sprintf "--design-file %s --flow nope --log-level quiet" design));
+  Alcotest.(check int) "unknown fault site exit 2" 2
+    (run_place (base ^ " --fault-inject bogus=nan@0"));
+  Alcotest.(check int) "malformed fault spec exit 2" 2
+    (run_place (base ^ " --fault-inject wl_grad=nan"));
+  (* Invalid design: exit 3. *)
+  Alcotest.(check int) "negative clock exit 3" 3
+    (run_place
+       (Printf.sprintf "--design-file %s --flow vanilla --log-level quiet" bad_design));
+  (* Malformed foreign file: exit 6, with the structured parse_error
+     (kind + file/line/detail) in the report. *)
+  let malformed = at "malformed.aux" in
+  Helpers.write_file malformed "RowBasedPlacement : m.nodes\nbogus record here\n";
+  Alcotest.(check int) "malformed file exit 6" 6
+    (run_place
+       (Printf.sprintf "--design-file %s --log-level quiet --report-json %s" malformed
+          report));
+  let rpt = Helpers.read_file report in
+  Alcotest.(check bool) "parse_error kind in report" true
+    (Helpers.contains ~sub:"\"kind\":\"parse_error\"" rpt);
+  Alcotest.(check bool) "offending line in report" true (Helpers.contains ~sub:"\"line\":\"2\"" rpt);
+  (* Divergence under a persistent injected fault: exit 4, and the
+     report carries the structured error plus the guard counters. *)
+  Alcotest.(check int) "persistent fault exit 4" 4
+    (run_place (Printf.sprintf "%s --fault-inject wl_grad=nan@0 --report-json %s" base report));
+  let rpt = Helpers.read_file report in
+  Alcotest.(check bool) "diverged error kind in report" true
+    (Helpers.contains ~sub:"\"kind\":\"diverged\"" rpt);
+  Alcotest.(check bool) "guard counters in report" true
+    (Helpers.contains ~sub:"guard.rollbacks" rpt);
+  (* The FAULT_INJECT environment variable is an alternative spelling. *)
+  Alcotest.(check int) "FAULT_INJECT env exit 4" 4
+    (Sys.command
+       (Printf.sprintf "FAULT_INJECT=wl_grad=nan@0 %s %s >/dev/null 2>&1" place_exe base))
+
+(* The small tools share place's loader and exit-code mapping: a
+   malformed or unknown design file exits 6, a bad output extension 2. *)
+let test_tools_exit_codes () =
+  Helpers.with_temp_dir @@ fun dir ->
+  let at = Filename.concat dir in
+  let malformed = at "malformed.aux" in
+  Helpers.write_file malformed "RowBasedPlacement : m.nodes\nbogus record here\n";
+  List.iter
+    (fun tool ->
+      Alcotest.(check int) (tool ^ " malformed file exit 6") 6
+        (run_bin tool ("--design-file " ^ malformed));
+      Alcotest.(check int) (tool ^ " unknown extension exit 6") 6
+        (run_bin tool ("--design-file " ^ at "x.design")))
+    [ "report_timing"; "design_stats" ];
+  Alcotest.(check int) "gen_bench bad extension exit 2" 2
+    (run_bin "gen_bench" ("-d sb1 --scale 0.05 --no-calibrate -o " ^ at "x.design"));
+  Alcotest.(check int) "place bad --out extension exit 2" 2
+    (run_place ("-d sb1 --scale 0.05 --out " ^ at "x.design"))
 
 let suite =
   [
@@ -469,4 +462,5 @@ let suite =
     ("flow survives elmore nan fault", `Slow, test_flow_with_elmore_nan_fault);
     ("flow rejects invalid design", `Quick, test_flow_rejects_invalid_design);
     ("place exit codes", `Slow, test_place_exit_codes);
+    ("tools exit codes", `Quick, test_tools_exit_codes);
   ]

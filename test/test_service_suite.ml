@@ -196,10 +196,7 @@ let test_state_registry () =
 
 (* ---------------- Engine sessions ---------------- *)
 
-let with_design_file f =
-  let path = Filename.temp_file "service_chain" ".design" in
-  Netlist.Io.save_file path (Helpers.chain_design ());
-  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+let with_design_file f = Helpers.with_saved (Helpers.chain_design ()) f
 
 let load_params ?(name = "c") path =
   [ ("path", Obs.Json.String path); ("name", Obs.Json.String name) ]
@@ -278,15 +275,11 @@ let test_engine_session () =
               ]));
       expect_error "malformed line" ~kind:"bad_request" (Engine.handle_line engine "not json");
       (* Missing and malformed files: typed replies, not daemon death. *)
-      expect_error "missing file" ~kind:"internal"
-        (Engine.handle engine (request "load" (load_params "/nonexistent/x.design")));
-      let garbage = Filename.temp_file "service_garbage" ".design" in
-      let oc = open_out garbage in
-      output_string oc "design x\nbogus record here\nend\n";
-      close_out oc;
-      Fun.protect
-        ~finally:(fun () -> Sys.remove garbage)
-        (fun () ->
+      expect_error "missing file" ~kind:"parse_error"
+        (Engine.handle engine (request "load" (load_params "/nonexistent/x.aux")));
+      Helpers.with_temp_dir (fun dir ->
+          let garbage = Filename.concat dir "garbage.aux" in
+          Helpers.write_file garbage "RowBasedPlacement : g.nodes\nbogus record here\n";
           expect_error "garbage file" ~kind:"parse_error"
             (Engine.handle engine (request "load" (load_params garbage))));
       Alcotest.(check bool) "unload" true
@@ -328,11 +321,7 @@ let test_engine_metrics_identity () =
   let d =
     Workloads.Generate.generate { Helpers.small_gen_params with name = "svc"; seed = 11 }
   in
-  let path = Filename.temp_file "service_ident" ".design" in
-  Netlist.Io.save_file path d;
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
+  Helpers.with_saved d (fun path ->
       let engine = Engine.create () in
       ignore (expect_ok "load" (Engine.handle engine (request "load" (load_params ~name:"i" path))));
       let r =
@@ -345,7 +334,7 @@ let test_engine_metrics_identity () =
                   ("seed", Obs.Json.Int 5);
                 ]))
       in
-      let direct = Tdp.Flow.run ~seed:5 Tdp.Flow.Vanilla (Netlist.Io.load_file path) in
+      let direct = Tdp.Flow.run ~seed:5 Tdp.Flow.Vanilla (Formats.Auto.load path) in
       let got key = float_member key (member "metrics" r) in
       let m = direct.Tdp.Flow.metrics in
       Alcotest.(check (float 0.0)) "hpwl identical" m.Evalkit.Metrics.hpwl (got "hpwl");
