@@ -23,6 +23,9 @@ type t = {
   eff_h : float array;
   eff_scale : float array;
   mutable scratch : float array array; (* per-domain accumulation grids, grown on demand *)
+  mutable xover : float array array;
+      (* per-chunk x-overlap rows (length [bins_x]) for the multi-bin
+         deposit, grown on demand with [scratch] *)
   mutable partial : float array; (* per-chunk reduction slots (overflow), grown on demand *)
 }
 
@@ -57,6 +60,7 @@ let create (d : Design.t) ~bins_x ~bins_y =
       eff_h;
       eff_scale;
       scratch = [||];
+      xover = [| Array.make bins_x 0.0 |];
       partial = Array.make 1 0.0;
     }
   in
@@ -88,11 +92,32 @@ let create (d : Design.t) ~bins_x ~bins_y =
 
 let bin_area t = t.bin_w *. t.bin_h
 
+(* [Float.min]/[Float.max] by compare-and-select, with the same result
+   bits: equal operands can only differ as +0/-0, where min prefers -0
+   (-(-x - y)) and max prefers +0 (x + y); an unordered pair returns its
+   NaN. They skip the [sign_bit] C calls the library versions make. Kept
+   local (as in [Rctree.Steiner] and [Globalplace]): the dev profile
+   compiles with [-opaque], so a shared helper would not inline. *)
+let[@inline] fmin x y =
+  if x < y then x
+  else if y < x then y
+  else if x = y then if x = 0.0 then -.(-.x -. y) else y
+  else if x <> x then x
+  else y
+
+let[@inline] fmax x y =
+  if x > y then x
+  else if y > x then y
+  else if x = y then if x = 0.0 then x +. y else x
+  else if x <> x then x
+  else y
+
 (* Deposit one movable cell's (inflated) area into an accumulation grid.
    The inflation (cells smaller than a bin stretched to bin size, density
    scaled to preserve area) is computed inline with float locals — a
-   tuple-returning helper would allocate per cell per iteration. *)
-let[@inline] deposit t (d : Design.t) (acc : float array) i =
+   tuple-returning helper would allocate per cell per iteration. [xo]
+   is the chunk's x-overlap row (length [bins_x]). *)
+let[@inline] deposit t (d : Design.t) (acc : float array) (xo : float array) i =
   let die = t.die in
   (* [i] is loop-bounded by the caller (< num_cells), so the coordinate
      reads skip bounds checks; the inflated extents/scale come from the
@@ -141,17 +166,24 @@ let[@inline] deposit t (d : Design.t) (acc : float array) i =
     end
   end
   else begin
-    let bxl = max 0 (int_of_float (floor ((xl -. die.xl) *. t.inv_bin_w))) in
-    let bxh = min (t.bins_x - 1) (int_of_float (floor ((xh -. die.xl) *. t.inv_bin_w))) in
-    let byl = max 0 (int_of_float (floor ((yl -. die.yl) *. t.inv_bin_h))) in
-    let byh = min (t.bins_y - 1) (int_of_float (floor ((yh -. die.yl) *. t.inv_bin_h))) in
+    (* [Int.max]/[Int.min]: the polymorphic [max]/[min] would call the
+       generic compare four times per cell. *)
+    let bxl = Int.max 0 (int_of_float (floor ((xl -. die.xl) *. t.inv_bin_w))) in
+    let bxh = Int.min (t.bins_x - 1) (int_of_float (floor ((xh -. die.xl) *. t.inv_bin_w))) in
+    let byl = Int.max 0 (int_of_float (floor ((yl -. die.yl) *. t.inv_bin_h))) in
+    let byh = Int.min (t.bins_y - 1) (int_of_float (floor ((yh -. die.yl) *. t.inv_bin_h))) in
+    (* A column's x-overlap is the same in every row: compute each once
+       per cell. [bxl, bxh] lies inside [0, bins_x) by the clamps above. *)
+    for bx = bxl to bxh do
+      let b_xl = die.xl +. (float_of_int bx *. t.bin_w) in
+      Array.unsafe_set xo bx (fmin xh (b_xl +. t.bin_w) -. fmax xl b_xl)
+    done;
     for by = byl to byh do
       let b_yl = die.yl +. (float_of_int by *. t.bin_h) in
-      let oy = Float.min yh (b_yl +. t.bin_h) -. Float.max yl b_yl in
+      let oy = fmin yh (b_yl +. t.bin_h) -. fmax yl b_yl in
       if oy > 0.0 then
         for bx = bxl to bxh do
-          let b_xl = die.xl +. (float_of_int bx *. t.bin_w) in
-          let ox = Float.min xh (b_xl +. t.bin_w) -. Float.max xl b_xl in
+          let ox = Array.unsafe_get xo bx in
           if ox > 0.0 then
             let b = (by * t.bins_x) + bx in
             Array.unsafe_set acc b (Array.unsafe_get acc b +. (ox *. oy *. scale))
@@ -167,20 +199,24 @@ let update t (d : Design.t) =
   Array.fill t.density 0 nbins 0.0;
   let ncells = Design.num_cells d in
   let nchunks = Util.Parallel.chunk_count ~n:ncells in
-  if nchunks = 1 then
+  if nchunks = 1 then begin
+    let xo = t.xover.(0) in
     for i = 0 to ncells - 1 do
-      if Design.is_movable d i then deposit t d t.density i
+      if Design.is_movable d i then deposit t d t.density xo i
     done
+  end
   else begin
-    if Array.length t.scratch < nchunks then
+    if Array.length t.scratch < nchunks then begin
       t.scratch <- Array.init nchunks (fun _ -> Array.make nbins 0.0);
+      t.xover <- Array.init nchunks (fun _ -> Array.make t.bins_x 0.0)
+    end;
     for k = 0 to nchunks - 1 do
       Array.fill t.scratch.(k) 0 nbins 0.0
     done;
     Util.Parallel.for_chunks ~grain:64 ~name:"density.bins" ~n:ncells (fun ~chunk ~lo ~hi ->
-        let acc = t.scratch.(chunk) in
+        let acc = t.scratch.(chunk) and xo = t.xover.(chunk) in
         for i = lo to hi - 1 do
-          if Design.is_movable d i then deposit t d acc i
+          if Design.is_movable d i then deposit t d acc xo i
         done);
     (* Merge per-domain grids; each bin sums its chunk contributions in
        chunk order, so bins are independent and the result deterministic. *)

@@ -16,6 +16,7 @@ type t = {
   eff_h : float array; (* precomputed once (cell sizes are static) *)
   eff_scale : float array;
   mutable scratch : float array array; (* per-domain accumulation grids *)
+  mutable xover : float array array; (* per-chunk x-overlap rows, length [bins_x] *)
   mutable partial : float array; (* per-chunk reduction slots (overflow) *)
 }
 

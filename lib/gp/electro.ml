@@ -15,7 +15,6 @@ type t = {
   psi : float array;
   ex : float array; (* field, grid units *)
   ey : float array;
-  mutable energy : float;
 }
 
 let create ?(obs = Obs.Ctx.null) grid =
@@ -28,7 +27,6 @@ let create ?(obs = Obs.Ctx.null) grid =
     psi = Array.make nbins 0.0;
     ex = Array.make nbins 0.0;
     ey = Array.make nbins 0.0;
-    energy = 0.0;
   }
 
 (** Re-solve the field from the current bin densities into the
@@ -37,8 +35,7 @@ let create ?(obs = Obs.Ctx.null) grid =
 let solve t ~target_density =
   Densitygrid.charge_into t.grid ~target_density ~rho:t.rho;
   Numerics.Poisson.solve_into ~obs:t.obs t.poisson ~rho:t.rho ~psi:t.psi;
-  Numerics.Poisson.field_into t.poisson ~psi:t.psi ~ex:t.ex ~ey:t.ey;
-  t.energy <- Numerics.Poisson.energy t.rho t.psi
+  Numerics.Poisson.field_into t.poisson ~psi:t.psi ~ex:t.ex ~ey:t.ey
 
 (** Density-force gradient: for each movable cell, the gradient of the
     electrostatic energy w.r.t. its position is -q * E(pos); we *add*

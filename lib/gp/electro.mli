@@ -11,12 +11,14 @@ type t = {
   psi : float array;
   ex : float array; (* field, grid units *)
   ey : float array;
-  mutable energy : float;
 }
 
 val create : ?obs:Obs.Ctx.t -> Densitygrid.t -> t
 
-(** Re-solve potential/field/energy; call after [Densitygrid.update]. *)
+(** Re-solve potential and field; call after [Densitygrid.update]. The
+    energy itself never drives the optimizer (only its gradient, the
+    field, does); [Numerics.Poisson.energy rho psi] computes it on
+    demand. *)
 val solve : t -> target_density:float -> unit
 
 (** Add the density-energy gradient (physical units) for every movable

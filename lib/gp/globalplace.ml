@@ -90,11 +90,11 @@ let pack d movable =
 
 let unpack d movable vec =
   let nm = Array.length movable in
-  Array.iteri
-    (fun i id ->
-      d.Design.x.{id} <- vec.(i);
-      d.Design.y.{id} <- vec.(nm + i))
-    movable
+  for i = 0 to nm - 1 do
+    let id = movable.(i) in
+    d.Design.x.{id} <- vec.(i);
+    d.Design.y.{id} <- vec.(nm + i)
+  done
 
 (** Spread movable cells around the die centre with Gaussian noise — the
     standard analytic-placement initialisation. *)
@@ -108,6 +108,24 @@ let initial_spread ?(sigma_bins = 2.0) (d : Design.t) ~bin_w ~bin_h ~seed =
     end
   done;
   Design.clamp_movable d
+
+(* [Float.min]/[Float.max] by compare-and-select, with the same result
+   bits, signed zeros and NaN included. A copy of the pair in
+   densitygrid.ml: the dev profile's [-opaque] stops cross-module
+   inlining, and a call would box its float arguments. *)
+let[@inline] fmin x y =
+  if x < y then x
+  else if y < x then y
+  else if x = y then if x = 0.0 then -.(-.x -. y) else y
+  else if x <> x then x
+  else y
+
+let[@inline] fmax x y =
+  if x > y then x
+  else if y > x then y
+  else if x = y then if x = 0.0 then x +. y else x
+  else if x <> x then x
+  else y
 
 type result = {
   trace : trace_point list; (* chronological *)
@@ -190,15 +208,24 @@ let run ?(params = default_params) ?(hooks = no_hooks) ?(obs = Obs.Ctx.null) ?he
     Obs.Log.warn "[gp %s] non-finite %s at iter %d: rolled back (recovery %d/%d, backoff %.3g)"
       d.name what !iter !consecutive_recoveries params.max_recoveries !backoff
   in
+  (* Per-movable box keeping the cell on the die, fixed for the run
+     (die and cell sizes do not change during placement). *)
+  let lo_x = Array.make nm 0.0 and hi_x = Array.make nm 0.0 in
+  let lo_y = Array.make nm 0.0 and hi_y = Array.make nm 0.0 in
+  for i = 0 to nm - 1 do
+    let id = movable.(i) in
+    let hw = d.w.{id} /. 2.0 and hh = d.h.{id} /. 2.0 in
+    lo_x.(i) <- d.die.xl +. hw;
+    hi_x.(i) <- d.die.xh -. hw;
+    lo_y.(i) <- d.die.yl +. hh;
+    hi_y.(i) <- d.die.yh -. hh
+  done;
   let clamp vec =
     (* Project each candidate position so the cell stays on the die. *)
-    Array.iteri
-      (fun i id ->
-        let hw = d.w.{id} /. 2.0 and hh = d.h.{id} /. 2.0 in
-        vec.(i) <- Float.max (d.die.xl +. hw) (Float.min (d.die.xh -. hw) vec.(i));
-        vec.(nm + i) <-
-          Float.max (d.die.yl +. hh) (Float.min (d.die.yh -. hh) vec.(nm + i)))
-      movable
+    for i = 0 to nm - 1 do
+      vec.(i) <- fmax lo_x.(i) (fmin hi_x.(i) vec.(i));
+      vec.(nm + i) <- fmax lo_y.(i) (fmin hi_y.(i) vec.(nm + i))
+    done
   in
   while (not !stop) && !iter < params.max_iters do
     (* One [gp_iter] span per iteration (the journalled replacement for the
@@ -257,19 +284,19 @@ let run ?(params = default_params) ?(hooks = no_hooks) ?(obs = Obs.Ctx.null) ?he
     Array.fill dgx 0 (Array.length dgx) 0.0;
     Array.fill dgy 0 (Array.length dgy) 0.0;
     tick "density" (fun () -> Electro.add_grad electro d ~gx:dgx ~gy:dgy);
-    Array.iter
-      (fun id ->
-        gx.(id) <- gx.(id) +. (!lambda *. dgx.(id));
-        gy.(id) <- gy.(id) +. (!lambda *. dgy.(id)))
-      movable;
+    for i = 0 to nm - 1 do
+      let id = movable.(i) in
+      gx.(id) <- gx.(id) +. (!lambda *. dgx.(id));
+      gy.(id) <- gy.(id) +. (!lambda *. dgy.(id))
+    done;
     if !iter >= params.timing_start then hooks.extra_grad ~iter:!iter ~wl_norm ~gx ~gy;
     (* Precondition and pack. *)
-    Array.iteri
-      (fun i id ->
-        let p = Float.max 1.0 (float_of_int pin_count.(id) +. (!lambda *. d.w.{id} *. d.h.{id})) in
-        gvec.(i) <- gx.(id) /. p;
-        gvec.(nm + i) <- gy.(id) /. p)
-      movable;
+    for i = 0 to nm - 1 do
+      let id = movable.(i) in
+      let p = fmax 1.0 (float_of_int pin_count.(id) +. (!lambda *. d.w.{id} *. d.h.{id})) in
+      gvec.(i) <- gx.(id) /. p;
+      gvec.(nm + i) <- gy.(id) /. p
+    done;
     (* Guard: a non-finite gradient (density/FFT blowup, timing-force
        NaN, injected fault) must never reach the optimizer — it would
        poison u/v/prev_g and every later iterate. *)
@@ -297,13 +324,17 @@ let run ?(params = default_params) ?(hooks = no_hooks) ?(obs = Obs.Ctx.null) ?he
        the placement (observed as HPWL divergence in the timing phase). *)
     if overflow < params.stop_overflow then converged_once := true;
     if not !converged_once then lambda := !lambda *. params.lambda_mult;
-    Obs.Ctx.span_attrs obs
-      [
-        ("iter", Obs.Json.Int !iter);
-        ("overflow", Obs.Json.Float overflow);
-        ("gamma", Obs.Json.Float gamma);
-        ("lambda", Obs.Json.Float !lambda);
-      ];
+    (* The attribute list and its boxed floats are built only when
+       someone records them: under [Obs.Ctx.null] the iteration
+       allocates (almost) nothing. *)
+    if Obs.Ctx.enabled obs then
+      Obs.Ctx.span_attrs obs
+        [
+          ("iter", Obs.Json.Int !iter);
+          ("overflow", Obs.Json.Float overflow);
+          ("gamma", Obs.Json.Float gamma);
+          ("lambda", Obs.Json.Float !lambda);
+        ];
     if (not !just_recovered) && (!iter mod 10 = 0 || overflow < params.stop_overflow) then begin
       unpack d movable (Nesterov.iterate !opt);
       let hpwl = Design.total_hpwl d in
@@ -315,7 +346,7 @@ let run ?(params = default_params) ?(hooks = no_hooks) ?(obs = Obs.Ctx.null) ?he
         backoff := Float.min 1.0 (!backoff *. 1.25);
         trace := { iter = !iter; hpwl; overflow; gamma; lambda = !lambda } :: !trace;
         (match heartbeat with Some hb -> Obs.Heartbeat.note_hpwl hb hpwl | None -> ());
-        Obs.Ctx.span_attrs obs [ ("hpwl", Obs.Json.Float hpwl) ];
+        if Obs.Ctx.enabled obs then Obs.Ctx.span_attrs obs [ ("hpwl", Obs.Json.Float hpwl) ];
         if params.verbose || Obs.Log.enabled Obs.Log.Debug then
           Obs.Log.emit Obs.Log.Debug
             (Printf.sprintf "[gp %s] iter %4d hpwl %.3e ovf %.3f" d.name !iter hpwl overflow)

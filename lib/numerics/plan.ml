@@ -88,24 +88,48 @@ let make_line n =
   done;
   let ck = Array.init n (fun k -> cos (Float.pi *. float_of_int k /. (2.0 *. float_of_int n))) in
   let sk = Array.init n (fun k -> sin (Float.pi *. float_of_int k /. (2.0 *. float_of_int n))) in
+  (* The loops below read these tables unchecked. Lines are private to
+     this module and never mutated after this point, so checking the
+     permutations once here proves every table-driven index in range. *)
+  let in_line j = j >= 0 && j < n in
+  if not (Array.for_all in_line brev && Array.for_all in_line mperm) then
+    invalid_arg "Numerics.Plan: corrupt line tables";
   { n; log2n; brev; twr; twi; mperm; ck; sk }
+
+(* ---- entry checks for the unchecked loops ----
+
+   Every loop below uses [Array.unsafe_get]/[unsafe_set]. Each one is
+   allowed only behind a single O(1) check on entry that proves every
+   index it touches is in range: a complex work lane holds at least [n]
+   values, and a strided view [off + s*stride] (s < n) ends inside its
+   array. Table indices (brev, mperm < n; twiddles < n - 1; ck/sk < n)
+   are proved by [make_line]. *)
+
+let check_lane (ln : line) (z : float array) =
+  if Array.length z < ln.n then invalid_arg "Numerics.Plan: work lane shorter than the line"
+
+let check_view (ln : line) (a : float array) off stride =
+  if off < 0 || stride < 0 || off + ((ln.n - 1) * stride) >= Array.length a then
+    invalid_arg "Numerics.Plan: strided line view out of range"
 
 (* In-place complex FFT over the line's tables. [wsign] is +1.0 for the
    forward transform, -1.0 for the (unnormalised) inverse — the DCT-III
    path folds the 1/n into its pre-twiddle instead. Free of refs,
    closures and trig: nothing here allocates. *)
 let fft_core (ln : line) (re : float array) (im : float array) ~wsign =
+  check_lane ln re;
+  check_lane ln im;
   let n = ln.n in
   let brev = ln.brev in
   for i = 0 to n - 1 do
-    let j = brev.(i) in
+    let j = Array.unsafe_get brev i in
     if i < j then begin
-      let tr = re.(i) in
-      re.(i) <- re.(j);
-      re.(j) <- tr;
-      let ti = im.(i) in
-      im.(i) <- im.(j);
-      im.(j) <- ti
+      let tr = Array.unsafe_get re i in
+      Array.unsafe_set re i (Array.unsafe_get re j);
+      Array.unsafe_set re j tr;
+      let ti = Array.unsafe_get im i in
+      Array.unsafe_set im i (Array.unsafe_get im j);
+      Array.unsafe_set im j ti
     end
   done;
   let twr = ln.twr and twi = ln.twi in
@@ -117,18 +141,18 @@ let fft_core (ln : line) (re : float array) (im : float array) ~wsign =
     for blk = 0 to nblk - 1 do
       let base = blk * len in
       for k = 0 to half - 1 do
-        let wr = twr.(off + k) in
-        let wi = wsign *. twi.(off + k) in
+        let wr = Array.unsafe_get twr (off + k) in
+        let wi = wsign *. Array.unsafe_get twi (off + k) in
         let a = base + k in
         let b = a + half in
-        let br = re.(b) and bi = im.(b) in
+        let br = Array.unsafe_get re b and bi = Array.unsafe_get im b in
         let tr = (br *. wr) -. (bi *. wi) in
         let ti = (br *. wi) +. (bi *. wr) in
-        let ar = re.(a) and ai = im.(a) in
-        re.(b) <- ar -. tr;
-        im.(b) <- ai -. ti;
-        re.(a) <- ar +. tr;
-        im.(a) <- ai +. ti
+        let ar = Array.unsafe_get re a and ai = Array.unsafe_get im a in
+        Array.unsafe_set re b (ar -. tr);
+        Array.unsafe_set im b (ai -. ti);
+        Array.unsafe_set re a (ar +. tr);
+        Array.unsafe_set im a (ai +. ti)
       done
     done
   done
@@ -142,53 +166,74 @@ let fft_core (ln : line) (re : float array) (im : float array) ~wsign =
      X_k = Re(e^{-i pi k / 2n} V_k)
    with V the FFT of the permuted line. *)
 
-let load_packed (ln : line) zre zim (a : float array) offa stra (b : float array) offb strb =
+let load_packed (ln : line) (zre : float array) (zim : float array) (a : float array) offa stra
+    (b : float array) offb strb =
+  check_lane ln zre;
+  check_lane ln zim;
+  check_view ln a offa stra;
+  check_view ln b offb strb;
   let mperm = ln.mperm in
   for i = 0 to ln.n - 1 do
-    let s = mperm.(i) in
-    zre.(i) <- a.(offa + (s * stra));
-    zim.(i) <- b.(offb + (s * strb))
+    let s = Array.unsafe_get mperm i in
+    Array.unsafe_set zre i (Array.unsafe_get a (offa + (s * stra)));
+    Array.unsafe_set zim i (Array.unsafe_get b (offb + (s * strb)))
   done
 
-let load_single (ln : line) zre zim (a : float array) offa stra =
+let load_single (ln : line) (zre : float array) (zim : float array) (a : float array) offa stra =
+  check_lane ln zre;
+  check_lane ln zim;
+  check_view ln a offa stra;
   let mperm = ln.mperm in
   for i = 0 to ln.n - 1 do
-    zre.(i) <- a.(offa + (mperm.(i) * stra));
-    zim.(i) <- 0.0
+    Array.unsafe_set zre i (Array.unsafe_get a (offa + (Array.unsafe_get mperm i * stra)));
+    Array.unsafe_set zim i 0.0
   done
 
 (* Unpack + quarter-wave twiddle into two strided outputs. *)
-let dct_post (ln : line) zre zim (da : float array) doffa dstra (db : float array) doffb dstrb =
+let dct_post (ln : line) (zre : float array) (zim : float array) (da : float array) doffa dstra
+    (db : float array) doffb dstrb =
+  check_lane ln zre;
+  check_lane ln zim;
+  check_view ln da doffa dstra;
+  check_view ln db doffb dstrb;
   let n = ln.n in
   let mask = n - 1 in
   let ck = ln.ck and sk = ln.sk in
   for k = 0 to n - 1 do
     let k' = (n - k) land mask in
-    let pr = zre.(k) and pq = zre.(k') in
-    let ir = zim.(k) and iq = zim.(k') in
+    let pr = Array.unsafe_get zre k and pq = Array.unsafe_get zre k' in
+    let ir = Array.unsafe_get zim k and iq = Array.unsafe_get zim k' in
     let var = 0.5 *. (pr +. pq) and vai = 0.5 *. (ir -. iq) in
     let vbr = 0.5 *. (ir +. iq) and vbi = 0.5 *. (pq -. pr) in
-    let c = ck.(k) and s = sk.(k) in
-    da.(doffa + (k * dstra)) <- (c *. var) +. (s *. vai);
-    db.(doffb + (k * dstrb)) <- (c *. vbr) +. (s *. vbi)
+    let c = Array.unsafe_get ck k and s = Array.unsafe_get sk k in
+    Array.unsafe_set da (doffa + (k * dstra)) ((c *. var) +. (s *. vai));
+    Array.unsafe_set db (doffb + (k * dstrb)) ((c *. vbr) +. (s *. vbi))
   done
 
 (* Same, additionally multiplying coefficient k by strided per-mode
    factors — the Poisson mode scale fused into the unpack loop. *)
-let dct_post_scaled (ln : line) zre zim (scale : float array) ioffa istr ioffb
-    (da : float array) (db : float array) =
+let dct_post_scaled (ln : line) (zre : float array) (zim : float array) (scale : float array)
+    ioffa istr ioffb (da : float array) (db : float array) =
+  check_lane ln zre;
+  check_lane ln zim;
+  check_view ln scale ioffa istr;
+  check_view ln scale ioffb istr;
+  check_lane ln da;
+  check_lane ln db;
   let n = ln.n in
   let mask = n - 1 in
   let ck = ln.ck and sk = ln.sk in
   for k = 0 to n - 1 do
     let k' = (n - k) land mask in
-    let pr = zre.(k) and pq = zre.(k') in
-    let ir = zim.(k) and iq = zim.(k') in
+    let pr = Array.unsafe_get zre k and pq = Array.unsafe_get zre k' in
+    let ir = Array.unsafe_get zim k and iq = Array.unsafe_get zim k' in
     let var = 0.5 *. (pr +. pq) and vai = 0.5 *. (ir -. iq) in
     let vbr = 0.5 *. (ir +. iq) and vbi = 0.5 *. (pq -. pr) in
-    let c = ck.(k) and s = sk.(k) in
-    da.(k) <- ((c *. var) +. (s *. vai)) *. scale.(ioffa + (k * istr));
-    db.(k) <- ((c *. vbr) +. (s *. vbi)) *. scale.(ioffb + (k * istr))
+    let c = Array.unsafe_get ck k and s = Array.unsafe_get sk k in
+    Array.unsafe_set da k
+      (((c *. var) +. (s *. vai)) *. Array.unsafe_get scale (ioffa + (k * istr)));
+    Array.unsafe_set db k
+      (((c *. vbr) +. (s *. vbi)) *. Array.unsafe_get scale (ioffb + (k * istr)))
   done
 
 (* ---- packed-pair DCT-III (inverse) ----
@@ -198,34 +243,48 @@ let dct_post_scaled (ln : line) zre zim (scale : float array) ioffa istr ioffb
    pack them as Z = V_A + i V_B, run one inverse FFT (1/n folded into
    this pre-twiddle), and un-permute both real lanes. *)
 
-let idct_pre (ln : line) zre zim (a : float array) offa stra (b : float array) offb strb =
+let idct_pre (ln : line) (zre : float array) (zim : float array) (a : float array) offa stra
+    (b : float array) offb strb =
+  check_lane ln zre;
+  check_lane ln zim;
+  check_view ln a offa stra;
+  check_view ln b offb strb;
   let n = ln.n in
   let inv_n = 1.0 /. float_of_int n in
   let ck = ln.ck and sk = ln.sk in
-  zre.(0) <- inv_n *. a.(offa);
-  zim.(0) <- inv_n *. b.(offb);
+  Array.unsafe_set zre 0 (inv_n *. Array.unsafe_get a offa);
+  Array.unsafe_set zim 0 (inv_n *. Array.unsafe_get b offb);
   for k = 1 to n - 1 do
-    let xar = a.(offa + (k * stra)) and xaq = a.(offa + ((n - k) * stra)) in
-    let xbr = b.(offb + (k * strb)) and xbq = b.(offb + ((n - k) * strb)) in
-    let c = ck.(k) and s = sk.(k) in
+    let xar = Array.unsafe_get a (offa + (k * stra))
+    and xaq = Array.unsafe_get a (offa + ((n - k) * stra)) in
+    let xbr = Array.unsafe_get b (offb + (k * strb))
+    and xbq = Array.unsafe_get b (offb + ((n - k) * strb)) in
+    let c = Array.unsafe_get ck k and s = Array.unsafe_get sk k in
     let var = (c *. xar) +. (s *. xaq) and vai = (s *. xar) -. (c *. xaq) in
     let vbr = (c *. xbr) +. (s *. xbq) and vbi = (s *. xbr) -. (c *. xbq) in
-    zre.(k) <- inv_n *. (var -. vbi);
-    zim.(k) <- inv_n *. (vai +. vbr)
+    Array.unsafe_set zre k (inv_n *. (var -. vbi));
+    Array.unsafe_set zim k (inv_n *. (vai +. vbr))
   done
 
-let store_packed (ln : line) zre zim (a : float array) offa stra (b : float array) offb strb =
+let store_packed (ln : line) (zre : float array) (zim : float array) (a : float array) offa stra
+    (b : float array) offb strb =
+  check_lane ln zre;
+  check_lane ln zim;
+  check_view ln a offa stra;
+  check_view ln b offb strb;
   let mperm = ln.mperm in
   for i = 0 to ln.n - 1 do
-    let s = mperm.(i) in
-    a.(offa + (s * stra)) <- zre.(i);
-    b.(offb + (s * strb)) <- zim.(i)
+    let s = Array.unsafe_get mperm i in
+    Array.unsafe_set a (offa + (s * stra)) (Array.unsafe_get zre i);
+    Array.unsafe_set b (offb + (s * strb)) (Array.unsafe_get zim i)
   done
 
-let store_single (ln : line) zre (a : float array) offa stra =
+let store_single (ln : line) (zre : float array) (a : float array) offa stra =
+  check_lane ln zre;
+  check_view ln a offa stra;
   let mperm = ln.mperm in
   for i = 0 to ln.n - 1 do
-    a.(offa + (mperm.(i) * stra)) <- zre.(i)
+    Array.unsafe_set a (offa + (Array.unsafe_get mperm i * stra)) (Array.unsafe_get zre i)
   done
 
 (* ------------------------------------------------------------------ *)

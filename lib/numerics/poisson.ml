@@ -109,24 +109,20 @@ let field t psi =
   field_into t ~psi ~ex ~ey;
   (ex, ey)
 
-(* Sequential energy accumulator: a module-level float-array cell instead
-   of a [ref] (float refs box on every store without flambda). [energy]
-   is only invoked from the orchestrating domain, never inside a kernel
-   body, so a single cell is safe. *)
-let energy_acc = Array.make 1 0.0
-
 (** System energy 0.5 * sum(rho * psi); the ePlace density penalty.
     Deterministic chunked reduction (see [Util.Parallel.sum]); the
     sequential path folds left-to-right exactly like [Parallel.sum] at
-    one domain, so results are bitwise-identical to the seed. *)
+    one domain, so results are bitwise-identical to the seed. The
+    accumulator is a local [ref] that never escapes, which the native
+    compiler keeps in an unboxed register: nothing is shared between
+    calls. *)
 let energy rho psi =
   if !Util.Parallel.num_domains <= 1 then begin
-    let n = Array.length rho in
-    energy_acc.(0) <- 0.0;
-    for i = 0 to n - 1 do
-      energy_acc.(0) <- energy_acc.(0) +. (rho.(i) *. psi.(i))
+    let acc = ref 0.0 in
+    for i = 0 to Array.length rho - 1 do
+      acc := !acc +. (rho.(i) *. psi.(i))
     done;
-    0.5 *. energy_acc.(0)
+    0.5 *. !acc
   end
   else
     0.5

@@ -275,6 +275,33 @@ let metrics_identity () =
         (List.length r.Tdp.Flow.extraction_rounds)
         (List.length r'.Tdp.Flow.extraction_rounds))
 
+(* The committed golden placement of the fixture: `place` must write
+   goldens/bsgolden-efficient.def byte for byte (the CI golden job runs
+   the same command and `cmp`). *)
+let golden_def_byte_identical () =
+  let golden =
+    List.find_opt Sys.file_exists
+      [ "../goldens/bsgolden-efficient.def"; "goldens/bsgolden-efficient.def" ]
+  in
+  let golden =
+    match golden with Some p -> p | None -> Alcotest.fail "goldens/bsgolden-efficient.def not found"
+  in
+  let place =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      (Filename.concat Filename.parent_dir_name (Filename.concat "bin" "place.exe"))
+  in
+  Helpers.with_temp_dir (fun dir ->
+      let out = Filename.concat dir "bsgolden-efficient.def" in
+      let rc =
+        Sys.command
+          (Printf.sprintf "%s --design-file %s --flow efficient --domains 1 --out %s >/dev/null 2>&1"
+             place (Lazy.force golden_fixture) out)
+      in
+      Alcotest.(check int) "place exit code" 0 rc;
+      if Helpers.read_file out <> Helpers.read_file golden then
+        Alcotest.failf "%s differs from %s" out golden)
+
 let suite =
   [
     Alcotest.test_case "bookshelf roundtrip, all suite designs (1+4 domains)" `Slow
@@ -286,4 +313,5 @@ let suite =
     Alcotest.test_case "golden_small fixture parses" `Quick golden_small_parses;
     Alcotest.test_case "serialize/mutate/reparse battery" `Slow mutate_reparse_battery;
     Alcotest.test_case "reparsed design reproduces flow metrics" `Slow metrics_identity;
+    Alcotest.test_case "golden placement DEF byte-identical" `Quick golden_def_byte_identical;
   ]

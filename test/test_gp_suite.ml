@@ -174,7 +174,7 @@ let test_electro_energy_decreases_with_spreading () =
     placement ();
     Gp.Densitygrid.update grid d;
     Gp.Electro.solve el ~target_density:1.0;
-    el.Gp.Electro.energy
+    Numerics.Poisson.energy el.Gp.Electro.rho el.Gp.Electro.psi
   in
   let ctr = Geom.Rect.center d.die in
   let stacked =
@@ -415,3 +415,91 @@ let test_wa_parallel_equivalence () =
   Alcotest.(check bool) "gradients agree" true (!max_diff < 1e-9)
 
 let suite = suite @ [ ("wa gradient parallel equivalence", `Quick, test_wa_parallel_equivalence) ]
+
+(* ---------------- Bitwise fixture and allocation budget ---------------- *)
+
+(* test/fixtures/gp_kernels (written by test/gen_gp_fixture.ml) pins the
+   density grid, the Poisson potential/field/energy and 200-iteration
+   vanilla placements bit for bit, one section per domain count. The
+   test reruns the generator at 1 and at 4 domains and compares each run
+   with the committed section for that count, line by line: every array
+   line carries per-block digests of the IEEE-754 bits, so a single
+   flipped ulp fails and is reported with its array and block. *)
+let fixture_path rel =
+  if Sys.file_exists rel then rel
+  else
+    let alt = Filename.concat "test" rel in
+    if Sys.file_exists alt then alt
+    else Alcotest.failf "fixture %s not found (run from the repo root or via dune runtest)" rel
+
+let read_lines path = List.filter (( <> ) "") (String.split_on_char '\n' (Helpers.read_file path))
+
+(* The lines of the fixture section headed [domains n], header included. *)
+let section n lines =
+  let header = Printf.sprintf "domains %d" n in
+  let rec skip = function [] -> [] | l :: rest -> if l = header then take [ l ] rest else skip rest
+  and take acc = function
+    | [] -> List.rev acc
+    | l :: rest -> if String.starts_with ~prefix:"domains " l then List.rev acc else take (l :: acc) rest
+  in
+  skip lines
+
+let test_gp_bitwise_fixture () =
+  let committed = read_lines (fixture_path "fixtures/gp_kernels") in
+  let gen = Filename.concat (Filename.dirname Sys.executable_name) "gen_gp_fixture.exe" in
+  List.iter
+    (fun domains ->
+      Helpers.with_temp_dir (fun dir ->
+          let out = Filename.concat dir "gp_kernels" in
+          let rc = Sys.command (Printf.sprintf "%s --domains %d > %s" gen domains out) in
+          Alcotest.(check int) "generator exit code" 0 rc;
+          let want = section domains committed and got = section domains (read_lines out) in
+          Alcotest.(check bool) (Printf.sprintf "section domains %d present" domains) true (want <> []);
+          let rec cmp array = function
+            | [], [] -> ()
+            | w :: ws, g :: gs ->
+                if w <> g then
+                  Alcotest.failf "domains %d, %s: fixture %S, got %S" domains array w g;
+                let array = if String.starts_with ~prefix:"array " w then w else array in
+                cmp array (ws, gs)
+            | _ -> Alcotest.failf "domains %d: section length differs" domains
+          in
+          cmp "(header)" (want, got)))
+    [ 1; 4 ]
+
+(* A steady-state vanilla iteration on sb1 allocates almost nothing: the
+   difference between a 150- and a 50-iteration run is exactly the
+   allocation of iterations 50..149 (the first 50 replay bit for bit).
+   Words allocated straight into the major heap count too, so a per-cell
+   scratch array (longer than the minor heap's size limit) re-entering
+   the loop fails this test. *)
+let test_globalplace_iteration_alloc () =
+  Helpers.with_domains 1 (fun () ->
+      let words iters =
+        let d = Workloads.Suite.load ~calibrate:false ~scale:0.5 "sb1" in
+        let params = { Gp.Globalplace.default_params with max_iters = iters; min_iters = iters } in
+        (* [Gc.counters]'s minor count lags on OCaml 5; [Gc.minor_words]
+           is exact. Its major count less promotions is what went
+           straight to the major heap. *)
+        let _, promoted0, major0 = Gc.counters () in
+        let minor0 = Gc.minor_words () in
+        let r = Gp.Globalplace.run ~params d in
+        let minor1 = Gc.minor_words () in
+        let _, promoted1, major1 = Gc.counters () in
+        Alcotest.(check int) "iterations run" iters r.Gp.Globalplace.iters;
+        minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+      in
+      (* warm-up: the first run pays one-time initialisation *)
+      ignore (words 50);
+      let short = words 50 in
+      let long = words 150 in
+      let per_iter = (long -. short) /. 100.0 in
+      if per_iter > 200.0 then
+        Alcotest.failf "%.1f words per steady-state iteration (budget 200)" per_iter)
+
+let suite =
+  suite
+  @ [
+      ("gp kernels match bitwise fixture", `Slow, test_gp_bitwise_fixture);
+      ("globalplace iteration allocation", `Quick, test_globalplace_iteration_alloc);
+    ]
