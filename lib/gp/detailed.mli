@@ -1,5 +1,10 @@
 (** Light detailed placement: greedy same-width cell swaps that reduce the
-    HPWL of their incident nets. Legality is preserved by construction. *)
+    HPWL of their incident nets. Legality is preserved by construction.
+
+    Each call scores its candidates against one workspace (a
+    cell->incident-net CSR and a per-net HPWL cache), so scoring allocates
+    nothing. Results match [Oracle.Ref_place.Detailed] bit for bit when pin
+    coordinates are finite, as [Netlist.Design.validate] requires. *)
 
 (** One sweep over nearby cell pairs; returns accepted swaps. *)
 val pass : Netlist.Design.t -> window:int -> int

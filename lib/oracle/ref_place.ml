@@ -185,3 +185,136 @@ let electro_grad_expected (e : Gp.Electro.t) (d : Design.t) =
     end
   done;
   (gx, gy)
+
+(* The list-based detailed placer, kept as written before the workspace
+   rewrite of [Gp.Detailed]: fresh hashtables, list merges and two
+   allocating [Design.net_hpwl] calls per net for every candidate. *)
+module Detailed = struct
+  (* HPWL over the nets incident to the given cells (each net counted once). *)
+  let local_hpwl (d : Design.t) nets =
+    List.fold_left (fun acc nid -> acc +. Design.net_hpwl d nid) 0.0 nets
+
+  let incident_nets (d : Design.t) id =
+    let tbl = Hashtbl.create 8 in
+    Design.iter_cell_pins d id (fun pid ->
+        let net = d.pin_net.(pid) in
+        if net >= 0 then Hashtbl.replace tbl net ());
+    Hashtbl.fold (fun k () acc -> k :: acc) tbl []
+
+  let swap_positions (d : Design.t) a b =
+    let tx = d.x.{a} and ty = d.y.{a} in
+    d.x.{a} <- d.x.{b};
+    d.y.{a} <- d.y.{b};
+    d.x.{b} <- tx;
+    d.y.{b} <- ty
+
+  (** One pass; returns the number of accepted swaps. Only same-width cells
+      are exchanged so legality is preserved trivially. *)
+  let pass (d : Design.t) ~window =
+    let movables = Array.of_list (Design.movable_ids d) in
+    Array.sort (fun a b -> compare (d.y.{a}, d.x.{a}) (d.y.{b}, d.x.{b})) movables;
+    let accepted = ref 0 in
+    let n = Array.length movables in
+    for i = 0 to n - 1 do
+      let a = movables.(i) in
+      for j = i + 1 to min (n - 1) (i + window) do
+        let b = movables.(j) in
+        if d.w.{a} = d.w.{b} && (d.x.{a} <> d.x.{b} || d.y.{a} <> d.y.{b}) then begin
+          let nets =
+            List.sort_uniq compare (incident_nets d a @ incident_nets d b)
+          in
+          let before = local_hpwl d nets in
+          swap_positions d a b;
+          let after = local_hpwl d nets in
+          if after < before -. 1e-9 then incr accepted else swap_positions d a b
+        end
+      done
+    done;
+    !accepted
+
+  (* All permutations of a small list. *)
+  let rec permutations = function
+    | [] -> [ [] ]
+    | l ->
+        List.concat_map
+          (fun x ->
+            let rest = List.filter (fun y -> y != x) l in
+            List.map (fun p -> x :: p) (permutations rest))
+          l
+
+  (** Sliding-window row reordering: take [k] consecutive cells of a row,
+      try every permutation in the same span (cells re-packed left to right
+      into the occupied interval), keep the best by local HPWL. Exact within
+      the window; preserves legality (same span, same row). Returns the
+      number of improving windows. *)
+  let reorder_rows ?(k = 3) (d : Design.t) =
+    let rows = Hashtbl.create 64 in
+    List.iter
+      (fun id ->
+        let key = int_of_float (Float.round (d.y.{id} *. 4.0)) in
+        Hashtbl.replace rows key (id :: (try Hashtbl.find rows key with Not_found -> [])))
+      (Design.movable_ids d);
+    let improved = ref 0 in
+    Hashtbl.iter
+      (fun _ cells ->
+        let sorted = List.sort (fun a b -> compare d.x.{a} d.x.{b}) cells |> Array.of_list in
+        let n = Array.length sorted in
+        let resort () = Array.sort (fun a b -> compare d.x.{a} d.x.{b}) sorted in
+        for i = 0 to n - k do
+          let window_cells = Array.to_list (Array.sub sorted i k) in
+          (* Occupied span starts at the window's leftmost edge; cells are
+             consecutive in x (the array is re-sorted after every change),
+             so packing the window's total width from there stays inside
+             the span it already occupied. *)
+          let left_edge =
+            List.fold_left
+              (fun acc id -> Float.min acc (d.x.{id} -. (d.w.{id} /. 2.0)))
+              Float.infinity window_cells
+          in
+          let nets = List.sort_uniq compare (List.concat_map (incident_nets d) window_cells) in
+          let place order =
+            let cur = ref left_edge in
+            List.iter
+              (fun id ->
+                d.x.{id} <- !cur +. (d.w.{id} /. 2.0);
+                cur := !cur +. d.w.{id})
+              order
+          in
+          let saved = List.map (fun id -> (id, d.x.{id})) window_cells in
+          let best_cost = ref (local_hpwl d nets) in
+          let best_order = ref None in
+          List.iter
+            (fun order ->
+              place order;
+              let c = local_hpwl d nets in
+              if c < !best_cost -. 1e-9 then begin
+                best_cost := c;
+                best_order := Some order
+              end)
+            (permutations window_cells);
+          (match !best_order with
+          | Some order ->
+              place order;
+              incr improved;
+              resort ()
+          | None -> List.iter (fun (id, x) -> d.x.{id} <- x) saved)
+        done)
+      rows;
+    !improved
+
+  (** Run up to [passes] improvement sweeps of pair swapping plus one row
+      reordering sweep (stops early when a sweep makes no progress).
+      Returns total accepted improvements. *)
+  let run ?(passes = 3) ?(window = 6) (d : Design.t) =
+    let total = ref 0 in
+    let continue_ = ref true in
+    let k = ref 0 in
+    while !continue_ && !k < passes do
+      let acc = pass d ~window in
+      total := !total + acc;
+      if acc = 0 then continue_ := false;
+      incr k
+    done;
+    total := !total + reorder_rows d;
+    !total
+end

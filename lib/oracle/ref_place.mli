@@ -52,3 +52,15 @@ val bilinear :
     [Gp.Electro.add_grad]. Returns (gx, gy) of the same length as the
     cell arrays, zero for fixed cells. *)
 val electro_grad_expected : Gp.Electro.t -> Netlist.Design.t -> float array * float array
+
+(** The list-based greedy detailed placer [Gp.Detailed] replaced: the
+    same candidates, order and accept/reject floats, scored by rebuilding
+    each candidate's net set and recomputing every net's HPWL. The
+    reference that [Gp.Detailed] must match bit for bit. *)
+module Detailed : sig
+  val pass : Netlist.Design.t -> window:int -> int
+
+  val reorder_rows : ?k:int -> Netlist.Design.t -> int
+
+  val run : ?passes:int -> ?window:int -> Netlist.Design.t -> int
+end

@@ -22,9 +22,12 @@ type t = {
   loss : Config.loss_kind;
   pairs : (int * int, pair) Hashtbl.t;
   mutable updates : int; (* cumulative Eq. 9 weight writes (fresh + increments) *)
+  mutable order : pair array option;
+      (* [pairs]' values in iteration order; dropped on every insert or
+         clear, the only operations that change that order *)
 }
 
-let create design ~loss = { design; loss; pairs = Hashtbl.create 4096; updates = 0 }
+let create design ~loss = { design; loss; pairs = Hashtbl.create 4096; updates = 0; order = None }
 
 let num_pairs t = Hashtbl.length t.pairs
 
@@ -35,7 +38,9 @@ let num_updates t = t.updates
 let fold_pairs t ~init ~f =
   Hashtbl.fold (fun _ p acc -> f acc ~pin_i:p.pin_i ~pin_j:p.pin_j ~weight:p.weight) t.pairs init
 
-let clear t = Hashtbl.reset t.pairs
+let clear t =
+  Hashtbl.reset t.pairs;
+  t.order <- None
 
 let find_or_add t ~w0 i j =
   let key = (i, j) in
@@ -44,6 +49,7 @@ let find_or_add t ~w0 i j =
   | None ->
       let p = { pin_i = i; pin_j = j; weight = w0; touched = true } in
       Hashtbl.add t.pairs key p;
+      t.order <- None;
       (p, true)
 
 (** Apply Eq. 9 for one extracted critical path. Only net arcs contribute
@@ -87,7 +93,9 @@ let update_pair_momentum t ~pin_i ~pin_j ~w_hat ~momentum =
   let key = (pin_i, pin_j) in
   match Hashtbl.find_opt t.pairs key with
   | Some p -> p.weight <- (momentum *. p.weight) +. ((1.0 -. momentum) *. w_hat)
-  | None -> Hashtbl.add t.pairs key { pin_i; pin_j; weight = w_hat; touched = true }
+  | None ->
+      Hashtbl.add t.pairs key { pin_i; pin_j; weight = w_hat; touched = true };
+      t.order <- None
 
 (** Loss value under the current placement (Eq. 10, before beta). *)
 let loss_value t =
@@ -130,9 +138,18 @@ let add_pair_grad t ~beta ~gx ~gy (p : pair) =
 (** Add beta * d(PP)/d(cell position) into [gx]/[gy] (cell-indexed).
     Pin offsets are rigid, so pin gradients add directly to their cells.
     Pairs share cells, so the parallel path accumulates into per-domain
-    buffers merged in chunk order (see [Util.Parallel]). *)
+    buffers merged in chunk order (see [Util.Parallel]). Weights mutate in
+    place on the same records, so the cached pair order stays valid until
+    the next insert. *)
 let add_grad t ~beta ~gx ~gy =
-  let pairs = Array.of_seq (Hashtbl.to_seq_values t.pairs) in
+  let pairs =
+    match t.order with
+    | Some a -> a
+    | None ->
+        let a = Array.of_seq (Hashtbl.to_seq_values t.pairs) in
+        t.order <- Some a;
+        a
+  in
   let npairs = Array.length pairs in
   let nchunks = Util.Parallel.chunk_count ~n:npairs in
   if nchunks = 1 then Array.iter (fun p -> add_pair_grad t ~beta ~gx ~gy p) pairs

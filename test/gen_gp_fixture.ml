@@ -9,7 +9,10 @@
    - [Poisson.solve_into] + [field_into] (psi, ex, ey) and [energy] on
      seeded charge grids at 32x32, 64x64, 64x128 and 256x256;
    - the final x/y of a 200-iteration vanilla [Globalplace.run] on sb1
-     and sb18 (scale 0.5).
+     and sb18 (scale 0.5);
+   - [Detailed.pass ~window:6], then [Detailed.reorder_rows], then
+     [Detailed.run] on sb1, sb7 and sb18 (scale 0.5) after 200 vanilla
+     iterations and [Legalize.run]: each return value and the final x/y.
 
    Arrays are long (a 256x256 field is 65536 values), so each one is
    written as its length, its first and last values as OCaml hex
@@ -47,6 +50,8 @@ let emit_array name (a : float array) =
   done
 
 let emit_scalar name v = Printf.printf "scalar %s %h\n" name v
+
+let emit_count name n = Printf.printf "count %s %d\n" name n
 
 let density_of d ~bins =
   let g = Gp.Densitygrid.create d ~bins_x:bins ~bins_y:bins in
@@ -162,13 +167,27 @@ let globalplace_cases () =
       emit_scalar (short ^ ".gp200.hpwl") r.Gp.Globalplace.final_hpwl)
     [ "sb1"; "sb18" ]
 
+let detailed_cases () =
+  List.iter
+    (fun short ->
+      let d = Workloads.Suite.load ~scale short in
+      ignore (Gp.Globalplace.run ~params:(vanilla 200) d);
+      ignore (Gp.Legalize.run d);
+      emit_count (short ^ ".detailed.pass6") (Gp.Detailed.pass d ~window:6);
+      emit_count (short ^ ".detailed.reorder") (Gp.Detailed.reorder_rows d);
+      emit_count (short ^ ".detailed.run") (Gp.Detailed.run d);
+      emit_array (short ^ ".detailed.x") (floats_of_farr d.Design.x);
+      emit_array (short ^ ".detailed.y") (floats_of_farr d.Design.y))
+    [ "sb1"; "sb7"; "sb18" ]
+
 let section domains =
   Util.Parallel.set_num_domains domains;
   Printf.printf "domains %d\n" domains;
   density_cases ();
   boundary_cases ();
   poisson_cases ();
-  globalplace_cases ()
+  globalplace_cases ();
+  detailed_cases ()
 
 let () =
   let domains =

@@ -275,16 +275,15 @@ let metrics_identity () =
         (List.length r.Tdp.Flow.extraction_rounds)
         (List.length r'.Tdp.Flow.extraction_rounds))
 
-(* The committed golden placement of the fixture: `place` must write
-   goldens/bsgolden-efficient.def byte for byte (the CI golden job runs
-   the same command and `cmp`). *)
-let golden_def_byte_identical () =
+(* A committed golden placement: `place [args] --domains 1` must write
+   goldens/[name] byte for byte (the CI golden job runs the same command
+   and `cmp`). *)
+let def_byte_identical name args () =
   let golden =
-    List.find_opt Sys.file_exists
-      [ "../goldens/bsgolden-efficient.def"; "goldens/bsgolden-efficient.def" ]
+    List.find_opt Sys.file_exists [ "../goldens/" ^ name; "goldens/" ^ name ]
   in
   let golden =
-    match golden with Some p -> p | None -> Alcotest.fail "goldens/bsgolden-efficient.def not found"
+    match golden with Some p -> p | None -> Alcotest.failf "goldens/%s not found" name
   in
   let place =
     Filename.concat
@@ -292,15 +291,24 @@ let golden_def_byte_identical () =
       (Filename.concat Filename.parent_dir_name (Filename.concat "bin" "place.exe"))
   in
   Helpers.with_temp_dir (fun dir ->
-      let out = Filename.concat dir "bsgolden-efficient.def" in
+      let out = Filename.concat dir name in
       let rc =
         Sys.command
-          (Printf.sprintf "%s --design-file %s --flow efficient --domains 1 --out %s >/dev/null 2>&1"
-             place (Lazy.force golden_fixture) out)
+          (Printf.sprintf "%s %s --domains 1 --out %s >/dev/null 2>&1" place (args ()) out)
       in
       Alcotest.(check int) "place exit code" 0 rc;
       if Helpers.read_file out <> Helpers.read_file golden then
         Alcotest.failf "%s differs from %s" out golden)
+
+(* The Bookshelf fixture under the efficient flow. *)
+let golden_def_byte_identical =
+  def_byte_identical "bsgolden-efficient.def" (fun () ->
+      Printf.sprintf "--design-file %s --flow efficient" (Lazy.force golden_fixture))
+
+(* A generated 584-cell design under the vanilla flow: large enough that
+   detailed placement accepts moves, so the DEF pins its output too. *)
+let sb1_vanilla_def_byte_identical =
+  def_byte_identical "sb1-vanilla.def" (fun () -> "-d sb1 --scale 0.15 --flow vanilla")
 
 let suite =
   [
@@ -314,4 +322,6 @@ let suite =
     Alcotest.test_case "serialize/mutate/reparse battery" `Slow mutate_reparse_battery;
     Alcotest.test_case "reparsed design reproduces flow metrics" `Slow metrics_identity;
     Alcotest.test_case "golden placement DEF byte-identical" `Quick golden_def_byte_identical;
+    Alcotest.test_case "sb1 vanilla placement DEF byte-identical" `Quick
+      sb1_vanilla_def_byte_identical;
   ]

@@ -497,9 +497,31 @@ let test_globalplace_iteration_alloc () =
       if per_iter > 200.0 then
         Alcotest.failf "%.1f words per steady-state iteration (budget 200)" per_iter)
 
+(* Detailed placement scores candidates against a per-call workspace:
+   the whole run allocates a bounded number of words per movable cell
+   (the workspace, the sweep order and the row buckets), not per
+   candidate. Direct major-heap words count, as above. *)
+let test_detailed_alloc () =
+  Helpers.with_domains 1 (fun () ->
+      let d = Workloads.Suite.load ~calibrate:false ~scale:0.5 "sb1" in
+      let params = { Gp.Globalplace.default_params with max_iters = 200; min_iters = 200 } in
+      ignore (Gp.Globalplace.run ~params d);
+      ignore (Gp.Legalize.run d);
+      let _, promoted0, major0 = Gc.counters () in
+      let minor0 = Gc.minor_words () in
+      let improved = Gp.Detailed.run d in
+      let minor1 = Gc.minor_words () in
+      let _, promoted1, major1 = Gc.counters () in
+      let words = minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
+      let per_cell = words /. float_of_int (Design.num_movable d) in
+      Alcotest.(check bool) "some improvements" true (improved > 0);
+      if per_cell > 200.0 then
+        Alcotest.failf "%.1f words per movable cell (budget 200)" per_cell)
+
 let suite =
   suite
   @ [
       ("gp kernels match bitwise fixture", `Slow, test_gp_bitwise_fixture);
       ("globalplace iteration allocation", `Quick, test_globalplace_iteration_alloc);
+      ("detailed placement allocation", `Quick, test_detailed_alloc);
     ]

@@ -656,6 +656,134 @@ let golden_roundtrip () =
   List.iter Sys.remove files;
   if Sys.file_exists dir then Sys.rmdir dir
 
+(* ---- detailed placement vs the list-based reference ---- *)
+
+(* A random small design, globally placed for a random number of
+   iterations and legalized, plus random sweep parameters. Low
+   utilization leaves gaps between legal cells, so windows are packed;
+   the generator's few library cells give many equal-width neighbours in
+   a row, and its local nets join neighbours, so swap candidates share
+   nets. [detailed_coverage] checks that the draws hit all three. *)
+type detailed_case = {
+  seed : int;
+  comb : int;
+  util : float;
+  iters : int;
+  window : int;
+  passes : int;
+  k : int;
+}
+
+let detailed_case_gen =
+  QCheck.Gen.(
+    map
+      (fun ((seed, comb, util), (iters, window, passes, k)) -> { seed; comb; util; iters; window; passes; k })
+      (pair
+         (triple (int_range 1 1_000_000) (int_range 20 120) (float_range 0.3 0.85))
+         (quad (int_range 20 120) (int_range 1 8) (int_range 1 4) (int_range 2 4))))
+
+let print_detailed_case c =
+  Printf.sprintf "seed %d comb %d util %g iters %d window %d passes %d k %d" c.seed c.comb c.util
+    c.iters c.window c.passes c.k
+
+let detailed_design c =
+  let d =
+    Workloads.Generate.generate
+      {
+        Helpers.small_gen_params with
+        name = "detailed";
+        seed = c.seed;
+        num_comb = c.comb;
+        num_ff = 1 + (c.comb / 8);
+        num_inputs = 4;
+        num_outputs = 4;
+        levels = 4;
+        num_macros = 0;
+        utilization = c.util;
+      }
+  in
+  let params = { Gp.Globalplace.default_params with max_iters = c.iters; min_iters = c.iters } in
+  ignore (Gp.Globalplace.run ~params d);
+  ignore (Gp.Legalize.run d);
+  d
+
+(* Counts of drawn designs that contain each shape the equivalence
+   must cover. *)
+let detailed_coverage = Array.make 3 0
+
+let record_coverage (d : Netlist.Design.t) c =
+  let movables = Array.of_list (Netlist.Design.movable_ids d) in
+  Array.sort (fun a b -> compare (d.y.{a}, d.x.{a}) (d.y.{b}, d.x.{b})) movables;
+  let nets id = Array.map (fun p -> d.pin_net.(p)) (Netlist.Design.cell_pins d id) in
+  let same_row = ref false and shared_net = ref false and gap = ref false in
+  let n = Array.length movables in
+  for i = 0 to n - 1 do
+    let a = movables.(i) in
+    for j = i + 1 to min (n - 1) (i + c.window) do
+      let b = movables.(j) in
+      if d.y.{a} = d.y.{b} && d.w.{a} = d.w.{b} then begin
+        same_row := true;
+        if Array.exists (fun na -> na >= 0 && Array.mem na (nets b)) (nets a) then shared_net := true
+      end
+    done;
+    (* [k] row neighbours from [a] whose span exceeds their total width *)
+    if i + c.k <= n && d.y.{movables.(i + c.k - 1)} = d.y.{a} then begin
+      let last = movables.(i + c.k - 1) in
+      let widths = ref 0.0 in
+      for q = i to i + c.k - 1 do
+        widths := !widths +. d.w.{movables.(q)}
+      done;
+      if d.x.{last} +. (d.w.{last} /. 2.0) -. (d.x.{a} -. (d.w.{a} /. 2.0)) > !widths +. 1e-6 then
+        gap := true
+    end
+  done;
+  List.iteri
+    (fun i hit -> if hit then detailed_coverage.(i) <- detailed_coverage.(i) + 1)
+    [ !same_row; !shared_net; !gap ]
+
+let placement_bits (d : Netlist.Design.t) =
+  let bits (a : Netlist.Design.farr) =
+    Array.init (Bigarray.Array1.dim a) (fun i -> Int64.bits_of_float a.{i})
+  in
+  (bits d.x, bits d.y)
+
+(* Run [reference] and [fast] from the same placement: same return value
+   and the same x/y bits, or a message saying what differs. *)
+let same_as_reference (d : Netlist.Design.t) what reference fast =
+  let start = Netlist.Design.snapshot d in
+  let want = reference d in
+  let want_xy = placement_bits d in
+  Netlist.Design.restore d start;
+  let got = fast d in
+  let same_xy = placement_bits d = want_xy in
+  Netlist.Design.restore d start;
+  if want <> got then QCheck.Test.fail_reportf "%s: reference returned %d, got %d" what want got
+  else if not same_xy then QCheck.Test.fail_reportf "%s: placements differ" what
+  else true
+
+let q_detailed_matches_reference =
+  QCheck.Test.make ~count:100 ~name:"detailed placement matches the list-based reference"
+    (QCheck.make ~print:print_detailed_case detailed_case_gen)
+    (fun c ->
+      let d = detailed_design c in
+      record_coverage d c;
+      let window = c.window and passes = c.passes and k = c.k in
+      same_as_reference d "run" Ref_place.Detailed.run Gp.Detailed.run
+      && same_as_reference d "run ~passes ~window"
+           (Ref_place.Detailed.run ~passes ~window)
+           (Gp.Detailed.run ~passes ~window)
+      && same_as_reference d "pass ~window" (Ref_place.Detailed.pass ~window) (Gp.Detailed.pass ~window)
+      && same_as_reference d "reorder_rows ~k" (Ref_place.Detailed.reorder_rows ~k)
+           (Gp.Detailed.reorder_rows ~k))
+
+let detailed_vs_reference () =
+  Array.fill detailed_coverage 0 3 0;
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 20261017 |]) q_detailed_matches_reference;
+  List.iteri
+    (fun i what ->
+      if detailed_coverage.(i) = 0 then Alcotest.failf "no drawn design had %s" what)
+    [ "equal-width cells in one row"; "a net joining a swap pair"; "a window with a gap" ]
+
 let suite =
   [
     Alcotest.test_case "sta full differential (1 and 4 domains)" `Quick sta_full_diff;
@@ -680,4 +808,5 @@ let suite =
     Alcotest.test_case "fuzz dumps counterexamples" `Quick fuzz_dump;
     Alcotest.test_case "golden tolerance policy" `Quick golden_policy;
     Alcotest.test_case "golden regen/check roundtrip" `Slow golden_roundtrip;
+    Alcotest.test_case "detailed placement vs list reference" `Slow detailed_vs_reference;
   ]
