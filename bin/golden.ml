@@ -7,46 +7,28 @@
       golden --regen --dir /tmp/g --scale 0.05
 
     Exit status 0 when the check passes (or after a regen), 1 on any
-    mismatch or missing golden — CI wires `--check` as a required job. *)
+    mismatch or missing golden, 6 (parse_error) when a design file is
+    missing: run it from the repository root. CI wires `--check` as a
+    required job. *)
 
 open Cmdliner
 
 let split_csv s =
   String.split_on_char ',' s |> List.map String.trim |> List.filter (fun x -> x <> "")
 
-(* The committed Bookshelf golden fixture joins the matrix through the
-   Suite loader registry whenever its files are visible (CI runs from the
-   repo root); its scale is meaningless and left untouched by --scale. *)
-let bookshelf_fixture = "test/fixtures/formats/golden_small/golden_small.aux"
-
-let bookshelf_entries () =
-  if Sys.file_exists bookshelf_fixture then begin
-    Formats.Suite_hook.register_file ~short:"bsgolden" bookshelf_fixture;
-    [
-      {
-        Oracle.Golden.design = "bsgolden";
-        scale = 1.0;
-        method_ = Tdp.Flow.Efficient Tdp.Config.default;
-      };
-    ]
-  end
-  else begin
-    Printf.eprintf "golden: %s not found (not running from the repo root?); skipping the bsgolden entry\n"
-      bookshelf_fixture;
-    []
-  end
-
+(* --scale applies to suite entries only: a file design has no scale. *)
 let select_entries designs scale =
-  let scaled =
-    Oracle.Golden.default_entries
-    |> List.map (fun (e : Oracle.Golden.entry) ->
-           match scale with None -> e | Some s -> { e with Oracle.Golden.scale = s })
-  in
-  scaled @ bookshelf_entries ()
-  |> List.filter (fun (e : Oracle.Golden.entry) ->
-         match designs with [] -> true | ds -> List.mem e.Oracle.Golden.design ds)
+  Oracle.Golden.default_entries
+  |> List.map (fun (e : Oracle.Golden.entry) ->
+         match (e.Oracle.Golden.source, scale) with
+         | Oracle.Golden.Suite s, Some scale ->
+             { e with Oracle.Golden.source = Oracle.Golden.Suite { s with scale } }
+         | _ -> e)
+  |> List.filter (fun e ->
+         match designs with [] -> true | ds -> List.mem (Oracle.Golden.design_name e) ds)
 
 let run check regen dir designs scale =
+  Util.Errors.or_exit @@ fun () ->
   let entries = select_entries (split_csv designs) scale in
   if entries = [] then begin
     prerr_endline "golden: no entries selected (check --designs)";

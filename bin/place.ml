@@ -35,37 +35,7 @@ let parse_loss = function
 
 let make_method flow loss k =
   let cfg = Tdp.Config.with_loss (parse_loss loss) Tdp.Config.default in
-  let cfg = { cfg with extraction = Tdp.Config.Endpoint_based { k } } in
-  match flow with
-  | "vanilla" -> Tdp.Flow.Vanilla
-  | "dp4" -> Tdp.Flow.Dp4
-  | "diff" -> Tdp.Flow.Diff_tdp
-  | "dist" -> Tdp.Flow.Dist_tdp
-  | "efficient" -> Tdp.Flow.Efficient cfg
-  | "noextract" -> Tdp.Flow.Dp4_in_ours
-  | s ->
-      Util.Errors.config_error ~what:"flow"
-        ("unknown flow " ^ s ^ " (known: vanilla dp4 diff dist efficient noextract)")
-
-(* Install fault injectors on the pipeline's test-only hooks. Spec syntax
-   (also accepted via the FAULT_INJECT environment variable):
-     site=kind@start[+count][,site=kind@start[+count]...]
-   with site in {wl_grad, elmore} and kind in {nan, inf, -inf, huge}. *)
-let install_faults spec_str =
-  match Util.Fault.parse spec_str with
-  | Error msg -> Util.Errors.config_error ~what:"fault-inject" msg
-  | Ok clauses ->
-      List.iter
-        (fun (site, spec) ->
-          let inj = Util.Fault.injector spec in
-          (match site with
-          | "wl_grad" -> Gp.Wirelength.grad_fault := Some inj
-          | "elmore" -> Rctree.Elmore.fault := Some inj
-          | s ->
-              Util.Errors.config_error ~what:"fault-inject"
-                ("unknown site " ^ s ^ " (known: wl_grad elmore)"));
-          Obs.Log.warn "fault injection active: %s=%s" site (Util.Fault.spec_to_string spec))
-        clauses
+  Tdp.Flow.method_of_string ~config:{ cfg with extraction = Tdp.Config.Endpoint_based { k } } flow
 
 let error_to_json e =
   Obs.Json.Obj
@@ -94,7 +64,6 @@ let run design file lef wire_rc clock scale flow loss k domains fault_inject out
   Obs.Log.info "parallel: %d domain(s)" !Util.Parallel.num_domains;
   let sinks = match trace_out with Some path -> [ Obs.Sink.jsonl path ] | None -> [] in
   let ctx = Obs.Ctx.create ~sinks () in
-  Obs.Ctx.set_default ctx;
   Obs.Resource.install_parallel ctx;
   let heartbeat, heartbeat_close =
     match heartbeat_out with
@@ -111,12 +80,15 @@ let run design file lef wire_rc clock scale flow loss k domains fault_inject out
     exit (Util.Errors.exit_code e)
   in
   try
-  (match fault_inject with
-  | Some s -> install_faults s
-  | None -> (
-      match Sys.getenv_opt "FAULT_INJECT" with
-      | Some s when String.trim s <> "" -> install_faults s
-      | _ -> ()));
+  (* The run's fault plan (robustness tests; syntax in [Util.Fault]). *)
+  let fault =
+    match fault_inject with
+    | None -> []
+    | Some spec -> (
+        match Util.Fault.parse spec with
+        | Ok plan -> Obs.Log.warn "fault injection active: %s" spec; plan
+        | Error msg -> Util.Errors.config_error ~what:"fault-inject" msg)
+  in
   let wire_rc =
     match wire_rc with
     | None -> None
@@ -150,7 +122,7 @@ let run design file lef wire_rc clock scale flow loss k domains fault_inject out
     (Netlist.Design.num_cells d) (Netlist.Design.num_nets d) d.clock_period;
   let meth = make_method flow loss k in
   Obs.Log.info "flow: %s" (Tdp.Flow.method_name meth);
-  let r = Tdp.Flow.run ~obs:ctx ?heartbeat meth d in
+  let r = Tdp.Flow.run ~obs:ctx ?heartbeat ~fault meth d in
   Obs.Log.info "global placement  : %s" (Format.asprintf "%a" Evalkit.Metrics.pp r.metrics_gp);
   Obs.Log.info "after legalization: %s" (Format.asprintf "%a" Evalkit.Metrics.pp r.metrics);
   Obs.Log.info "runtime: %.2f s" r.runtime;
@@ -245,8 +217,8 @@ let fault_inject =
   Arg.(value & opt (some string) None
        & info [ "fault-inject" ] ~docv:"SPEC"
            ~doc:"Robustness-test fault injection: site=kind@start[+count],... with site in \
-                 {wl_grad, elmore} and kind in {nan, inf, -inf, huge}. Defaults to \
-                 \\$FAULT_INJECT.")
+                 {wl_grad, elmore} and kind in {nan, inf, -inf, huge}; each site at most \
+                 once. The report's fault.<site> counters give the corrupted calls.")
 
 let outs =
   Arg.(value & opt_all string []

@@ -78,7 +78,6 @@ let run socket domains trace_out heartbeat_out heartbeat_every log_level =
   Obs.Log.info "parallel: %d domain(s)" !Util.Parallel.num_domains;
   let sinks = match trace_out with Some path -> [ Obs.Sink.jsonl path ] | None -> [] in
   let ctx = Obs.Ctx.create ~sinks () in
-  Obs.Ctx.set_default ctx;
   Obs.Resource.install_parallel ctx;
   let heartbeat, heartbeat_close =
     match heartbeat_out with

@@ -134,7 +134,7 @@ type result = {
   final_overflow : float;
 }
 
-let run ?(params = default_params) ?(hooks = no_hooks) ?(obs = Obs.Ctx.null) ?heartbeat
+let run ?(params = default_params) ?(hooks = no_hooks) ?(obs = Obs.Ctx.null) ?heartbeat ?fault
     (d : Design.t) =
   let tick name f = Obs.Ctx.span obs name f in
   let bins_x = if params.bins_x > 0 then params.bins_x else auto_bins d in
@@ -254,6 +254,15 @@ let run ?(params = default_params) ?(hooks = no_hooks) ?(obs = Obs.Ctx.null) ?he
     Array.fill gx 0 (Array.length gx) 0.0;
     Array.fill gy 0 (Array.length gy) 0.0;
     let _wl = tick "wl_grad" (fun () -> Wirelength.wa_wirelength_grad_ws wl_ws d ~gamma ~gx ~gy) in
+    (* The [wl_grad] fault site, caught by the gradient guard below. *)
+    (match fault with
+    | None -> ()
+    | Some f ->
+        for i = 0 to nm - 1 do
+          let id = movable.(i) in
+          gx.(id) <- f gx.(id);
+          gy.(id) <- f gy.(id)
+        done);
     nacc.(0) <- 0.0;
     for i = 0 to nm - 1 do
       let id = movable.(i) in
@@ -300,7 +309,10 @@ let run ?(params = default_params) ?(hooks = no_hooks) ?(obs = Obs.Ctx.null) ?he
     (* Guard: a non-finite gradient (density/FFT blowup, timing-force
        NaN, injected fault) must never reach the optimizer — it would
        poison u/v/prev_g and every later iterate. *)
-    if not (Util.Guard.all_finite gvec) then recover ~what:"gradient"
+    if not (Util.Guard.all_finite gvec) then begin
+      Obs.Ctx.count obs "guard.gradient_nonfinite";
+      recover ~what:"gradient"
+    end
     else begin
       (* Express step bounds as average cell displacement in bin widths;
          [backoff] shrinks them after a rollback and relaxes back to 1

@@ -73,15 +73,18 @@ type result = {
 
     Divergence guard: every iteration the gradient is checked finite (and
     the fresh iterate sample-probed); on detection the run counts
-    [guard.nan_detected], rolls back to the last HPWL-verified checkpoint
+    [guard.nan_detected] (plus [guard.gradient_nonfinite] when the
+    gradient check fired), rolls back to the last HPWL-verified checkpoint
     ([guard.rollbacks]) with backed-off step bounds, and raises
     [Util.Errors.Error (Diverged _)] after [params.max_recoveries]
     consecutive rollbacks. Raises [Util.Errors.Error (Invalid_design _)]
-    when the design has no movable cells. *)
+    when the design has no movable cells. [fault] (robustness tests) is
+    applied to each movable cell's x then y WA gradient component. *)
 val run :
   ?params:params ->
   ?hooks:hooks ->
   ?obs:Obs.Ctx.t ->
   ?heartbeat:Obs.Heartbeat.t ->
+  ?fault:(float -> float) ->
   Netlist.Design.t ->
   result

@@ -11,15 +11,9 @@
     The kernel walks the design's net->pin CSR directly and keeps all
     scratch (per-pin exponent buffers, per-chunk gradient accumulators) in
     a reusable {!ws} workspace, so steady-state Nesterov iterations do not
-    allocate. *)
+    allocate. Pure: fault injection happens in [Globalplace.run]. *)
 
 open Netlist
-
-(* Test-only fault injection: when set, applied to every per-pin WA
-   gradient contribution before it accumulates. The oracle suite flips it
-   on to prove the finite-difference gradient gate can fail; it must stay
-   [None] outside those tests. *)
-let grad_fault : (float -> float) option ref = ref None
 
 (** Exact weighted HPWL (net weights applied) — the objective value.
     One scratch array for the whole sweep ([Design.net_hpwl_into] slots
@@ -120,8 +114,6 @@ let wa_dim (d : Design.t) ln ~(vs : float array) ~n ~net ~base ~gamma ~(grad : f
     let gmin1 = b1 *. (1.0 -. ((v1 -. wa_min) *. inv_gamma)) *. inv_s in
     let c0 = w *. (gmax0 -. gmin0) in
     let c1 = w *. (gmax1 -. gmin1) in
-    let c0 = match !grad_fault with None -> c0 | Some f -> f c0 in
-    let c1 = match !grad_fault with None -> c1 | Some f -> f c1 in
     let cell0 = Array.unsafe_get ln.cells 0 and cell1 = Array.unsafe_get ln.cells 1 in
     grad.(cell0) <- grad.(cell0) +. c0;
     grad.(cell1) <- grad.(cell1) +. c1;
@@ -151,7 +143,6 @@ let wa_dim (d : Design.t) ln ~(vs : float array) ~n ~net ~base ~gamma ~(grad : f
       let gmin = Array.unsafe_get eb i *. (1.0 -. ((v -. wa_min) *. inv_gamma)) *. inv_smin in
       let cell = Array.unsafe_get ln.cells i in
       let contrib = w *. (gmax -. gmin) in
-      let contrib = match !grad_fault with None -> contrib | Some f -> f contrib in
       grad.(cell) <- grad.(cell) +. contrib
     done;
     tacc.(ti) <- tacc.(ti) +. (w *. (wa_max -. wa_min))

@@ -1,11 +1,7 @@
 (** Wirelength models: exact HPWL and the smooth weighted-average (WA)
     approximation with analytic gradients — the DREAMPlace wirelength
-    objective. WA underestimates HPWL and converges to it as gamma -> 0. *)
-
-(** Test-only fault injection applied to every per-pin WA gradient
-    contribution; used by the oracle suite to prove its finite-difference
-    gradient gate is not vacuous. Must stay [None] outside those tests. *)
-val grad_fault : (float -> float) option ref
+    objective. WA underestimates HPWL and converges to it as gamma -> 0.
+    Pure: fault injection happens in {!Globalplace.run}. *)
 
 (** Exact net-weighted HPWL. *)
 val weighted_hpwl : Netlist.Design.t -> float

@@ -1,9 +1,9 @@
 (** The observability context threaded through the pipeline.
 
-    Global-but-injectable: libraries take [?obs] defaulting to [null]
-    (or to [default ()] in binaries); [null] is permanently disabled so
-    every instrumented call is a cheap branch — observability is strictly
-    observation-only and must never perturb placement results.
+    Passed explicitly, never ambient: libraries take [?obs] defaulting to
+    [null]; binaries create one and hand it down. [null] is permanently
+    disabled so every instrumented call is a cheap branch — observability
+    is strictly observation-only and must never perturb placement results.
 
     Spans are well-nested (single-threaded discipline): [span] pushes on
     an explicit stack and [Fun.protect] guarantees the span completes —
@@ -106,11 +106,3 @@ let close t =
   flush t;
   List.iter (fun (sink : Sink.t) -> sink.Sink.close ()) t.sinks;
   t.sinks <- []
-
-(* ---- process-wide default (injectable) ---- *)
-
-let default_ctx = ref null
-
-let set_default c = default_ctx := c
-
-let default () = !default_ctx

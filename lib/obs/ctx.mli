@@ -1,8 +1,8 @@
 (** The observability context threaded through the pipeline.
 
-    Global-but-injectable: libraries take [?obs] defaulting to {!null},
-    which is permanently disabled — every instrumented call is then a
-    cheap branch, and observability can never perturb results. *)
+    Passed explicitly, never ambient: libraries take [?obs] defaulting
+    to {!null}, which is permanently disabled — every instrumented call
+    is then a cheap branch, and observability can never perturb results. *)
 
 type t
 
@@ -47,8 +47,3 @@ val flush : t -> unit
 
 (** Flush, then close and detach every sink. *)
 val close : t -> unit
-
-(** Process-wide default context, [null] until [set_default]. *)
-val default : unit -> t
-
-val set_default : t -> unit

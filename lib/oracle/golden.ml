@@ -1,21 +1,30 @@
 (** Golden-regression harness (see the interface). *)
 
-type entry = { design : string; scale : float; method_ : Tdp.Flow.method_ }
+type source = Suite of { short : string; scale : float } | File of { stem : string; path : string }
 
+type entry = { source : source; method_ : Tdp.Flow.method_ }
+
+(* File entry first: a missing fixture fails before any run. *)
 let default_entries =
+  let eff = Tdp.Flow.Efficient Tdp.Config.default in
+  let suite short method_ = { source = Suite { short; scale = 0.08 }; method_ } in
+  let fixture = "test/fixtures/formats/golden_small/golden_small.aux" in
   [
-    { design = "sb1"; scale = 0.08; method_ = Tdp.Flow.Vanilla };
-    { design = "sb1"; scale = 0.08; method_ = Tdp.Flow.Efficient Tdp.Config.default };
-    { design = "sb3"; scale = 0.08; method_ = Tdp.Flow.Vanilla };
-    { design = "sb3"; scale = 0.08; method_ = Tdp.Flow.Efficient Tdp.Config.default };
+    { source = File { stem = "bsgolden"; path = fixture }; method_ = eff };
+    suite "sb1" Tdp.Flow.Vanilla;
+    suite "sb1" eff;
+    suite "sb3" Tdp.Flow.Vanilla;
+    suite "sb3" eff;
   ]
+
+let design_name e = match e.source with Suite { short; _ } -> short | File { stem; _ } -> stem
 
 let method_slug m =
   String.map
     (fun ch -> match ch with 'A' .. 'Z' -> Char.lowercase_ascii ch | '/' | ' ' -> '-' | c -> c)
     (Tdp.Flow.method_name m)
 
-let entry_name e = Printf.sprintf "%s-%s" e.design (method_slug e.method_)
+let entry_name e = Printf.sprintf "%s-%s" (design_name e) (method_slug e.method_)
 
 let snapshot e =
   (* Goldens are single-domain by construction: reductions associate
@@ -26,12 +35,16 @@ let snapshot e =
   Fun.protect
     ~finally:(fun () -> Util.Parallel.set_num_domains saved)
     (fun () ->
-      let d = Workloads.Suite.load ~scale:e.scale e.design in
+      let d, scale =
+        match e.source with
+        | Suite { short; scale } -> (Workloads.Suite.load ~scale short, scale)
+        | File { path; _ } -> (Formats.Auto.load path, 1.0)
+      in
       let r = Tdp.Flow.run ~obs:Obs.Ctx.null e.method_ d in
       Obs.Json.Obj
         [
-          ("design", Obs.Json.String e.design);
-          ("scale", Obs.Json.Float e.scale);
+          ("design", Obs.Json.String (design_name e));
+          ("scale", Obs.Json.Float scale);
           ("method", Obs.Json.String (Tdp.Flow.method_name e.method_));
           ("metrics", Tdp.Flow.metrics_to_json r.Tdp.Flow.metrics);
           ("metrics_gp", Tdp.Flow.metrics_to_json r.Tdp.Flow.metrics_gp);

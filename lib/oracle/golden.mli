@@ -5,15 +5,19 @@
     Snapshots always run single-domain so the goldens are bit-stable
     regardless of the host. [bin/golden.exe] is the CLI over this. *)
 
-type entry = {
-  design : string; (* Workloads.Suite short name *)
-  scale : float; (* suite scale factor *)
-  method_ : Tdp.Flow.method_;
-}
+(** An entry's design: a [Workloads.Suite] design at a scale, or a file
+    loaded through [Formats.Auto.load], named [stem] (reported scale 1). *)
+type source = Suite of { short : string; scale : float } | File of { stem : string; path : string }
 
-(** The committed matrix: two small suite designs, vanilla and the
-    paper's flow. *)
+type entry = { source : source; method_ : Tdp.Flow.method_ }
+
+(** The committed matrix: the paper's flow on the committed Bookshelf
+    fixture (path relative to the repository root), then two small suite
+    designs, vanilla and the paper's flow. *)
 val default_entries : entry list
+
+(** The suite short name or file stem of an entry, e.g. ["sb1"]. *)
+val design_name : entry -> string
 
 (** Stable file stem of an entry, e.g. ["sb1-vanilla"]. *)
 val entry_name : entry -> string
@@ -32,7 +36,8 @@ val compare_json : path:string -> golden:Obs.Json.t -> got:Obs.Json.t -> string 
 
 (** Re-run every entry and diff against [dir]/<name>.json. [Ok] when all
     match; [Error] carries one message per mismatching field or missing
-    file. *)
+    golden. An unreadable [File] design raises [Util.Errors.Error
+    (Parse_failed _)], as does {!regen}. *)
 val check : dir:string -> entry list -> (unit, string list) result
 
 (** Write (or overwrite) [dir]/<name>.json for every entry. Returns the

@@ -50,8 +50,7 @@ let compute (tree : Rctree.Steiner.t) ~r ~c ~term_cap =
 
 open Compare
 
-let check ?(rtol = 1e-9) tree ~r ~c ~term_cap =
-  let prod = Rctree.Elmore.compute tree ~r ~c ~term_cap in
+let check_result ?(rtol = 1e-9) (prod : Rctree.Elmore.result) tree ~r ~c ~term_cap =
   let naive = compute tree ~r ~c ~term_cap in
   let* () =
     check_float ~rtol ~what:"total_cap" prod.Rctree.Elmore.total_cap naive.total_cap
@@ -60,3 +59,6 @@ let check ?(rtol = 1e-9) tree ~r ~c ~term_cap =
     check_float ~rtol ~what:"total_wirelen" prod.Rctree.Elmore.total_wirelen naive.total_wirelen
   in
   check_array ~rtol ~atol:1e-12 ~what:"sink_delay" prod.Rctree.Elmore.sink_delay naive.sink_delay
+
+let check ?rtol tree ~r ~c ~term_cap =
+  check_result ?rtol (Rctree.Elmore.compute tree ~r ~c ~term_cap) tree ~r ~c ~term_cap

@@ -10,6 +10,12 @@ type t = { total_cap : float; total_wirelen : float; sink_delay : float array }
     ignored. *)
 val compute : Rctree.Steiner.t -> r:float -> c:float -> term_cap:(int -> float) -> t
 
+(** {!check} over a supplied production result (mutation checks feed
+    it corrupted ones). *)
+val check_result :
+  ?rtol:float -> Rctree.Elmore.result -> Rctree.Steiner.t -> r:float -> c:float ->
+  term_cap:(int -> float) -> (unit, string) result
+
 (** Differential gate: production vs naive on the same tree. [rtol]
     absorbs the different summation orders (default 1e-9). *)
 val check :

@@ -87,7 +87,10 @@ let fd_of (coord : Design.farr) cell ~h ~value =
   coord.{cell} <- saved;
   (plus -. minus) /. (2.0 *. h)
 
-let fd_check_cells (d : Design.t) ~cells ~h ~rtol ~value ~gx ~gy ~what =
+(* Defaults fit the WA check. h = 0.05: small enough that the
+   O(h^2/gamma^2) truncation sits well under rtol, large enough that the
+   value difference dominates double roundoff on designs of this size. *)
+let fd_check_cells ?(h = 0.05) ?(rtol = 1e-4) (d : Design.t) ~cells ~value ~gx ~gy ~what =
   let scale =
     (* Tolerance floor: FD noise is absolute in the value's magnitude. *)
     1e-6 *. (1.0 +. Float.abs (value ())) /. h
@@ -105,20 +108,17 @@ let fd_check_cells (d : Design.t) ~cells ~h ~rtol ~value ~gx ~gy ~what =
          ])
        cells)
 
-(* h = 0.05: small enough that the O(h^2/gamma^2) truncation sits well
-   under rtol, large enough that the value difference dominates double
-   roundoff on designs of this size. *)
-let wa_fd_check ?(h = 0.05) ?(rtol = 1e-4) (d : Design.t) ~gamma ~cells =
+let wa_fd_check ?h ?rtol (d : Design.t) ~gamma ~cells =
   let nc = Design.num_cells d in
   let gx = Array.make nc 0.0 and gy = Array.make nc 0.0 in
   ignore (Gp.Wirelength.wa_wirelength_grad d ~gamma ~gx ~gy);
-  fd_check_cells d ~cells ~h ~rtol ~value:(fun () -> wa_value d ~gamma) ~gx ~gy ~what:"wa"
+  fd_check_cells ?h ?rtol d ~cells ~value:(fun () -> wa_value d ~gamma) ~gx ~gy ~what:"wa"
 
 let pin_attract_fd_check ?(h = 0.25) ?(rtol = 1e-4) (d : Design.t) attract ~cells =
   let nc = Design.num_cells d in
   let gx = Array.make nc 0.0 and gy = Array.make nc 0.0 in
   Tdp.Pin_attract.add_grad attract ~beta:1.0 ~gx ~gy;
-  fd_check_cells d ~cells ~h ~rtol
+  fd_check_cells ~h ~rtol d ~cells
     ~value:(fun () -> Tdp.Pin_attract.loss_value attract)
     ~gx ~gy ~what:"pin_attract"
 

@@ -23,6 +23,13 @@ val wa_extent : gamma:float -> float array -> float
     return value. *)
 val wa_value : Netlist.Design.t -> gamma:float -> float
 
+(** Central finite-difference check of a supplied gradient [gx]/[gy]
+    against [value] for the given cells (defaults as {!wa_fd_check});
+    mutation checks feed it corrupted gradients. *)
+val fd_check_cells :
+  ?h:float -> ?rtol:float -> Netlist.Design.t -> cells:int list -> value:(unit -> float) ->
+  gx:float array -> gy:float array -> what:string -> (unit, string) result
+
 (** Central finite-difference check of the analytic WA gradient for the
     given cells: perturbs each cell centre by [h] in x and y and compares
     against {!wa_value} differences. [rtol] is loose (default 1e-4) —

@@ -19,13 +19,6 @@ type result = {
   sink_delay : float array; (* per tree NODE, delay from root *)
 }
 
-(* Test-only fault injection: when set, the function is applied to every
-   computed node delay before [compute_into] returns. The oracle suite
-   uses it to prove its differential gates can fail (a sign or constant
-   fault here must trip the naive-Elmore comparison); it must stay [None]
-   outside those tests. *)
-let fault : (float -> float) option ref = ref None
-
 (* Parents-first order: every root (parent < 0) in index order, then a
    BFS that visits each node's children in descending index. Edge
    splits give a Steiner node a larger index than the child it adopts,
@@ -102,12 +95,6 @@ let compute_into (ws : Workspace.t) ~r ~c =
     end
     else delay.(v) <- 0.0
   done;
-  (match !fault with
-  | None -> ()
-  | Some f ->
-      for v = 0 to n - 1 do
-        delay.(v) <- f delay.(v)
-      done);
   let wl = ref 0.0 in
   for v = 0 to n - 1 do
     wl := !wl +. edge_len.(v)

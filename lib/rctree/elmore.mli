@@ -11,12 +11,6 @@ type result = {
   sink_delay : float array; (* per tree NODE, delay from root *)
 }
 
-(** Test-only fault injection applied to every node delay computed by
-    {!compute_into} (and so {!compute}); used by the oracle suite to
-    prove its differential gates are not vacuous. Must stay [None]
-    outside those tests. *)
-val fault : (float -> float) option ref
-
 (** The Elmore kernel over the tree in a workspace: fills [ws.delay]
     (per node), [ws.down_cap] and [ws.sums] (total cap, total
     wirelength). Terminal loads come from [ws.tcap]. Allocation-free. *)

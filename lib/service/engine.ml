@@ -19,18 +19,6 @@ let shutdown_requested t = t.shutdown
 
 (* ---- op helpers ---- *)
 
-let method_of_string flow =
-  match flow with
-  | "vanilla" -> Tdp.Flow.Vanilla
-  | "dp4" -> Tdp.Flow.Dp4
-  | "diff" -> Tdp.Flow.Diff_tdp
-  | "dist" -> Tdp.Flow.Dist_tdp
-  | "efficient" -> Tdp.Flow.Efficient Tdp.Config.default
-  | "noextract" -> Tdp.Flow.Dp4_in_ours
-  | s ->
-      Util.Errors.config_error ~what:"flow"
-        ("unknown flow " ^ s ^ " (known: vanilla dp4 diff dist efficient noextract)")
-
 let required_string req key =
   match Protocol.param_string req key with
   | Some s when s <> "" -> s
@@ -97,16 +85,17 @@ let eco_json (a : Eco.applied) =
       ("reweighted", Obs.Json.Int a.Eco.reweighted);
     ]
 
-let run_flow t req ~warm (entry : State.entry) =
+let run_flow t req ~fault ~warm (entry : State.entry) =
   let meth =
-    method_of_string (Option.value ~default:"efficient" (Protocol.param_string req "flow"))
+    Tdp.Flow.method_of_string (Option.value ~default:"efficient" (Protocol.param_string req "flow"))
   in
   (* Default matches Tdp.Flow.run's, so a daemon job with no explicit
      seed places identically to the one-shot binaries. *)
   let seed = Option.value ~default:1 (Protocol.param_int req "seed") in
   let legalize = Option.value ~default:true (Protocol.param_bool req "legalize") in
   let result =
-    Tdp.Flow.run ~seed ~warm ~legalize ~obs:t.obs ?heartbeat:t.heartbeat meth entry.State.design
+    Tdp.Flow.run ~seed ~warm ~legalize ~obs:t.obs ?heartbeat:t.heartbeat ~fault meth
+      entry.State.design
   in
   entry.State.placed <- true;
   entry.State.last_result <- Some result;
@@ -115,11 +104,11 @@ let run_flow t req ~warm (entry : State.entry) =
   (match entry.State.timer with Some tm -> Sta.Timer.invalidate tm | None -> ());
   result
 
-let op_place t req =
+let op_place t req ~fault =
   let entry = find_entry t req in
-  Tdp.Flow.result_to_json (run_flow t req ~warm:false entry)
+  Tdp.Flow.result_to_json (run_flow t req ~fault ~warm:false entry)
 
-let op_replace t req =
+let op_replace t req ~fault =
   let entry = find_entry t req in
   if not entry.State.placed then
     Util.Errors.config_error ~what:"replace"
@@ -143,7 +132,7 @@ let op_replace t req =
   in
   let applied = Eco.apply entry.State.design delta in
   State.note_eco entry applied;
-  let result = run_flow t req ~warm:true entry in
+  let result = run_flow t req ~fault ~warm:true entry in
   Obs.Json.Obj [ ("eco", eco_json applied); ("result", Tdp.Flow.result_to_json result) ]
 
 let path_json (d : Netlist.Design.t) (p : Sta.Paths.path) =
@@ -197,12 +186,12 @@ let op_unload t req =
   let name = required_string req "name" in
   Obs.Json.Obj [ ("unloaded", Obs.Json.Bool (State.unload t.state name)) ]
 
-let dispatch t (req : Protocol.request) =
+let dispatch t ~fault (req : Protocol.request) =
   match req.Protocol.op with
   | "ping" -> Obs.Json.Obj [ ("pong", Obs.Json.Bool true) ]
   | "load" -> op_load t req
-  | "place" -> op_place t req
-  | "replace" -> op_replace t req
+  | "place" -> op_place t req ~fault
+  | "replace" -> op_replace t req ~fault
   | "report_timing" -> op_report_timing t req
   | "stats" -> op_stats t
   | "unload" -> op_unload t req
@@ -214,7 +203,7 @@ let dispatch t (req : Protocol.request) =
         ("unknown op " ^ op
        ^ " (known: ping load place replace report_timing stats unload shutdown)")
 
-let handle t (req : Protocol.request) =
+let handle ?(fault = []) t (req : Protocol.request) =
   (* Each request gets a fresh heartbeat epoch and its own span; no
      failure below may escape — the daemon outlives every job. *)
   (match t.heartbeat with Some hb -> Obs.Heartbeat.reset hb | None -> ());
@@ -222,7 +211,7 @@ let handle t (req : Protocol.request) =
     Obs.Ctx.span t.obs
       ~attrs:[ ("op", Obs.Json.String req.Protocol.op); ("id", Obs.Json.String req.Protocol.id) ]
       ("svc." ^ req.Protocol.op)
-      (fun () -> Jobs.run t.jobs ~op:req.Protocol.op (fun () -> dispatch t req))
+      (fun () -> Jobs.run t.jobs ~op:req.Protocol.op (fun () -> dispatch t ~fault req))
   with
   | result -> Protocol.ok_reply ~id:req.Protocol.id result
   | exception Util.Errors.Error e -> Protocol.error_reply ~id:req.Protocol.id e

@@ -31,8 +31,9 @@ val jobs : t -> Jobs.t
     exit when they see it. *)
 val shutdown_requested : t -> bool
 
-(** Dispatch one request to a reply (never raises). *)
-val handle : t -> Protocol.request -> Obs.Json.t
+(** Dispatch one request to a reply (never raises). [fault] (robustness
+    tests only; not on the wire) is this job's flow fault plan. *)
+val handle : ?fault:Util.Fault.plan -> t -> Protocol.request -> Obs.Json.t
 
 (** Parse one JSONL line and dispatch; malformed lines get a
     kind ["bad_request"] error reply (never raises). *)

@@ -47,6 +47,7 @@ type t = {
   mutable workspaces : Rctree.Workspace.t array;
   dirty_stamp : int array;
   mutable epoch : int;
+  fault : (float -> float) option;
 }
 
 (* Arc ids of a net's sinks, aligned with sink order: net arcs were pushed
@@ -61,7 +62,7 @@ let net_first_arc (d : Design.t) =
   done;
   firsts
 
-let create graph ~topology =
+let create ?fault graph ~topology =
   let d = graph.Graph.design in
   {
     graph;
@@ -73,6 +74,7 @@ let create graph ~topology =
     workspaces = [||];
     dirty_stamp = Array.make (Design.num_nets d) 0;
     epoch = 0;
+    fault;
   }
 
 (* One tree workspace per chunk of the net pass, grown on demand. *)
@@ -121,6 +123,13 @@ let update_net t ws nid =
   ws.n_terms <- nsinks + 1;
   Rctree.Steiner.build_into ws t.topology;
   Rctree.Elmore.compute_into ws ~r:d.r_per_unit ~c:d.c_per_unit;
+  (* The [elmore] fault site, one layer above the pure kernel. *)
+  (match t.fault with
+  | None -> ()
+  | Some f ->
+      for v = 0 to ws.n_nodes - 1 do
+        ws.delay.(v) <- f ws.delay.(v)
+      done);
   match Design.kind d owner with
   | Design.Logic ->
       let lc = Design.libcell d owner in

@@ -22,9 +22,10 @@ type t = {
   mutable workspaces : Rctree.Workspace.t array; (* one per chunk of the net pass *)
   dirty_stamp : int array; (* per net: last [update_moved] epoch that re-timed it *)
   mutable epoch : int;
+  fault : (float -> float) option; (* robustness tests: applied to every Elmore node delay *)
 }
 
-val create : Graph.t -> topology:topology -> t
+val create : ?fault:(float -> float) -> Graph.t -> topology:topology -> t
 
 (** Full refresh of every net and cell arc. Allocation-free per net once
     the per-chunk tree workspaces have grown to the largest net. *)

@@ -20,12 +20,12 @@ type t = {
   mutable early_up_to_date : bool;
 }
 
-let create ?(topology = Delay.Steiner_tree) ?(obs = Obs.Ctx.null) design =
+let create ?(topology = Delay.Steiner_tree) ?(obs = Obs.Ctx.null) ?fault design =
   let graph = Graph.build design in
   {
     design;
     graph;
-    delay = Delay.create graph ~topology;
+    delay = Delay.create ?fault graph ~topology;
     prop = Propagate.create graph;
     early = Early.create graph;
     obs;

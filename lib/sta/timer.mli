@@ -13,8 +13,10 @@ type t
 (** Builds the timing graph; [topology] picks the wire model (default
     Steiner trees, matching the evaluation kit). [obs] receives a
     [sta.update] span per re-time (children [sta.delay] / [sta.arrival] /
-    [sta.required]) plus full/incremental update counters. *)
-val create : ?topology:Delay.topology -> ?obs:Obs.Ctx.t -> Netlist.Design.t -> t
+    [sta.required]) plus full/incremental update counters. [fault]
+    (robustness tests) is applied to every Elmore node delay. *)
+val create :
+  ?topology:Delay.topology -> ?obs:Obs.Ctx.t -> ?fault:(float -> float) -> Netlist.Design.t -> t
 
 val graph : t -> Graph.t
 

@@ -27,8 +27,8 @@ type t = {
   dl_darc : float array; (* dLoss / d(arc delay) *)
 }
 
-let create ?(gamma_sm = 8.0) ?(eta = 15.0) design =
-  let timer = Sta.Timer.create ~topology:Sta.Delay.Star design in
+let create ?(gamma_sm = 8.0) ?(eta = 15.0) ?fault design =
+  let timer = Sta.Timer.create ~topology:Sta.Delay.Star ?fault design in
   let graph = Sta.Timer.graph timer in
   {
     design;

@@ -13,7 +13,7 @@ type t = {
   dl_darc : float array;
 }
 
-val create : ?gamma_sm:float -> ?eta:float -> Netlist.Design.t -> t
+val create : ?gamma_sm:float -> ?eta:float -> ?fault:(float -> float) -> Netlist.Design.t -> t
 
 (** One timing round: re-time (star model) and run the differentiable
     forward/backward passes. Returns (tns, wns) from the hard timer. *)

@@ -16,7 +16,8 @@ type t = {
   mutable anchors : anchor list;
 }
 
-let create design ~topology = { design; timer = Sta.Timer.create ~topology design; anchors = [] }
+let create ?fault design ~topology =
+  { design; timer = Sta.Timer.create ~topology ?fault design; anchors = [] }
 
 (** One timing round: re-time, extract each failing endpoint's worst path,
     derive anchors. Returns (tns, wns). *)

@@ -30,9 +30,9 @@ type t = {
   mutable rounds : round_stats list; (* newest first *)
 }
 
-let create ?(obs = Obs.Ctx.null) design ~(config : Config.t) ~topology =
+let create ?(obs = Obs.Ctx.null) ?fault design ~(config : Config.t) ~topology =
   {
-    timer = Sta.Timer.create ~topology ~obs design;
+    timer = Sta.Timer.create ~topology ~obs ?fault design;
     attract = Pin_attract.create design ~loss:config.loss;
     config;
     obs;

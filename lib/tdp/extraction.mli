@@ -20,7 +20,8 @@ type t
     [extraction] spans plus counters (rounds, endpoints visited, paths
     extracted, pair-weight updates) and tns/wns/|P| gauges. *)
 val create :
-  ?obs:Obs.Ctx.t -> Netlist.Design.t -> config:Config.t -> topology:Sta.Delay.topology -> t
+  ?obs:Obs.Ctx.t -> ?fault:(float -> float) -> Netlist.Design.t -> config:Config.t ->
+  topology:Sta.Delay.topology -> t
 
 (** One timing round at placement iteration [iter]. *)
 val round : t -> iter:int -> round_stats

@@ -34,6 +34,17 @@ let method_name = function
   | Efficient _ -> "Efficient-TDP"
   | Dp4_in_ours -> "w/o-path-extraction"
 
+let method_of_string ?(config = Config.default) = function
+  | "vanilla" -> Vanilla
+  | "dp4" -> Dp4
+  | "diff" -> Diff_tdp
+  | "dist" -> Dist_tdp
+  | "efficient" -> Efficient config
+  | "noextract" -> Dp4_in_ours
+  | s ->
+      Util.Errors.config_error ~what:"flow"
+        ("unknown flow " ^ s ^ " (known: vanilla dp4 diff dist efficient noextract)")
+
 type curve_point = { iter : int; hpwl : float; overflow : float; tns : float; wns : float }
 
 type result = {
@@ -136,7 +147,7 @@ let timing_gp_params ~warm ~seed (cfg : Config.t) =
   }
 
 let run ?(seed = 1) ?(warm = false) ?(legalize = true) ?(topology = flow_topology) ?obs
-    ?heartbeat (meth : method_) (d : Design.t) =
+    ?heartbeat ?(fault = []) (meth : method_) (d : Design.t) =
   (* Default: a private context so [result.breakdown] is populated even
      when the caller doesn't care about tracing. An explicitly disabled
      context ([Obs.Ctx.null]) turns all observation off — breakdown comes
@@ -155,6 +166,11 @@ let run ?(seed = 1) ?(warm = false) ?(legalize = true) ?(topology = flow_topolog
   Design.validate_exn d;
   (match meth with Efficient cfg -> Config.validate_exn cfg | _ -> ());
   Design.reset_net_weights d;
+  (* Fresh injectors per run: a plan's windows count this run's calls
+     only, whatever ran before on the same process or daemon. *)
+  let injectors = List.map (fun (site, spec) -> (site, Util.Fault.injector spec)) fault in
+  let fault_at site = Option.map Util.Fault.apply (List.assoc_opt site injectors) in
+  let elmore = fault_at Util.Fault.Elmore in
   let curve = ref [] in
   (* Checkpoint the best placement seen at any timing round (by the flow
      timer's TNS, tie-broken by WNS): timing-driven runs can cycle once
@@ -195,7 +211,7 @@ let run ?(seed = 1) ?(warm = false) ?(legalize = true) ?(topology = flow_topolog
     | Vanilla ->
         ((if warm then warm_gp_params ~seed else base_gp_params ~seed), Gp.Globalplace.no_hooks)
     | Dp4 ->
-        let nw = Net_weighting.create d ~topology in
+        let nw = Net_weighting.create ?fault:elmore d ~topology in
         let hooks =
           {
             Gp.Globalplace.on_round =
@@ -207,7 +223,7 @@ let run ?(seed = 1) ?(warm = false) ?(legalize = true) ?(topology = flow_topolog
         in
         (timing_gp_params ~warm ~seed cfg_default, hooks)
     | Diff_tdp ->
-        let dt = Diff_timing.create d in
+        let dt = Diff_timing.create ?fault:elmore d in
         let hooks =
           {
             Gp.Globalplace.on_round =
@@ -223,7 +239,7 @@ let run ?(seed = 1) ?(warm = false) ?(legalize = true) ?(topology = flow_topolog
         in
         (timing_gp_params ~warm ~seed cfg_default, hooks)
     | Dist_tdp ->
-        let ds = Distribution.create d ~topology in
+        let ds = Distribution.create ?fault:elmore d ~topology in
         let hooks =
           {
             Gp.Globalplace.on_round =
@@ -242,7 +258,7 @@ let run ?(seed = 1) ?(warm = false) ?(legalize = true) ?(topology = flow_topolog
         (* Our engine and pin-pair loss, but pin-level slack information
            with DP4's momentum scheme instead of path extraction (the
            paper's 'w/o Path Extraction' ablation). *)
-        let pl = Pin_level.create d ~topology in
+        let pl = Pin_level.create ?fault:elmore d ~topology in
         let hooks =
           {
             Gp.Globalplace.on_round =
@@ -258,7 +274,7 @@ let run ?(seed = 1) ?(warm = false) ?(legalize = true) ?(topology = flow_topolog
         in
         (timing_gp_params ~warm ~seed cfg_default, hooks)
     | Efficient cfg ->
-        let ex = Extraction.create ~obs d ~config:cfg ~topology in
+        let ex = Extraction.create ~obs ?fault:elmore d ~config:cfg ~topology in
         extraction_state := Some ex;
         let last_iter = cfg.timing_start + cfg.extra_iters in
         (* Anneal beta over the final iterations: the timing fixes are
@@ -300,7 +316,16 @@ let run ?(seed = 1) ?(warm = false) ?(legalize = true) ?(topology = flow_topolog
         in
         (timing_gp_params ~warm ~seed cfg, hooks)
   in
+  (* Each site reports its corrupted calls, also when the run fails. *)
+  let report_faults () =
+    List.iter
+      (fun (site, inj) ->
+        let by = float_of_int (Util.Fault.corrupted inj) in
+        Obs.Ctx.count obs ~by ("fault." ^ Util.Fault.site_name site))
+      injectors
+  in
   let metrics_gp, metrics =
+    Fun.protect ~finally:report_faults @@ fun () ->
     Obs.Ctx.span obs "flow"
       ~attrs:
         [
@@ -309,7 +334,10 @@ let run ?(seed = 1) ?(warm = false) ?(legalize = true) ?(topology = flow_topolog
           ("seed", Obs.Json.Int seed);
         ]
       (fun () ->
-        let _gp = Gp.Globalplace.run ~params:gp_params ~hooks ~obs ?heartbeat d in
+        let _gp =
+          Gp.Globalplace.run ~params:gp_params ~hooks ~obs ?heartbeat
+            ?fault:(fault_at Util.Fault.Wl_grad) d
+        in
         (* Keep the better of (final iterate, best checkpoint) under the
            common evaluation model. *)
         let metrics_gp =

@@ -13,6 +13,10 @@ type method_ =
 
 val method_name : method_ -> string
 
+(** The CLI/daemon flow names (vanilla dp4 diff dist efficient noextract;
+    [config] is efficient's); anything else is a [Config_error]. *)
+val method_of_string : ?config:Config.t -> string -> method_
+
 type curve_point = { iter : int; hpwl : float; overflow : float; tns : float; wns : float }
 
 type result = {
@@ -61,6 +65,11 @@ val checkpoint_decision :
     results are bit-identical in every case — observability is
     observation-only.
 
+    [fault] (robustness tests; default none) gets fresh injectors for
+    this run: [wl_grad] in {!Gp.Globalplace.run}, [elmore] in the timing
+    machinery's timers (evaluation stays clean). Each site adds its
+    corrupted calls to a [fault.<site>] counter, also when the run raises.
+
     Raises [Util.Errors.Error]: [Invalid_design] if the input fails
     [Netlist.Design.validate] (also re-checked with [~placed:true] after
     legalization), [Config_error] for an out-of-range [Efficient] config,
@@ -72,6 +81,7 @@ val run :
   ?topology:Sta.Delay.topology ->
   ?obs:Obs.Ctx.t ->
   ?heartbeat:Obs.Heartbeat.t ->
+  ?fault:Util.Fault.plan ->
   method_ ->
   Netlist.Design.t ->
   result

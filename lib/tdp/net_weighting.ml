@@ -22,8 +22,8 @@ type t = {
   mutable rounds : int;
 }
 
-let create ?(alpha = 8.0) ?(momentum = 0.5) design ~topology =
-  { timer = Sta.Timer.create ~topology design; design; alpha; momentum; rounds = 0 }
+let create ?(alpha = 8.0) ?(momentum = 0.5) ?fault design ~topology =
+  { timer = Sta.Timer.create ~topology ?fault design; design; alpha; momentum; rounds = 0 }
 
 (** One timing round: re-time, refresh all net weights in place.
     Returns (tns, wns). *)

@@ -5,7 +5,8 @@
 type t
 
 val create :
-  ?alpha:float -> ?momentum:float -> Netlist.Design.t -> topology:Sta.Delay.topology -> t
+  ?alpha:float -> ?momentum:float -> ?fault:(float -> float) -> Netlist.Design.t ->
+  topology:Sta.Delay.topology -> t
 
 (** One timing round: re-time and refresh every net's weight in place.
     Returns (tns, wns). *)

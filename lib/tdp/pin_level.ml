@@ -20,10 +20,10 @@ type t = {
   momentum : float;
 }
 
-let create ?(alpha = 8.0) ?(momentum = 0.5) design ~topology =
+let create ?(alpha = 8.0) ?(momentum = 0.5) ?fault design ~topology =
   {
     design;
-    timer = Sta.Timer.create ~topology design;
+    timer = Sta.Timer.create ~topology ?fault design;
     attract = Pin_attract.create design ~loss:Config.Quadratic;
     alpha;
     momentum;

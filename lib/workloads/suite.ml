@@ -58,24 +58,10 @@ let find ?scale short =
         (Printf.sprintf "unknown suite design %s (known: %s)" short
            (String.concat " " (names ?scale ())))
 
-(* External designs (parsed files) joining the bench matrix: flow
-   drivers register a loader per short name; [load] consults the
-   registry before the generator. Registered designs come from files,
-   so [scale]/[calibrate] do not apply to them. *)
-let loaders : (string * (unit -> Netlist.Design.t)) list ref = ref []
-
-let register_loader ~short f =
-  loaders := (short, f) :: List.remove_assoc short !loaders
-
-let registered () = List.rev_map fst !loaders
-
 (** Generate a suite design and calibrate its clock. The calibration GP
     run is deterministic, so the resulting design (netlist + period) is a
     pure function of [short] and [scale]. *)
 let load ?scale ?(calibrate = true) short =
-  match List.assoc_opt short !loaders with
-  | Some f -> f ()
-  | None ->
   let e = find ?scale short in
   let d = Generate.generate e.params in
   if calibrate then

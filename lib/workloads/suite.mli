@@ -12,15 +12,6 @@ val names : ?scale:float -> unit -> string list
 (** Raises [Util.Errors.Error (Config_error _)] for unknown names. *)
 val find : ?scale:float -> string -> entry
 
-(** Hook external (parsed-file) designs into the suite: [load short]
-    consults the registry before the generator, so registered designs
-    join any matrix keyed by suite names. [scale]/[calibrate] do not
-    apply to registered designs. Re-registering a name replaces it. *)
-val register_loader : short:string -> (unit -> Netlist.Design.t) -> unit
-
-(** Registered external names, registration order. *)
-val registered : unit -> string list
-
 (** Generate a suite design; [calibrate] (default true) also sets its
     clock. Deterministic in (short, scale). *)
 val load : ?scale:float -> ?calibrate:bool -> string -> Netlist.Design.t

@@ -476,26 +476,22 @@ let metamorphic_tns_wns () =
   check_ok "chain" (Metamorphic.tns_wns_consistent (Sta.Timer.create d2))
 
 (* ------------------------------------------------------------------ *)
-(* Mutation smoke-checks: injected faults must trip the gates.          *)
+(* Mutation smoke-checks: corrupted results must trip the gates.        *)
 
 let mutation_elmore () =
-  let protect fault f =
-    Rctree.Elmore.fault := Some fault;
-    Fun.protect ~finally:(fun () -> Rctree.Elmore.fault := None) f
-  in
   let xs = [| 0.0; 30.0; 55.0; 80.0 |] and ys = [| 0.0; 40.0; 10.0; 60.0 |] in
   let tree = Rctree.Steiner.steiner ~xs ~ys in
   let term_cap _ = 1.5 in
   check_ok "clean tree passes" (Ref_elmore.check tree ~r:0.1 ~c:0.2 ~term_cap);
-  (* A sign fault and a small constant fault both must be caught. *)
-  protect
-    (fun dl -> -.dl)
-    (fun () ->
-      check_err "sign fault caught" (Ref_elmore.check tree ~r:0.1 ~c:0.2 ~term_cap));
-  protect
-    (fun dl -> dl +. 1e-3)
-    (fun () ->
-      check_err "constant fault caught" (Ref_elmore.check tree ~r:0.1 ~c:0.2 ~term_cap));
+  (* A sign fault and a small constant fault in the production delays
+     both must be caught. *)
+  let corrupted f =
+    let prod = Rctree.Elmore.compute tree ~r:0.1 ~c:0.2 ~term_cap in
+    let sink_delay = Array.map f prod.Rctree.Elmore.sink_delay in
+    Ref_elmore.check_result { prod with Rctree.Elmore.sink_delay } tree ~r:0.1 ~c:0.2 ~term_cap
+  in
+  check_err "sign fault caught" (corrupted (fun dl -> -.dl));
+  check_err "constant fault caught" (corrupted (fun dl -> dl +. 1e-3));
   (* And the full-STA differential must catch it end to end: a faulty
      delay model shifts production arrivals, while the DFS oracle and the
      fresh re-time inside check_incremental read the same faulty arc
@@ -506,28 +502,34 @@ let mutation_elmore () =
   let timer = Sta.Timer.create d in
   Sta.Timer.update timer;
   let clean_tns = Sta.Timer.tns timer in
-  protect
-    (fun dl -> -.dl)
-    (fun () ->
-      let timer2 = Sta.Timer.create d in
-      Sta.Timer.update timer2;
-      Alcotest.(check bool) "sign fault changes TNS" true
-        (not (Compare.float_eq ~rtol:1e-9 clean_tns (Sta.Timer.tns timer2))))
+  (* Atomic: the delay pass may run the fault on several domains. *)
+  let faulted = Atomic.make 0 in
+  let timer2 =
+    Sta.Timer.create
+      ~fault:(fun dl ->
+        Atomic.incr faulted;
+        -.dl)
+      d
+  in
+  Sta.Timer.update timer2;
+  Alcotest.(check bool) "sign fault applied" true (Atomic.get faulted > 0);
+  Alcotest.(check bool) "sign fault changes TNS" true
+    (not (Compare.float_eq ~rtol:1e-9 clean_tns (Sta.Timer.tns timer2)))
 
 let mutation_wa_grad () =
   let d = Lazy.force Helpers.small_generated in
   let cells = List.filteri (fun i _ -> i < 3) (Netlist.Design.movable_ids d) in
   check_ok "clean gradient passes" (Ref_place.wa_fd_check d ~gamma:8.0 ~cells);
-  Gp.Wirelength.grad_fault := Some (fun g -> -.g);
-  Fun.protect
-    ~finally:(fun () -> Gp.Wirelength.grad_fault := None)
-    (fun () ->
-      check_err "sign fault caught" (Ref_place.wa_fd_check d ~gamma:8.0 ~cells));
-  Gp.Wirelength.grad_fault := Some (fun g -> g *. 1.05);
-  Fun.protect
-    ~finally:(fun () -> Gp.Wirelength.grad_fault := None)
-    (fun () ->
-      check_err "scale fault caught" (Ref_place.wa_fd_check d ~gamma:8.0 ~cells))
+  let corrupted f =
+    let nc = Netlist.Design.num_cells d in
+    let gx = Array.make nc 0.0 and gy = Array.make nc 0.0 in
+    ignore (Gp.Wirelength.wa_wirelength_grad d ~gamma:8.0 ~gx ~gy);
+    Ref_place.fd_check_cells d ~cells
+      ~value:(fun () -> Ref_place.wa_value d ~gamma:8.0)
+      ~gx:(Array.map f gx) ~gy:(Array.map f gy) ~what:"wa"
+  in
+  check_err "sign fault caught" (corrupted (fun g -> -.g));
+  check_err "scale fault caught" (corrupted (fun g -> g *. 1.05))
 
 (* ------------------------------------------------------------------ *)
 (* Fuzz driver                                                         *)
@@ -637,7 +639,7 @@ let golden_policy () =
 let golden_roundtrip () =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "oracle_golden_test" in
   let entries =
-    [ { Golden.design = "sb1"; scale = 0.05; method_ = Tdp.Flow.Vanilla } ]
+    [ { Golden.source = Golden.Suite { short = "sb1"; scale = 0.05 }; method_ = Tdp.Flow.Vanilla } ]
   in
   let files = Golden.regen ~dir entries in
   Alcotest.(check int) "one golden written" 1 (List.length files);
@@ -653,7 +655,20 @@ let golden_roundtrip () =
   (match Golden.check ~dir entries with
   | Ok () -> Alcotest.fail "tampered golden must fail --check"
   | Error _ -> ());
-  List.iter Sys.remove files;
+  (* A missing design file is a typed failure, not a skipped entry. *)
+  let missing =
+    {
+      Golden.source = Golden.File { stem = "gone"; path = "/nonexistent/gone.aux" };
+      method_ = Tdp.Flow.Vanilla;
+    }
+  in
+  let stub = Filename.concat dir (Golden.entry_name missing ^ ".json") in
+  Helpers.write_file stub "{}";
+  (match Golden.check ~dir [ missing ] with
+  | _ -> Alcotest.fail "missing design file must raise"
+  | exception Util.Errors.Error (Util.Errors.Parse_failed { file; _ }) ->
+      Alcotest.(check string) "names the file" "/nonexistent/gone.aux" file);
+  List.iter Sys.remove (stub :: files);
   if Sys.file_exists dir then Sys.rmdir dir
 
 (* ---- detailed placement vs the list-based reference ---- *)

@@ -1,10 +1,10 @@
 (* Robustness suite: divergence guards, typed errors, fault-injection
    recovery, and the [place] binary's exit-code contract.
 
-   The fault-injection hooks ([Gp.Wirelength.grad_fault],
-   [Rctree.Elmore.fault]) are process-global; every test that installs
-   one clears it in a [Fun.protect] finaliser so a failure cannot leak
-   faults into later tests. *)
+   Faults are per run: a test hands a fresh injector (or a fault plan)
+   to the run it corrupts, so nothing can leak into later tests, and
+   asserts the injector actually corrupted calls — a window that is
+   never reached would make the test pass vacuously. *)
 
 open Netlist
 
@@ -19,13 +19,14 @@ let counter ctx name =
   | Some (Obs.Metric.Counter r) -> !r
   | _ -> 0.0
 
-let with_wl_fault spec f =
-  Gp.Wirelength.grad_fault := Some (Util.Fault.injector spec);
-  Fun.protect ~finally:(fun () -> Gp.Wirelength.grad_fault := None) f
+(* Run [f ~fault] with a fresh injector for [spec], then check it hit. *)
+let with_fault spec f =
+  let inj = Util.Fault.injector spec in
+  f ~fault:(Util.Fault.apply inj);
+  Alcotest.(check bool) "fault window reached" true (Util.Fault.corrupted inj > 0)
 
-let with_elmore_fault spec f =
-  Rctree.Elmore.fault := Some (Util.Fault.injector spec);
-  Fun.protect ~finally:(fun () -> Rctree.Elmore.fault := None) f
+(* Calls a flow run corrupted at [site] (its [fault.<site>] counter). *)
+let flow_faults ctx site = counter ctx ("fault." ^ Util.Fault.site_name site)
 
 (* ---------------- Guard primitives ---------------- *)
 
@@ -84,8 +85,14 @@ let test_fault_spec_parse () =
   Alcotest.(check bool) "bad kind" true (Result.is_error (Util.Fault.parse_spec "bogus@0"));
   Alcotest.(check bool) "bad window" true (Result.is_error (Util.Fault.parse_spec "nan@-3"));
   Alcotest.(check bool) "no at" true (Result.is_error (Util.Fault.parse_spec "nan"));
+  (* Site names are validated by the parser: unknown or repeated sites
+     are malformed plans. *)
+  Alcotest.(check bool) "unknown site" true (Result.is_error (Util.Fault.parse "bogus=nan@0"));
+  Alcotest.(check bool) "duplicate site" true
+    (Result.is_error (Util.Fault.parse "elmore=nan@0,elmore=huge@3"));
+  Alcotest.(check bool) "empty plan" true (Util.Fault.parse "" = Ok []);
   match Util.Fault.parse "wl_grad=nan@10+2, elmore=huge@0" with
-  | Ok [ ("wl_grad", s1); ("elmore", s2) ] ->
+  | Ok [ (Util.Fault.Wl_grad, s1); (Util.Fault.Elmore, s2) ] ->
       Alcotest.(check int) "clause 1 start" 10 s1.Util.Fault.start;
       Alcotest.(check bool) "clause 2 kind" true (s2.Util.Fault.kind = Util.Fault.Huge)
   | Ok _ -> Alcotest.fail "wrong clause list"
@@ -93,9 +100,10 @@ let test_fault_spec_parse () =
 
 let test_fault_injector_window () =
   let inj = Util.Fault.injector { Util.Fault.kind = Util.Fault.Nan; start = 3; count = 2 } in
-  let out = List.init 8 (fun _ -> inj 1.0) in
+  let out = List.init 8 (fun _ -> Util.Fault.apply inj 1.0) in
   let nans = List.filter (fun v -> Float.is_nan v) out in
   Alcotest.(check int) "exactly the window corrupted" 2 (List.length nans);
+  Alcotest.(check int) "corruption counted" 2 (Util.Fault.corrupted inj);
   Alcotest.(check bool) "calls 0-2 clean" true
     (List.for_all (fun v -> v = 1.0) (List.filteri (fun i _ -> i < 3) out))
 
@@ -154,11 +162,13 @@ let gp_params =
 let test_gp_transient_fault_recovers () =
   let d = Workloads.Generate.generate Helpers.small_gen_params in
   let ctx = Obs.Ctx.create () in
-  with_wl_fault
+  with_fault
     { Util.Fault.kind = Util.Fault.Nan; start = 2000; count = 500 }
-    (fun () ->
-      let r = Gp.Globalplace.run ~params:gp_params ~obs:ctx d in
+    (fun ~fault ->
+      let r = Gp.Globalplace.run ~params:gp_params ~obs:ctx ~fault d in
       Alcotest.(check bool) "guard fired" true (counter ctx "guard.nan_detected" >= 1.0);
+      Alcotest.(check bool) "gradient guard caught it" true
+        (counter ctx "guard.gradient_nonfinite" >= 1.0);
       Alcotest.(check bool) "rolled back" true (counter ctx "guard.rollbacks" >= 1.0);
       Alcotest.(check bool) "final hpwl finite" true (Float.is_finite r.Gp.Globalplace.final_hpwl);
       Alcotest.(check bool) "coordinates finite" true
@@ -170,10 +180,10 @@ let test_gp_fault_kinds_recover () =
     (fun kind ->
       let d = Workloads.Generate.generate Helpers.small_gen_params in
       let ctx = Obs.Ctx.create () in
-      with_wl_fault
+      with_fault
         { Util.Fault.kind; start = 2000; count = 300 }
-        (fun () ->
-          let r = Gp.Globalplace.run ~params:gp_params ~obs:ctx d in
+        (fun ~fault ->
+          let r = Gp.Globalplace.run ~params:gp_params ~obs:ctx ~fault d in
           Alcotest.(check bool)
             ("finite after " ^ Util.Fault.kind_to_string kind)
             true
@@ -185,10 +195,10 @@ let test_gp_fault_kinds_recover () =
 let test_gp_persistent_fault_diverges () =
   let d = Workloads.Generate.generate Helpers.small_gen_params in
   let ctx = Obs.Ctx.create () in
-  with_wl_fault
+  with_fault
     { Util.Fault.kind = Util.Fault.Nan; start = 0; count = -1 }
-    (fun () ->
-      match Gp.Globalplace.run ~params:gp_params ~obs:ctx d with
+    (fun ~fault ->
+      match Gp.Globalplace.run ~params:gp_params ~obs:ctx ~fault d with
       | _ -> Alcotest.fail "expected Diverged"
       | exception Util.Errors.Error (Util.Errors.Diverged { recoveries; stage; _ }) ->
           Alcotest.(check string) "stage" "globalplace" stage;
@@ -321,32 +331,61 @@ let fast_cfg =
     cooldown_iters = 0;
   }
 
+let elmore_plan kind = [ (Util.Fault.Elmore, { Util.Fault.kind; start = 0; count = 20_000 }) ]
+
 (* The Efficient flow under a delay-model fault window: huge delays make
    every slack wildly negative for a few rounds; the flow must survive and
    deliver finite metrics. *)
 let test_flow_with_elmore_fault () =
   let d = Helpers.small_calibrated () in
-  with_elmore_fault
-    { Util.Fault.kind = Util.Fault.Huge; start = 0; count = 20_000 }
-    (fun () ->
-      let r = Tdp.Flow.run ~obs:Obs.Ctx.null (Tdp.Flow.Efficient fast_cfg) d in
-      let m = r.Tdp.Flow.metrics in
-      Alcotest.(check bool) "hpwl finite" true (Float.is_finite m.Evalkit.Metrics.hpwl);
-      Alcotest.(check bool) "tns finite" true (Float.is_finite m.Evalkit.Metrics.tns);
-      Alcotest.(check bool) "coordinates finite" true
-        (Util.Guard.all_finite_ba d.Design.x && Util.Guard.all_finite_ba d.Design.y))
+  let ctx = Obs.Ctx.create () in
+  let r =
+    Tdp.Flow.run ~obs:ctx ~fault:(elmore_plan Util.Fault.Huge) (Tdp.Flow.Efficient fast_cfg) d
+  in
+  Alcotest.(check bool) "fault window reached" true (flow_faults ctx Util.Fault.Elmore > 0.0);
+  let m = r.Tdp.Flow.metrics in
+  Alcotest.(check bool) "hpwl finite" true (Float.is_finite m.Evalkit.Metrics.hpwl);
+  Alcotest.(check bool) "tns finite" true (Float.is_finite m.Evalkit.Metrics.tns);
+  Alcotest.(check bool) "coordinates finite" true
+    (Util.Guard.all_finite_ba d.Design.x && Util.Guard.all_finite_ba d.Design.y)
 
-(* NaN delays: Propagate filters non-finite slacks, so tns/wns stay
-   finite and the extraction guard layers never let a NaN reach the pair
-   weights. The flow completes with finite output. *)
+(* Non-finite delays: Propagate filters non-finite slacks, so the flow
+   timer's tns/wns stay finite and the extraction guard layers never let
+   a NaN reach the pair weights. The flow completes with finite output.
+   (A NaN arc loses every max/min comparison in propagation; an infinite
+   one is what drives slacks non-finite.) *)
 let test_flow_with_elmore_nan_fault () =
-  let d = Helpers.small_calibrated () in
-  with_elmore_fault
-    { Util.Fault.kind = Util.Fault.Nan; start = 0; count = 20_000 }
-    (fun () ->
-      let r = Tdp.Flow.run ~obs:Obs.Ctx.null (Tdp.Flow.Efficient fast_cfg) d in
-      Alcotest.(check bool) "hpwl finite" true
+  List.iter
+    (fun kind ->
+      let what = Util.Fault.kind_to_string kind in
+      let d = Helpers.small_calibrated () in
+      let ctx = Obs.Ctx.create () in
+      let r = Tdp.Flow.run ~obs:ctx ~fault:(elmore_plan kind) (Tdp.Flow.Efficient fast_cfg) d in
+      Alcotest.(check bool) (what ^ " window reached") true
+        (flow_faults ctx Util.Fault.Elmore > 0.0);
+      Alcotest.(check bool) (what ^ " round tns/wns finite") true
+        (List.for_all
+           (fun (c : Tdp.Flow.curve_point) -> Float.is_finite c.tns && Float.is_finite c.wns)
+           r.Tdp.Flow.curve);
+      Alcotest.(check bool) (what ^ " hpwl finite") true
         (Float.is_finite r.Tdp.Flow.metrics.Evalkit.Metrics.hpwl))
+    [ Util.Fault.Nan; Util.Fault.Pos_inf ]
+
+(* Fault windows are per run: the same windowed plan corrupts the same
+   number of calls in two back-to-back runs. *)
+let test_fault_window_per_run () =
+  let plan =
+    [ (Util.Fault.Wl_grad, { Util.Fault.kind = Util.Fault.Nan; start = 0; count = 500 }) ]
+  in
+  let corrupted () =
+    let ctx = Obs.Ctx.create () in
+    ignore (Tdp.Flow.run ~obs:ctx ~fault:plan Tdp.Flow.Vanilla (Helpers.small_calibrated ()));
+    flow_faults ctx Util.Fault.Wl_grad
+  in
+  let first = corrupted () in
+  let second = corrupted () in
+  Alcotest.(check (float 0.0)) "first run corrupts the whole window" 500.0 first;
+  Alcotest.(check (float 0.0)) "second run corrupts as many" first second
 
 let test_flow_rejects_invalid_design () =
   let d = Helpers.chain_design () in
@@ -366,11 +405,23 @@ let bin_exe name =
     (Filename.dirname Sys.executable_name)
     (Filename.concat Filename.parent_dir_name (Filename.concat "bin" (name ^ ".exe")))
 
-let place_exe = bin_exe "place"
-
 let run_bin name args = Sys.command (bin_exe name ^ " " ^ args ^ " >/dev/null 2>&1")
 
 let run_place = run_bin "place"
+
+(* A counter's value in a --report-json file's metrics registry. *)
+let report_counter path name =
+  let registry =
+    Option.bind (Obs.Json.member "metrics_registry" (Obs.Json.parse_exn (Helpers.read_file path)))
+      Obs.Json.to_list
+  in
+  List.find_map
+    (fun m ->
+      match Option.bind (Obs.Json.member "name" m) Obs.Json.to_string_opt with
+      | Some n when n = name -> Option.bind (Obs.Json.member "value" m) Obs.Json.to_float
+      | _ -> None)
+    (Option.value ~default:[] registry)
+  |> Option.value ~default:0.0
 
 let test_place_exit_codes () =
   Helpers.with_temp_dir @@ fun dir ->
@@ -419,10 +470,13 @@ let test_place_exit_codes () =
     (Helpers.contains ~sub:"\"kind\":\"diverged\"" rpt);
   Alcotest.(check bool) "guard counters in report" true
     (Helpers.contains ~sub:"guard.rollbacks" rpt);
-  (* The FAULT_INJECT environment variable is an alternative spelling. *)
-  Alcotest.(check int) "FAULT_INJECT env exit 4" 4
-    (Sys.command
-       (Printf.sprintf "FAULT_INJECT=wl_grad=nan@0 %s %s >/dev/null 2>&1" place_exe base))
+  Alcotest.(check bool) "corrupted calls in report" true
+    (report_counter report "fault.wl_grad" > 0.0);
+  Alcotest.(check bool) "gradient guard in report" true
+    (report_counter report "guard.gradient_nonfinite" > 0.0);
+  (* A site given twice is a malformed plan, not a silent override. *)
+  Alcotest.(check int) "duplicate fault site exit 2" 2
+    (run_place (base ^ " --fault-inject wl_grad=nan@0,wl_grad=inf@5"))
 
 (* The small tools share place's loader and exit-code mapping: a
    malformed or unknown design file exits 6, a bad output extension 2. *)
@@ -460,6 +514,7 @@ let suite =
     ("config validation", `Quick, test_config_validate);
     ("flow survives elmore huge fault", `Slow, test_flow_with_elmore_fault);
     ("flow survives elmore nan fault", `Slow, test_flow_with_elmore_nan_fault);
+    ("fault window is per run", `Slow, test_fault_window_per_run);
     ("flow rejects invalid design", `Quick, test_flow_rejects_invalid_design);
     ("place exit codes", `Slow, test_place_exit_codes);
     ("tools exit codes", `Quick, test_tools_exit_codes);

@@ -292,28 +292,65 @@ let test_engine_session () =
       ignore (expect_ok "shutdown" (Engine.handle engine (request "shutdown" [])));
       Alcotest.(check bool) "shutdown latched" true (Engine.shutdown_requested engine))
 
+let fault_plan spec =
+  match Util.Fault.parse spec with Ok p -> p | Error e -> Alcotest.failf "fault plan: %s" e
+
+(* Calls corrupted at the wirelength-gradient site so far, summed over
+   the engine's jobs. *)
+let wl_faults ctx =
+  match Obs.Ctx.metric ctx "fault.wl_grad" with Some (Obs.Metric.Counter r) -> !r | _ -> 0.0
+
+let place_c =
+  request "place" [ ("design", Obs.Json.String "c"); ("flow", Obs.Json.String "vanilla") ]
+
 (* A diverging job (persistent injected fault in the wirelength gradient)
    must come back as a typed "diverged" reply and leave the engine able
-   to run the same job cleanly once the fault is gone. *)
+   to run the same job cleanly: the fault belongs to that job only. *)
 let test_engine_survives_divergence () =
   with_design_file (fun path ->
-      let engine = Engine.create () in
+      let ctx = Obs.Ctx.create () in
+      let engine = Engine.create ~obs:ctx () in
       ignore (expect_ok "load" (Engine.handle engine (request "load" (load_params path))));
-      let place =
-        request "place" [ ("design", Obs.Json.String "c"); ("flow", Obs.Json.String "vanilla") ]
+      expect_error "fault-injected place" ~kind:"diverged"
+        (Engine.handle ~fault:(fault_plan "wl_grad=nan@0") engine place_c);
+      Alcotest.(check bool) "fault injected" true (wl_faults ctx > 0.0);
+      ignore (expect_ok "next place runs clean" (Engine.handle engine place_c)))
+
+(* Faulty and clean jobs interleaved on one engine: every faulty job
+   corrupts calls, and every clean reply is bit-identical to a fresh
+   engine's — no fault state survives a job. *)
+let test_engine_faults_per_job () =
+  with_design_file (fun path ->
+      let fresh_reply () =
+        let engine = Engine.create () in
+        ignore (expect_ok "load" (Engine.handle engine (request "load" (load_params path))));
+        expect_ok "fresh place" (Engine.handle engine place_c)
       in
-      let spec =
-        match Util.Fault.parse_spec "nan@0" with
-        | Ok s -> s
-        | Error e -> Alcotest.failf "fault spec: %s" e
+      let metrics r = json_str (member "metrics" r) ^ json_str (member "metrics_gp" r) in
+      let reference = metrics (fresh_reply ()) in
+      let ctx = Obs.Ctx.create () in
+      let engine = Engine.create ~obs:ctx () in
+      ignore (expect_ok "load" (Engine.handle engine (request "load" (load_params path))));
+      let faulty what spec expect =
+        let before = wl_faults ctx in
+        expect (Engine.handle ~fault:(fault_plan spec) engine place_c);
+        let n = wl_faults ctx -. before in
+        Alcotest.(check bool) (what ^ " corrupted calls") true (n > 0.0);
+        n
       in
-      Gp.Wirelength.grad_fault := Some (Util.Fault.injector spec);
-      Fun.protect
-        ~finally:(fun () -> Gp.Wirelength.grad_fault := None)
-        (fun () ->
-          expect_error "fault-injected place" ~kind:"diverged" (Engine.handle engine place));
-      Gp.Wirelength.grad_fault := None;
-      ignore (expect_ok "place after fault cleared" (Engine.handle engine place)))
+      let clean what =
+        Alcotest.(check string) (what ^ " matches a fresh engine") reference
+          (metrics (expect_ok what (Engine.handle engine place_c)))
+      in
+      let transient what = faulty what "wl_grad=nan@0+4" (fun r -> ignore (expect_ok what r)) in
+      let first = transient "transient fault" in
+      clean "clean after transient";
+      let diverged = expect_error "persistent" ~kind:"diverged" in
+      ignore (faulty "persistent fault" "wl_grad=nan@0" diverged);
+      clean "clean after divergence";
+      Alcotest.(check (float 0.0)) "same window, same corruption" first
+        (transient "same transient again");
+      clean "clean at the end")
 
 (* The daemon must place exactly what the one-shot binary places: same
    design, seed and flow give bit-identical metrics through the engine. *)
@@ -465,6 +502,7 @@ let suite =
     ("state registry", `Quick, test_state_registry);
     ("engine session", `Quick, test_engine_session);
     ("engine survives divergence", `Quick, test_engine_survives_divergence);
+    ("engine faults are per job", `Quick, test_engine_faults_per_job);
     ("engine vs one-shot metrics identity", `Slow, test_engine_metrics_identity);
     ("warm replace quality and speedup", `Slow, test_warm_replace_quality);
     ("daemon stdin session", `Slow, test_daemon_stdin_session);
