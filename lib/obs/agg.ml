@@ -3,9 +3,8 @@
     Self time relies on the single-threaded well-nested span discipline
     ([Ctx.span] guarantees children complete before their parent): when a
     span ends we already know the total time of its children, so
-    [self = dur - children]. [to_breakdown] reproduces the shape of the
-    old [Util.Timerstat.to_list] — per-name total seconds, largest first —
-    which is what [Tdp.Flow.result.breakdown] promises. *)
+    [self = dur - children]. [to_breakdown] gives per-name total seconds,
+    largest first, which is what [Tdp.Flow.result.breakdown] promises. *)
 
 type stat = {
   mutable count : int;
@@ -58,7 +57,7 @@ let get t name = Hashtbl.find_opt t.stats name
 
 let total t name = match get t name with Some st -> st.total | None -> 0.0
 
-(** Per-name total seconds, largest first — the [Timerstat.to_list] shape. *)
+(** Per-name total seconds, largest first. *)
 let to_breakdown t =
   stats t
   |> List.map (fun (name, st) -> (name, st.total))

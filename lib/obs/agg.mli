@@ -28,8 +28,8 @@ val get : t -> string -> stat option
 (** Accumulated total seconds under [name] (0 when never seen). *)
 val total : t -> string -> float
 
-(** Per-name total seconds, largest first — the [Util.Timerstat.to_list]
-    shape that [Tdp.Flow.result.breakdown] promises. *)
+(** Per-name total seconds, largest first: the shape that
+    [Tdp.Flow.result.breakdown] promises. *)
 val to_breakdown : t -> (string * float) list
 
 (** Per-name self seconds (total minus children), largest first —

@@ -99,21 +99,20 @@ let endpoint_slack t (graph : Graph.t) p =
   assert (graph.is_endpoint.(p));
   t.slack.(p)
 
+(* The slack pass above maps every non-finite arrival or required time
+   to +inf, so the folds below need no finiteness test of their own: +inf
+   never lowers a minimum and is never negative. *)
+
 (** Worst negative slack over all endpoints (0 when none violate). *)
 let wns t (graph : Graph.t) =
-  Array.fold_left
-    (fun acc p ->
-      let s = t.slack.(p) in
-      if Float.is_finite s then Float.min acc s else acc)
-    0.0 graph.endpoints
-  |> Float.min 0.0
+  Array.fold_left (fun acc p -> Float.min acc t.slack.(p)) 0.0 graph.endpoints
 
 (** Total negative slack: sum of negative endpoint slacks. *)
 let tns t (graph : Graph.t) =
   Array.fold_left
     (fun acc p ->
       let s = t.slack.(p) in
-      if Float.is_finite s && s < 0.0 then acc +. s else acc)
+      if s < 0.0 then acc +. s else acc)
     0.0 graph.endpoints
 
 (* Worst slack first; equal slacks order by pin id, so endpoint rankings
@@ -126,7 +125,7 @@ let compare_endpoint_slack t a b =
 (** Endpoints with negative slack, worst first (ties by pin id). *)
 let failing_endpoints t (graph : Graph.t) =
   Array.to_list graph.endpoints
-  |> List.filter (fun p -> Float.is_finite t.slack.(p) && t.slack.(p) < 0.0)
+  |> List.filter (fun p -> t.slack.(p) < 0.0)
   |> List.sort (compare_endpoint_slack t)
 
 (** All endpoints sorted by slack, worst first (ties by pin id). *)

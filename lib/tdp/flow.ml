@@ -153,8 +153,8 @@ let run ?(seed = 1) ?(warm = false) ?(legalize = true) ?(topology = flow_topolog
      context ([Obs.Ctx.null]) turns all observation off — breakdown comes
      back empty, placement results are identical either way. *)
   let obs = match obs with Some c -> c | None -> Obs.Ctx.create () in
-  (* The breakdown is rebuilt from span aggregation (the Timerstat shape:
-     per-name total seconds, largest first). *)
+  (* The breakdown is rebuilt from span aggregation (per-name total
+     seconds, largest first). *)
   let agg = Obs.Agg.create () in
   let agg_sink = Obs.Agg.sink agg in
   Obs.Ctx.add_sink obs agg_sink;

@@ -1,6 +1,6 @@
-(* Tests for the extension features: hold (early) analysis, RUDY
-   congestion, wire-segment statistics, and timing-aware detailed
-   placement on the incremental timer. *)
+(* Tests for the extension features: hold (early) analysis, wire-segment
+   statistics, and timing-aware detailed placement on the incremental
+   timer. *)
 
 open Netlist
 
@@ -80,58 +80,6 @@ let test_hold_diamond_early_branch () =
   let early = Sta.Timer.early_arrivals timer in
   Alcotest.(check bool) "early < late at reconvergence" true
     (early.(ep) < (Sta.Timer.arrivals timer).(ep) -. 1.0)
-
-(* ---------------- RUDY congestion ---------------- *)
-
-let test_rudy_single_net () =
-  let d = Helpers.chain_design () in
-  let c = Gp.Congestion.create d ~bins_x:16 ~bins_y:16 in
-  Gp.Congestion.update c d;
-  (* Every net contributes (w+h) of wiring demand over its (padded)
-     bbox: total demand equals the sum of padded half-perimeters. *)
-  let expect = ref 0.0 in
-  for nid = 0 to Design.num_nets d - 1 do
-    let pts =
-      List.map (fun pid -> Design.pin_pos d pid) (Array.to_list (Design.net_pins d nid))
-    in
-    let bb = Geom.Rect.bbox_of_points pts in
-    expect := !expect +. (Geom.Rect.width bb +. c.bin_w +. (Geom.Rect.height bb +. c.bin_h))
-  done;
-  let expect = !expect in
-  (* Some demand may fall outside the die for boundary nets; allow 15%. *)
-  let total = Gp.Congestion.total_demand c in
-  Alcotest.(check bool)
-    (Printf.sprintf "demand %.1f ~ %.1f" total expect)
-    true
-    (total > 0.7 *. expect && total <= expect +. 1e-6)
-
-let test_rudy_hotspot_detects_clumping () =
-  let d = Helpers.small_calibrated () in
-  let c = Gp.Congestion.create d ~bins_x:16 ~bins_y:16 in
-  (* Spread: low hotspot factor. *)
-  let rng = Util.Rng.create 5 in
-  for id = 0 to Design.num_cells d - 1 do
-    if Design.is_movable d id then begin
-      d.x.{id} <- Util.Rng.float rng (Geom.Rect.width d.die);
-      d.y.{id} <- Util.Rng.float rng (Geom.Rect.height d.die)
-    end
-  done;
-  Gp.Congestion.update c d;
-  let spread_factor = Gp.Congestion.hotspot_factor c in
-  (* Stack everything: hotspot factor must jump. *)
-  let ctr = Geom.Rect.center d.die in
-  for id = 0 to Design.num_cells d - 1 do
-    if Design.is_movable d id then begin
-      d.x.{id} <- ctr.Geom.Point.x;
-      d.y.{id} <- ctr.Geom.Point.y
-    end
-  done;
-  Gp.Congestion.update c d;
-  let stacked_factor = Gp.Congestion.hotspot_factor c in
-  Alcotest.(check bool)
-    (Printf.sprintf "stacked %.1f > spread %.1f" stacked_factor spread_factor)
-    true
-    (stacked_factor > spread_factor)
 
 (* ---------------- Wire stats ---------------- *)
 
@@ -362,8 +310,6 @@ let suite =
     ("hold: chain exact", `Quick, test_hold_chain_exact);
     ("hold: constructed violation", `Quick, test_hold_violation_constructed);
     ("hold: diamond early branch", `Quick, test_hold_diamond_early_branch);
-    ("rudy: total demand", `Quick, test_rudy_single_net);
-    ("rudy: hotspot detection", `Quick, test_rudy_hotspot_detects_clumping);
     ("wire stats: segments", `Quick, test_wire_stats_of_segments);
     ("wire stats: critical paths", `Quick, test_wire_stats_critical_paths);
     ("timing dp: never degrades", `Slow, test_timing_dp_never_degrades);

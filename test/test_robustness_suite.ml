@@ -497,6 +497,59 @@ let test_tools_exit_codes () =
   Alcotest.(check int) "place bad --out extension exit 2" 2
     (run_place ("-d sb1 --scale 0.05 --out " ^ at "x.design"))
 
+(* ---------------- The bench driver ---------------- *)
+
+let bench_exe =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.concat Filename.parent_dir_name (Filename.concat "bench" "main.exe"))
+
+(* Runs the bench with [args]; returns the exit code, stdout and stderr. *)
+let run_bench args =
+  Helpers.with_temp_dir @@ fun dir ->
+  let out = Filename.concat dir "out.txt" and err = Filename.concat dir "err.txt" in
+  let code = Sys.command (Printf.sprintf "%s %s > %s 2> %s" bench_exe args out err) in
+  (code, Helpers.read_file out, Helpers.read_file err)
+
+(* Every argument is validated before any section runs: an unknown
+   section or option and a malformed value exit 2 with nothing on stdout,
+   even when a valid section comes first, and a usage line that lists the
+   sections on stderr. *)
+let test_bench_usage_errors () =
+  List.iter
+    (fun (what, args) ->
+      let code, out, err = run_bench args in
+      Alcotest.(check int) (what ^ " exits 2") 2 code;
+      Alcotest.(check string) (what ^ " runs no section") "" out;
+      Alcotest.(check bool) (what ^ " prints usage") true
+        (Helpers.contains ~sub:"usage:" err
+        && Helpers.contains ~sub:"sections: table1 table2" err))
+    [
+      ("unknown section", "--scale 0.05 table1 tabel2");
+      ("unknown option", "--scale 0.05 --sclae 0.1 table1");
+      ("single-dash option", "--scale 0.05 -domains 2 table1");
+      ("malformed value", "--scale abc table1");
+      ("missing value", "table1 --scale");
+    ]
+
+(* Table I measures sb1's vanilla placement whatever ran before it: the
+   flow memo puts the design back at a cached flow's placement. *)
+let test_bench_table1_sees_its_placement () =
+  let table1_lines args =
+    let code, out, _ = run_bench args in
+    Alcotest.(check int) (args ^ " exits 0") 0 code;
+    String.split_on_char '\n' out
+    |> List.filter_map (fun l ->
+           if String.starts_with ~prefix:"Table I workload" l then Some l
+           else if String.starts_with ~prefix:"paper shape: endpoint coverage" l then
+             (* The speedup after the ';' is a timing. *)
+             Some (List.hd (String.split_on_char ';' l))
+           else None)
+  in
+  let alone = table1_lines "--scale 0.15 table1" in
+  Alcotest.(check int) "workload and coverage lines" 2 (List.length alone);
+  Alcotest.(check (list string)) "same after smoke" alone (table1_lines "--scale 0.15 smoke table1")
+
 let suite =
   [
     ("guard primitives", `Quick, test_guard_primitives);
@@ -518,4 +571,6 @@ let suite =
     ("flow rejects invalid design", `Quick, test_flow_rejects_invalid_design);
     ("place exit codes", `Slow, test_place_exit_codes);
     ("tools exit codes", `Quick, test_tools_exit_codes);
+    ("bench usage errors", `Quick, test_bench_usage_errors);
+    ("bench table1 sees its placement", `Slow, test_bench_table1_sees_its_placement);
   ]

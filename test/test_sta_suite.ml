@@ -307,6 +307,59 @@ let test_incremental_noop_move () =
       Sta.Timer.update_moved timer ~cells:[];
       check_float "empty move set is a no-op" tns0 (Sta.Timer.tns timer))
 
+(* Three pi -> inv -> po chains and an unconnected output pad, every arc
+   100 ps against a 100 ps clock. Chain [nan] gets a NaN net arc, chain
+   [inf] an infinite cell arc (arrival +inf); together with the
+   unconnected pad their slacks are +inf, so only chain [ok] counts in
+   WNS, TNS and the failing list. The +inf arrival is the case only the
+   slack pass's filter catches: the WNS/TNS/failing folds do not test
+   finiteness. *)
+let test_nonfinite_slacks_excluded () =
+  let b = Helpers.fresh_builder ~clock_period:100.0 () in
+  let chain name y =
+    let pi = Builder.add_input_pad b ~cname:("pi_" ^ name) ~x:0.0 ~y in
+    let u = Builder.add_logic b ~cname:("u_" ^ name) ~lib:Helpers.inv ~x:50.0 ~y () in
+    let po = Builder.add_output_pad b ~cname:("po_" ^ name) ~x:100.0 ~y in
+    let wire c1 p1 c2 p2 =
+      let n = Builder.add_net b ~nname:(Printf.sprintf "%s_%s" name p1) in
+      Builder.connect_by_name b ~net:n ~cell:c1 ~pin_name:p1;
+      Builder.connect_by_name b ~net:n ~cell:c2 ~pin_name:p2
+    in
+    wire pi "p" u "a1";
+    wire u "o" po "p";
+    (pi, u, po)
+  in
+  let ok = chain "ok" 20.0 and nan = chain "nan" 40.0 and inf = chain "inf" 60.0 in
+  let lone = Builder.add_output_pad b ~cname:"po_lone" ~x:100.0 ~y:80.0 in
+  let d = Builder.finish b in
+  let g = Sta.Graph.build d in
+  let pin c = (Design.cell_pins d c).(0) in
+  let out_pin c =
+    Array.to_list (Design.cell_pins d c) |> List.find (fun p -> Design.pin_name d p = "o")
+  in
+  let arc_into p ~net =
+    let rec find a = if g.arc_to.(a) = p && g.arc_is_net.(a) = net then a else find (a + 1) in
+    find 0
+  in
+  Array.fill g.arc_delay 0 g.num_arcs 100.0;
+  let _, _, nan_po = nan and _, inf_u, _ = inf in
+  g.arc_delay.(arc_into (pin nan_po) ~net:true) <- Float.nan;
+  g.arc_delay.(arc_into (out_pin inf_u) ~net:false) <- Float.infinity;
+  let prop = Sta.Propagate.create g in
+  Sta.Propagate.update prop g;
+  let slack c = Sta.Propagate.endpoint_slack prop g (pin c) in
+  let third (_, _, po) = po in
+  let ok_pi, _, ok_po = ok in
+  let expect = g.end_required.(pin ok_po) -. (g.start_arrival.(pin ok_pi) +. 300.0) in
+  Alcotest.(check bool) "ok chain fails" true (expect < 0.0);
+  check_float "ok slack" expect (slack ok_po);
+  List.iter
+    (fun (what, c) -> Alcotest.(check (float 0.0)) what Float.infinity (slack c))
+    [ ("nan arc slack", third nan); ("inf arc slack", third inf); ("unreachable slack", lone) ];
+  check_float "wns" expect (Sta.Propagate.wns prop g);
+  check_float "tns" expect (Sta.Propagate.tns prop g);
+  Alcotest.(check (list int)) "failing" [ pin ok_po ] (Sta.Propagate.failing_endpoints prop g)
+
 let suite =
   [
     ("graph shape", `Quick, test_graph_shape);
@@ -328,6 +381,7 @@ let suite =
     ("report stats", `Quick, test_report_stats);
     ("timer refresh semantics", `Quick, test_invalidate_refresh);
     ("star vs steiner topology", `Quick, test_star_vs_steiner_topology);
+    ("non-finite slacks excluded", `Quick, test_nonfinite_slacks_excluded);
   ]
 
 (* One full delay pass on a fresh graph; every array it writes, as bits. *)

@@ -1,5 +1,5 @@
-(* Unit + property tests for the util library: Rng, Dheap, Union_find,
-   Gvec, Stats, Tablefmt, Timerstat. *)
+(* Unit + property tests for the util library: Rng, Dheap, Gvec, Stats,
+   Tablefmt, Parallel. *)
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -128,32 +128,6 @@ let dheap_qcheck =
       done;
       List.rev !out = List.sort compare keys)
 
-(* ---------------- Union_find ---------------- *)
-
-let test_uf_basic () =
-  let uf = Util.Union_find.create 10 in
-  Alcotest.(check bool) "initially apart" false (Util.Union_find.same uf 0 1);
-  Alcotest.(check bool) "union returns true" true (Util.Union_find.union uf 0 1);
-  Alcotest.(check bool) "union again false" false (Util.Union_find.union uf 0 1);
-  Alcotest.(check bool) "now same" true (Util.Union_find.same uf 0 1)
-
-let test_uf_transitive () =
-  let uf = Util.Union_find.create 10 in
-  ignore (Util.Union_find.union uf 0 1);
-  ignore (Util.Union_find.union uf 1 2);
-  ignore (Util.Union_find.union uf 3 4);
-  Alcotest.(check bool) "0~2" true (Util.Union_find.same uf 0 2);
-  Alcotest.(check bool) "0!~3" false (Util.Union_find.same uf 0 3)
-
-let test_uf_spanning () =
-  (* n-1 unions over n elements following a chain produce one set. *)
-  let n = 100 in
-  let uf = Util.Union_find.create n in
-  for i = 0 to n - 2 do
-    Alcotest.(check bool) "new edge merges" true (Util.Union_find.union uf i (i + 1))
-  done;
-  Alcotest.(check bool) "all connected" true (Util.Union_find.same uf 0 (n - 1))
-
 (* ---------------- Gvec ---------------- *)
 
 let test_gvec_push_get () =
@@ -241,33 +215,6 @@ let test_tablefmt_fmt_float () =
   Alcotest.(check string) "nan" "-" (Util.Tablefmt.fmt_float Float.nan);
   Alcotest.(check string) "prec" "1.50" (Util.Tablefmt.fmt_float ~prec:2 1.5)
 
-(* ---------------- Timerstat ---------------- *)
-
-let test_timerstat () =
-  let ts = Util.Timerstat.create () in
-  Util.Timerstat.add ts "a" 1.0;
-  Util.Timerstat.add ts "a" 0.5;
-  Util.Timerstat.add ts "b" 2.0;
-  check_float "accumulates" 1.5 (Util.Timerstat.get ts "a");
-  check_float "total" 3.5 (Util.Timerstat.total ts);
-  (match Util.Timerstat.to_list ts with
-  | (n, v) :: _ ->
-      Alcotest.(check string) "largest first" "b" n;
-      check_float "value" 2.0 v
-  | [] -> Alcotest.fail "empty");
-  let x = Util.Timerstat.time ts "c" (fun () -> 42) in
-  Alcotest.(check int) "passthrough" 42 x;
-  Alcotest.(check bool) "recorded" true (Util.Timerstat.get ts "c" >= 0.0);
-  Util.Timerstat.reset ts;
-  check_float "reset" 0.0 (Util.Timerstat.total ts)
-
-let test_timerstat_exception () =
-  (* [time] must record the elapsed time even when the body raises. *)
-  let ts = Util.Timerstat.create () in
-  (try Util.Timerstat.time ts "boom" (fun () -> failwith "expected") with Failure _ -> ());
-  Alcotest.(check bool) "recorded despite raise" true (Util.Timerstat.get ts "boom" >= 0.0);
-  Alcotest.(check int) "exactly one entry" 1 (List.length (Util.Timerstat.to_list ts))
-
 (* ---------------- Parallel ---------------- *)
 
 let test_parallel_for () =
@@ -299,9 +246,6 @@ let suite =
     ("dheap empty raises", `Quick, test_dheap_empty_raises);
     ("dheap peek/length", `Quick, test_dheap_peek);
     dheap_qcheck;
-    ("union_find basic", `Quick, test_uf_basic);
-    ("union_find transitive", `Quick, test_uf_transitive);
-    ("union_find spanning chain", `Quick, test_uf_spanning);
     ("gvec push/get", `Quick, test_gvec_push_get);
     ("gvec set", `Quick, test_gvec_set);
     ("gvec bounds", `Quick, test_gvec_bounds);
@@ -314,8 +258,6 @@ let suite =
     ("tablefmt render", `Quick, test_tablefmt_render);
     ("tablefmt arity", `Quick, test_tablefmt_arity);
     ("tablefmt fmt_float", `Quick, test_tablefmt_fmt_float);
-    ("timerstat", `Quick, test_timerstat);
-    ("timerstat exception", `Quick, test_timerstat_exception);
     ("parallel for", `Quick, test_parallel_for);
     ("parallel sum", `Quick, test_parallel_sum);
   ]
