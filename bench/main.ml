@@ -250,8 +250,8 @@ let table3 c =
     ~cols:[ tns_col; wns_col ]
     (List.map variant
        [
-         ("w/ HPWL Loss", Tdp.Flow.Efficient (Tdp.Config.with_loss Tdp.Config.Hpwl_like base));
-         ("w/ Linear Loss", Tdp.Flow.Efficient (Tdp.Config.with_loss Tdp.Config.Linear base));
+         ("w/ HPWL Loss", Tdp.Flow.Efficient { base with loss = Tdp.Config.Hpwl_like });
+         ("w/ Linear Loss", Tdp.Flow.Efficient { base with loss = Tdp.Config.Linear });
          ( "w/ rpt_timing(n)",
            Tdp.Flow.Efficient { base with extraction = Tdp.Config.Global_topn { mult = 1 } } );
          ( "w/ rpt_timing(n*10)",
@@ -331,8 +331,8 @@ let fig3 c =
   let losses =
     [
       ("coarse (no timing opt)", None);
-      ("HPWL loss", Some (Tdp.Config.with_loss Tdp.Config.Hpwl_like base));
-      ("Linear loss", Some (Tdp.Config.with_loss Tdp.Config.Linear base));
+      ("HPWL loss", Some { base with loss = Tdp.Config.Hpwl_like });
+      ("Linear loss", Some { base with loss = Tdp.Config.Linear });
       ("Quadratic loss (ours)", Some base);
     ]
   in

@@ -34,8 +34,10 @@ let parse_loss = function
   | s -> Util.Errors.config_error ~what:"loss" ("unknown loss " ^ s ^ " (known: quadratic linear hpwl)")
 
 let make_method flow loss k =
-  let cfg = Tdp.Config.with_loss (parse_loss loss) Tdp.Config.default in
-  Tdp.Flow.method_of_string ~config:{ cfg with extraction = Tdp.Config.Endpoint_based { k } } flow
+  let config =
+    { Tdp.Config.default with loss = parse_loss loss; extraction = Tdp.Config.Endpoint_based { k } }
+  in
+  Tdp.Flow.method_of_string ~config flow
 
 let error_to_json e =
   Obs.Json.Obj

@@ -71,8 +71,7 @@ let () =
   let base = { Tdp.Config.default with timing_start = 120; extra_iters = 200 } in
   List.iter
     (fun (name, loss) ->
-      let cfg = Tdp.Config.with_loss loss base in
-      ignore (Tdp.Flow.run (Tdp.Flow.Efficient cfg) d);
+      ignore (Tdp.Flow.run (Tdp.Flow.Efficient { base with loss }) d);
       describe_and_draw d name)
     [
       ("HPWL loss", Tdp.Config.Hpwl_like);

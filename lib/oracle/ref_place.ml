@@ -117,7 +117,7 @@ let wa_fd_check ?h ?rtol (d : Design.t) ~gamma ~cells =
 let pin_attract_fd_check ?(h = 0.25) ?(rtol = 1e-4) (d : Design.t) attract ~cells =
   let nc = Design.num_cells d in
   let gx = Array.make nc 0.0 and gy = Array.make nc 0.0 in
-  Tdp.Pin_attract.add_grad attract ~beta:1.0 ~gx ~gy;
+  Tdp.Pin_attract.add_grad attract ~gx ~gy;
   fd_check_cells ~h ~rtol d ~cells
     ~value:(fun () -> Tdp.Pin_attract.loss_value attract)
     ~gx ~gy ~what:"pin_attract"

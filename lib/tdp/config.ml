@@ -5,9 +5,7 @@
     Units note: the paper's beta is calibrated to DBU-scale coordinates;
     our coordinates are in row heights (sites), so the default betas below
     are chosen to give the pin-attraction gradient the same relative
-    magnitude against the wirelength gradient as in the paper. Each loss
-    kind has its own scale because the losses have different units
-    (length^2 vs length vs length). *)
+    magnitude against the wirelength gradient as in the paper. *)
 
 type loss_kind =
   | Quadratic (* paper Eq. 8: squared Euclidean distance *)
@@ -29,22 +27,17 @@ type t = {
   extra_iters : int; (* iterations granted beyond the vanilla stop *)
   stale_decay : float; (* per-round weight decay for pairs absent from the
                           current critical set (1.0 = pure Eq. 9) *)
-  cooldown_iters : int; (* final iterations over which beta anneals to ~0
-                           so wirelength recovers; the best-TNS checkpoint
-                           protects the timing result (0 disables) *)
 }
-
-(* beta is the pin-attraction force as a fraction of the placement
-   (wirelength + density) gradient norm — scale-free across designs. The
-   loss kind changes the force *shape* over the pair set, not its overall
-   magnitude, so one value serves all three. *)
-let beta_for = function Quadratic | Linear | Hpwl_like -> 0.75
 
 let default =
   {
     loss = Quadratic;
     extraction = Endpoint_based { k = 1 };
-    beta = beta_for Quadratic;
+    (* beta is the pin-attraction force as a fraction of the placement
+       (wirelength + density) gradient norm — scale-free across designs.
+       The loss kind changes the force *shape* over the pair set, not its
+       overall magnitude, so one value serves all three. *)
+    beta = 0.75;
     m = 10;
     w0 = 10.0;
     w1 = 2.0; (* the paper's 0.2 rescaled: our slack ratios are spread
@@ -52,11 +45,7 @@ let default =
     timing_start = 300;
     extra_iters = 450;
     stale_decay = 0.90;
-    cooldown_iters = 0; (* annealing measurably helps nothing beyond the
-                           best-TNS checkpoint; kept available for study *)
   }
-
-let with_loss loss t = { t with loss; beta = beta_for loss }
 
 (** Range-check a configuration; returns the first problem found. *)
 let validate t =
@@ -70,7 +59,6 @@ let validate t =
   else if t.extra_iters < 0 then err "extra_iters %d must be >= 0" t.extra_iters
   else if not (fin t.stale_decay) || t.stale_decay <= 0.0 || t.stale_decay > 1.0 then
     err "stale_decay %g must be in (0, 1]" t.stale_decay
-  else if t.cooldown_iters < 0 then err "cooldown_iters %d must be >= 0" t.cooldown_iters
   else
     match t.extraction with
     | Endpoint_based { k } when k <= 0 -> err "paths-per-endpoint k %d must be positive" k

@@ -22,16 +22,9 @@ type t = {
   extra_iters : int; (* timing-phase iteration budget *)
   stale_decay : float; (* per-round decay for pairs off the critical set
                           (1.0 = pure Eq. 9) *)
-  cooldown_iters : int; (* final iterations annealing beta to ~0 so
-                           wirelength recovers (0 disables) *)
 }
 
-val beta_for : loss_kind -> float
-
 val default : t
-
-(** Switch the loss kind, adjusting beta accordingly. *)
-val with_loss : loss_kind -> t -> t
 
 (** Range-check a configuration; [Error] carries the first problem. *)
 val validate : t -> (unit, string) result

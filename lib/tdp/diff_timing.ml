@@ -3,9 +3,9 @@
 
     A smooth timer is differentiated end to end:
     - forward: arrivals propagate with a log-sum-exp smooth max
-      (temperature [gamma_sm]) over the timing graph;
+      (temperature [gamma_sm] = 8 ps) over the timing graph;
     - loss: smooth TNS = sum over endpoints of
-      eta * softplus((arr - req) / eta);
+      eta * softplus((arr - req) / eta), eta = 15 ps;
     - backward: reverse-mode adjoints distribute each endpoint's loss
       sensitivity across in-arcs by their softmax shares, yielding
       dLoss/d(arc delay) for every arc;
@@ -13,28 +13,29 @@
       cell-position gradients (star keeps the delay a closed-form function
       of pin-to-pin distances).
 
-    The flow adds [mult] * gradient to the placement objective. *)
+    The flow normalises the gradient and adds it to the placement
+    objective. *)
 
 open Netlist
 
 type t = {
   design : Design.t;
   timer : Sta.Timer.t; (* star topology: matches the gradient model *)
-  gamma_sm : float; (* smooth-max temperature, ps *)
-  eta : float; (* softplus sharpness for negative slack, ps *)
   arr_sm : float array; (* smooth arrivals *)
   adjoint : float array; (* dLoss / d(arr) *)
   dl_darc : float array; (* dLoss / d(arc delay) *)
 }
 
-let create ?(gamma_sm = 8.0) ?(eta = 15.0) ?fault design =
+let gamma_sm = 8.0 (* smooth-max temperature, ps *)
+
+let eta = 15.0 (* softplus sharpness for negative slack, ps *)
+
+let create ?fault design =
   let timer = Sta.Timer.create ~topology:Sta.Delay.Star ?fault design in
   let graph = Sta.Timer.graph timer in
   {
     design;
     timer;
-    gamma_sm;
-    eta;
     arr_sm = Array.make (Sta.Graph.num_pins graph) 0.0;
     adjoint = Array.make (Sta.Graph.num_pins graph) 0.0;
     dl_darc = Array.make graph.Sta.Graph.num_arcs 0.0;
@@ -47,7 +48,6 @@ let sigmoid x = if x > 30.0 then 1.0 else if x < -30.0 then 0.0 else 1.0 /. (1.0
 (* Forward smooth arrivals over the (already delay-updated) graph. *)
 let forward t =
   let graph = Sta.Timer.graph t.timer in
-  let g = t.gamma_sm in
   let arr = t.arr_sm in
   Array.iter
     (fun p ->
@@ -68,9 +68,9 @@ let forward t =
             for i = lo to hi - 1 do
               let a = graph.Sta.Graph.in_arc.(i) in
               let v = arr.(graph.Sta.Graph.arc_from.(a)) +. graph.Sta.Graph.arc_delay.(a) in
-              if Float.is_finite v then s := !s +. exp ((v -. !m) /. g)
+              if Float.is_finite v then s := !s +. exp ((v -. !m) /. gamma_sm)
             done;
-            arr.(p) <- !m +. (g *. log !s)
+            arr.(p) <- !m +. (gamma_sm *. log !s)
           end
           else arr.(p) <- Float.neg_infinity
         end
@@ -87,8 +87,8 @@ let backward t =
   Array.iter
     (fun e ->
       if Float.is_finite arr.(e) then begin
-        let x = (arr.(e) -. graph.Sta.Graph.end_required.(e)) /. t.eta in
-        loss := !loss +. (t.eta *. softplus x);
+        let x = (arr.(e) -. graph.Sta.Graph.end_required.(e)) /. eta in
+        loss := !loss +. (eta *. softplus x);
         adj.(e) <- adj.(e) +. sigmoid x
       end)
     graph.Sta.Graph.endpoints;
@@ -104,7 +104,7 @@ let backward t =
           let u = graph.Sta.Graph.arc_from.(a) in
           let v = arr.(u) +. graph.Sta.Graph.arc_delay.(a) in
           if Float.is_finite v then begin
-            let share = exp ((v -. arr.(p)) /. t.gamma_sm) in
+            let share = exp ((v -. arr.(p)) /. gamma_sm) in
             t.dl_darc.(a) <- t.dl_darc.(a) +. (a_p *. share);
             adj.(u) <- adj.(u) +. (a_p *. share)
           end
@@ -122,12 +122,14 @@ let round t =
   let _loss = backward t in
   (Sta.Timer.tns t.timer, Sta.Timer.wns t.timer)
 
-(** Chain rule through the star Elmore model: adds [mult] * dLoss/d(pos)
+let smooth_arrivals t = t.arr_sm
+
+(** Chain rule through the star Elmore model: adds dLoss/d(pos)
     into [gx]/[gy]. Must be called after [round] with an unchanged
     placement (the shares are evaluated at that placement; in the flow the
     gradient is reused between rounds, as Guo & Lin do between incremental
     updates). *)
-let add_grad t ~mult ~gx ~gy =
+let add_grad t ~gx ~gy =
   let d = t.design in
   let graph = Sta.Timer.graph t.timer in
   let r = d.r_per_unit and c = d.c_per_unit in
@@ -169,8 +171,8 @@ let add_grad t ~mult ~gx ~gy =
         in
         if dl_dlen <> 0.0 then begin
           let sgn v = if v > 0.0 then 1.0 else if v < 0.0 then -1.0 else 0.0 in
-          let gx_d = mult *. dl_dlen *. sgn dxs.(k) in
-          let gy_d = mult *. dl_dlen *. sgn dys.(k) in
+          let gx_d = dl_dlen *. sgn dxs.(k) in
+          let gy_d = dl_dlen *. sgn dys.(k) in
           let cd = d.pin_owner.(driver) and cs = d.pin_owner.(spid) in
           gx.(cd) <- gx.(cd) +. gx_d;
           gy.(cd) <- gy.(cd) +. gy_d;

@@ -56,12 +56,11 @@ let round t =
   (tns, wns)
 
 (** Spring gradient toward the anchors: d/dpos of
-    strength/2 * ||pos - target||^2, scaled by [mult]. *)
-let add_grad t ~mult ~gx ~gy =
+    strength/2 * ||pos - target||^2. *)
+let add_grad t ~gx ~gy =
   let d = t.design in
   List.iter
     (fun a ->
-      let s = mult *. a.strength in
-      gx.(a.cell) <- gx.(a.cell) +. (s *. (d.x.{a.cell} -. a.tx));
-      gy.(a.cell) <- gy.(a.cell) +. (s *. (d.y.{a.cell} -. a.ty)))
+      gx.(a.cell) <- gx.(a.cell) +. (a.strength *. (d.x.{a.cell} -. a.tx));
+      gy.(a.cell) <- gy.(a.cell) +. (a.strength *. (d.y.{a.cell} -. a.ty)))
     t.anchors

@@ -10,5 +10,5 @@ val create : ?fault:(float -> float) -> Netlist.Design.t -> topology:Sta.Delay.t
 (** One timing round: re-time, rebuild the anchor set. Returns (tns, wns). *)
 val round : t -> float * float
 
-(** Spring gradient toward the anchors, scaled by [mult]. *)
-val add_grad : t -> mult:float -> gx:float array -> gy:float array -> unit
+(** Unscaled spring gradient toward the anchors (the flow normalises it). *)
+val add_grad : t -> gx:float array -> gy:float array -> unit

@@ -111,7 +111,7 @@ let round t ~iter =
 
 (** Raw (unscaled) gradient of the pin-pair loss; the flow normalises it
     against the placement gradient and applies the beta fraction. *)
-let add_grad_raw t ~gx ~gy = Pin_attract.add_grad t.attract ~beta:1.0 ~gx ~gy
+let add_grad t ~gx ~gy = Pin_attract.add_grad t.attract ~gx ~gy
 
 (** Current effective beta fraction (config beta times the relax ratchet). *)
 let effective_beta t = t.config.Config.beta *. t.relax

@@ -28,7 +28,7 @@ val round : t -> iter:int -> round_stats
 
 (** Unscaled pin-pair gradient; the flow normalises it against the
     wirelength gradient and applies {!effective_beta}. *)
-val add_grad_raw : t -> gx:float array -> gy:float array -> unit
+val add_grad : t -> gx:float array -> gy:float array -> unit
 
 (** Config beta times the relax ratchet (drops toward 0.15x when every
     endpoint meets timing, recovers when violations return). *)

@@ -68,22 +68,12 @@ let flow_topology = Sta.Delay.Steiner_tree
 (* Scale an auxiliary gradient so its L1 norm is [mult] times the
    placement gradient's, then add it. Keeps every timing force a fixed
    fraction of the wirelength+density force regardless of design scale —
-   the role of the paper's beta, made scale-free (DESIGN.md). *)
-type force_scratch = { mutable tx : float array; mutable ty : float array }
-
-let add_normalized ~scratch ~obs ~mult ~wl_norm ~gx ~gy fill =
+   the role of the paper's beta, made scale-free (DESIGN.md). The raw
+   force lands in the scratch [tx]/[ty], zero-filled on every call. *)
+let add_normalized ~tx ~ty ~obs ~mult ~wl_norm ~gx ~gy fill =
   let n = Array.length gx in
-  (* The raw force lands in the flow's scratch: sized on first use,
-     zero-filled in place on every later call. *)
-  if Array.length scratch.tx <> n then begin
-    scratch.tx <- Array.make n 0.0;
-    scratch.ty <- Array.make n 0.0
-  end
-  else begin
-    Array.fill scratch.tx 0 n 0.0;
-    Array.fill scratch.ty 0 n 0.0
-  end;
-  let tx = scratch.tx and ty = scratch.ty in
+  Array.fill tx 0 n 0.0;
+  Array.fill ty 0 n 0.0;
   fill ~gx:tx ~gy:ty;
   let aux = ref 0.0 in
   for i = 0 to n - 1 do
@@ -123,27 +113,54 @@ let checkpoint_decision ~best_key ~best_hpwl ~key ~hpwl =
     else Keep
   end
 
-let base_gp_params ~seed =
-  { Gp.Globalplace.default_params with seed; min_iters = 300; max_iters = 1000 }
-
 (* Warm (incremental) re-placement: the design already holds a converged
    legalized solution plus a small ECO delta, so the engine resumes from
    it instead of re-spreading, and the schedule shrinks — the density is
    near target from iteration 0 and the timing machinery only needs to
    repair the delta's neighbourhood, not rebuild the placement. *)
-let warm_gp_params ~seed =
-  { Gp.Globalplace.default_params with seed; warm_start = true; min_iters = 60; max_iters = 400 }
+let gp_params ~warm ~seed =
+  let p = Gp.Globalplace.default_params in
+  if warm then { p with seed; warm_start = true; min_iters = 60; max_iters = 400 }
+  else { p with seed; min_iters = 300; max_iters = 1000 }
 
 let warm_config (cfg : Config.t) =
   { cfg with timing_start = 20; extra_iters = max 60 (cfg.extra_iters / 3) }
 
 let timing_gp_params ~warm ~seed (cfg : Config.t) =
   {
-    (if warm then warm_gp_params ~seed else base_gp_params ~seed) with
+    (gp_params ~warm ~seed) with
     timing_start = cfg.timing_start;
     round_every = cfg.m;
     min_iters = cfg.timing_start + cfg.extra_iters;
     max_iters = cfg.timing_start + cfg.extra_iters;
+  }
+
+(* A timing method as the engine sees it: a round every [m] iterations
+   (re-time, refresh the method's state; returns tns, wns) run under
+   [round_span], and optionally a force added to the placement gradient
+   under [span], normalised to [mult ()] of the wirelength force. *)
+type force = {
+  span : string;
+  mult : unit -> float;
+  fill : gx:float array -> gy:float array -> unit;
+}
+
+type timing = { round_span : string; round : int -> float * float; force : force option }
+
+let timing_hooks ~obs ~push_curve ~cells t =
+  {
+    Gp.Globalplace.on_round =
+      (fun ~iter ~overflow ->
+        let tns, wns = Obs.Ctx.span obs t.round_span (fun () -> t.round iter) in
+        push_curve ~iter ~overflow ~tns ~wns);
+    extra_grad =
+      (match t.force with
+      | None -> Gp.Globalplace.no_hooks.extra_grad
+      | Some f ->
+          let tx = Array.make cells 0.0 and ty = Array.make cells 0.0 in
+          fun ~iter:_ ~wl_norm ~gx ~gy ->
+            Obs.Ctx.span obs f.span (fun () ->
+                add_normalized ~tx ~ty ~obs ~mult:(f.mult ()) ~wl_norm ~gx ~gy f.fill));
   }
 
 let run ?(seed = 1) ?(warm = false) ?(legalize = true) ?(topology = flow_topology) ?obs
@@ -200,120 +217,79 @@ let run ?(seed = 1) ?(warm = false) ?(legalize = true) ?(topology = flow_topolog
   (* A warm run shrinks the timing schedule of whatever config the
      method carries (the [Efficient] payload, or the default the other
      timing methods share). *)
-  let meth =
-    match meth with Efficient cfg when warm -> Efficient (warm_config cfg) | m -> m
-  in
-  let cfg_default = if warm then warm_config Config.default else Config.default in
+  let cfg = match meth with Efficient cfg -> cfg | _ -> Config.default in
+  let cfg = if warm then warm_config cfg else cfg in
   let extraction_state = ref None in
-  let force = { tx = [||]; ty = [||] } in
-  let gp_params, hooks =
+  let timing =
     match meth with
-    | Vanilla ->
-        ((if warm then warm_gp_params ~seed else base_gp_params ~seed), Gp.Globalplace.no_hooks)
+    | Vanilla -> None
     | Dp4 ->
         let nw = Net_weighting.create ?fault:elmore d ~topology in
-        let hooks =
-          {
-            Gp.Globalplace.on_round =
-              (fun ~iter ~overflow ->
-                let tns, wns = Obs.Ctx.span obs "sta+weighting" (fun () -> Net_weighting.round nw) in
-                push_curve ~iter ~overflow ~tns ~wns);
-            extra_grad = (fun ~iter:_ ~wl_norm:_ ~gx:_ ~gy:_ -> ());
-          }
-        in
-        (timing_gp_params ~warm ~seed cfg_default, hooks)
+        Some
+          { round_span = "sta+weighting"; round = (fun _ -> Net_weighting.round nw); force = None }
     | Diff_tdp ->
         let dt = Diff_timing.create ?fault:elmore d in
-        let hooks =
+        Some
           {
-            Gp.Globalplace.on_round =
-              (fun ~iter ~overflow ->
-                let tns, wns = Obs.Ctx.span obs "sta+backprop" (fun () -> Diff_timing.round dt) in
-                push_curve ~iter ~overflow ~tns ~wns);
-            extra_grad =
-              (fun ~iter:_ ~wl_norm ~gx ~gy ->
-                Obs.Ctx.span obs "timing_grad" (fun () ->
-                    add_normalized ~scratch:force ~obs ~mult:0.4 ~wl_norm ~gx ~gy (fun ~gx ~gy ->
-                        Diff_timing.add_grad dt ~mult:1.0 ~gx ~gy)));
+            round_span = "sta+backprop";
+            round = (fun _ -> Diff_timing.round dt);
+            force =
+              Some { span = "timing_grad"; mult = (fun () -> 0.4); fill = Diff_timing.add_grad dt };
           }
-        in
-        (timing_gp_params ~warm ~seed cfg_default, hooks)
     | Dist_tdp ->
         let ds = Distribution.create ?fault:elmore d ~topology in
-        let hooks =
+        Some
           {
-            Gp.Globalplace.on_round =
-              (fun ~iter ~overflow ->
-                let tns, wns = Obs.Ctx.span obs "sta+anchors" (fun () -> Distribution.round ds) in
-                push_curve ~iter ~overflow ~tns ~wns);
-            extra_grad =
-              (fun ~iter:_ ~wl_norm ~gx ~gy ->
-                Obs.Ctx.span obs "timing_grad" (fun () ->
-                    add_normalized ~scratch:force ~obs ~mult:0.3 ~wl_norm ~gx ~gy (fun ~gx ~gy ->
-                        Distribution.add_grad ds ~mult:1.0 ~gx ~gy)));
+            round_span = "sta+anchors";
+            round = (fun _ -> Distribution.round ds);
+            force =
+              Some { span = "timing_grad"; mult = (fun () -> 0.3); fill = Distribution.add_grad ds };
           }
-        in
-        (timing_gp_params ~warm ~seed cfg_default, hooks)
     | Dp4_in_ours ->
         (* Our engine and pin-pair loss, but pin-level slack information
            with DP4's momentum scheme instead of path extraction (the
            paper's 'w/o Path Extraction' ablation). *)
         let pl = Pin_level.create ?fault:elmore d ~topology in
-        let hooks =
+        Some
           {
-            Gp.Globalplace.on_round =
-              (fun ~iter ~overflow ->
-                let tns, wns = Obs.Ctx.span obs "sta+weighting" (fun () -> Pin_level.round pl) in
-                push_curve ~iter ~overflow ~tns ~wns);
-            extra_grad =
-              (fun ~iter:_ ~wl_norm ~gx ~gy ->
-                Obs.Ctx.span obs "pp_grad" (fun () ->
-                    add_normalized ~scratch:force ~obs ~mult:cfg_default.beta ~wl_norm ~gx ~gy
-                      (fun ~gx ~gy -> Pin_level.add_grad_raw pl ~gx ~gy)));
+            round_span = "sta+weighting";
+            round = (fun _ -> Pin_level.round pl);
+            force =
+              Some { span = "pp_grad"; mult = (fun () -> cfg.beta); fill = Pin_level.add_grad pl };
           }
-        in
-        (timing_gp_params ~warm ~seed cfg_default, hooks)
-    | Efficient cfg ->
+    | Efficient _ ->
         let ex = Extraction.create ~obs ?fault:elmore d ~config:cfg ~topology in
         extraction_state := Some ex;
-        let last_iter = cfg.timing_start + cfg.extra_iters in
-        (* Anneal beta over the final iterations: the timing fixes are
-           held by the accumulated pair weights and the best checkpoint,
-           while the shrinking force lets wirelength recover. *)
-        let cooldown iter =
-          if cfg.cooldown_iters <= 0 then 1.0
-          else begin
-            let remaining = last_iter - iter in
-            if remaining >= cfg.cooldown_iters then 1.0
-            else Float.max 0.05 (float_of_int remaining /. float_of_int cfg.cooldown_iters)
-          end
+        (* [Extraction.round] emits its own [sta] / [extraction] child
+           spans, so the breakdown keeps both the combined and the
+           per-component entries. *)
+        let round iter =
+          let r = Extraction.round ex ~iter in
+          (match heartbeat with
+          | Some hb ->
+              Obs.Heartbeat.note_extraction hb ~failing:r.num_failing ~paths:r.num_paths
+                ~pairs:r.num_pairs ~sta_s:r.sta_time ~extract_s:r.extract_time
+          | None -> ());
+          (r.tns, r.wns)
         in
-        let hooks =
+        Some
           {
-            Gp.Globalplace.on_round =
-              (fun ~iter ~overflow ->
-                (* [Extraction.round] emits its own [sta] / [extraction]
-                   child spans, so the breakdown keeps both the combined
-                   and the per-component entries. *)
-                let r =
-                  Obs.Ctx.span obs "sta+extraction" (fun () -> Extraction.round ex ~iter)
-                in
-                (match heartbeat with
-                | Some hb ->
-                    Obs.Heartbeat.note_extraction hb ~failing:r.Extraction.num_failing
-                      ~paths:r.Extraction.num_paths ~pairs:r.Extraction.num_pairs
-                      ~sta_s:r.Extraction.sta_time ~extract_s:r.Extraction.extract_time
-                | None -> ());
-                push_curve ~iter ~overflow ~tns:r.Extraction.tns ~wns:r.Extraction.wns);
-            extra_grad =
-              (fun ~iter ~wl_norm ~gx ~gy ->
-                Obs.Ctx.span obs "pp_grad" (fun () ->
-                    add_normalized ~scratch:force ~obs
-                      ~mult:(Extraction.effective_beta ex *. cooldown iter)
-                      ~wl_norm ~gx ~gy
-                      (fun ~gx ~gy -> Extraction.add_grad_raw ex ~gx ~gy)));
+            round_span = "sta+extraction";
+            round;
+            force =
+              Some
+                {
+                  span = "pp_grad";
+                  mult = (fun () -> Extraction.effective_beta ex);
+                  fill = Extraction.add_grad ex;
+                };
           }
-        in
+  in
+  let gp_params, hooks =
+    match timing with
+    | None -> (gp_params ~warm ~seed, Gp.Globalplace.no_hooks)
+    | Some t ->
+        let hooks = timing_hooks ~obs ~push_curve ~cells:(Design.num_cells d) t in
         (timing_gp_params ~warm ~seed cfg, hooks)
   in
   (* Each site reports its corrupted calls, also when the run fails. *)

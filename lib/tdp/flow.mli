@@ -90,8 +90,4 @@ val run :
     payloads). *)
 val metrics_to_json : Evalkit.Metrics.t -> Obs.Json.t
 
-val curve_point_to_json : curve_point -> Obs.Json.t
-
-val round_stats_to_json : Extraction.round_stats -> Obs.Json.t
-
 val result_to_json : result -> Obs.Json.t

@@ -14,16 +14,13 @@
 
 open Netlist
 
-type t = {
-  timer : Sta.Timer.t;
-  design : Design.t;
-  alpha : float;
-  momentum : float;
-  mutable rounds : int;
-}
+type t = { timer : Sta.Timer.t; design : Design.t }
 
-let create ?(alpha = 8.0) ?(momentum = 0.5) ?fault design ~topology =
-  { timer = Sta.Timer.create ~topology ?fault design; design; alpha; momentum; rounds = 0 }
+let alpha = 8.0
+
+let momentum = 0.5
+
+let create ?fault design ~topology = { timer = Sta.Timer.create ~topology ?fault design; design }
 
 (** One timing round: re-time, refresh all net weights in place.
     Returns (tns, wns). *)
@@ -41,8 +38,7 @@ let round t =
       let crit =
         if Float.is_finite !worst && !worst < 0.0 then Float.min 1.0 (!worst /. wns) else 0.0
       in
-      let w_hat = 1.0 +. (t.alpha *. crit) in
-      d.net_weight.{nid} <- (t.momentum *. d.net_weight.{nid}) +. ((1.0 -. t.momentum) *. w_hat)
+      let w_hat = 1.0 +. (alpha *. crit) in
+      d.net_weight.{nid} <- (momentum *. d.net_weight.{nid}) +. ((1.0 -. momentum) *. w_hat)
     done;
-  t.rounds <- t.rounds + 1;
   (tns, wns)

@@ -4,9 +4,12 @@
 
 type t
 
-val create :
-  ?alpha:float -> ?momentum:float -> ?fault:(float -> float) -> Netlist.Design.t ->
-  topology:Sta.Delay.topology -> t
+(** Criticality gain and momentum of the update (shared by {!Pin_level}). *)
+val alpha : float
+
+val momentum : float
+
+val create : ?fault:(float -> float) -> Netlist.Design.t -> topology:Sta.Delay.topology -> t
 
 (** One timing round: re-time and refresh every net's weight in place.
     Returns (tns, wns). *)

@@ -23,8 +23,8 @@ type t = {
   pairs : (int * int, pair) Hashtbl.t;
   mutable updates : int; (* cumulative Eq. 9 weight writes (fresh + increments) *)
   mutable order : pair array option;
-      (* [pairs]' values in iteration order; dropped on every insert or
-         clear, the only operations that change that order *)
+      (* [pairs]' values in iteration order; dropped on every insert,
+         the only operation that changes that order *)
 }
 
 let create design ~loss = { design; loss; pairs = Hashtbl.create 4096; updates = 0; order = None }
@@ -37,10 +37,6 @@ let num_updates t = t.updates
     hook used by diagnostics and the Eq. 9 oracle tests. *)
 let fold_pairs t ~init ~f =
   Hashtbl.fold (fun _ p acc -> f acc ~pin_i:p.pin_i ~pin_j:p.pin_j ~weight:p.weight) t.pairs init
-
-let clear t =
-  Hashtbl.reset t.pairs;
-  t.order <- None
 
 let find_or_add t ~w0 i j =
   let key = (i, j) in
@@ -114,7 +110,7 @@ let loss_value t =
     t.pairs 0.0
 
 (* Gradient contribution of one pair into the given accumulators. *)
-let add_pair_grad t ~beta ~gx ~gy (p : pair) =
+let add_pair_grad t ~gx ~gy (p : pair) =
   let d = t.design in
   let dx = Design.pin_x d p.pin_i -. Design.pin_x d p.pin_j in
   let dy = Design.pin_y d p.pin_i -. Design.pin_y d p.pin_j in
@@ -128,20 +124,20 @@ let add_pair_grad t ~beta ~gx ~gy (p : pair) =
         let sgn v = if v > 0.0 then 1.0 else if v < 0.0 then -1.0 else 0.0 in
         (sgn dx, sgn dy)
   in
-  let s = beta *. p.weight in
+  let w = p.weight in
   let ci = d.pin_owner.(p.pin_i) and cj = d.pin_owner.(p.pin_j) in
-  gx.(ci) <- gx.(ci) +. (s *. gx_i);
-  gy.(ci) <- gy.(ci) +. (s *. gy_i);
-  gx.(cj) <- gx.(cj) -. (s *. gx_i);
-  gy.(cj) <- gy.(cj) -. (s *. gy_i)
+  gx.(ci) <- gx.(ci) +. (w *. gx_i);
+  gy.(ci) <- gy.(ci) +. (w *. gy_i);
+  gx.(cj) <- gx.(cj) -. (w *. gx_i);
+  gy.(cj) <- gy.(cj) -. (w *. gy_i)
 
-(** Add beta * d(PP)/d(cell position) into [gx]/[gy] (cell-indexed).
+(** Add d(PP)/d(cell position) into [gx]/[gy] (cell-indexed).
     Pin offsets are rigid, so pin gradients add directly to their cells.
     Pairs share cells, so the parallel path accumulates into per-domain
     buffers merged in chunk order (see [Util.Parallel]). Weights mutate in
     place on the same records, so the cached pair order stays valid until
     the next insert. *)
-let add_grad t ~beta ~gx ~gy =
+let add_grad t ~gx ~gy =
   let pairs =
     match t.order with
     | Some a -> a
@@ -152,7 +148,7 @@ let add_grad t ~beta ~gx ~gy =
   in
   let npairs = Array.length pairs in
   let nchunks = Util.Parallel.chunk_count ~n:npairs in
-  if nchunks = 1 then Array.iter (fun p -> add_pair_grad t ~beta ~gx ~gy p) pairs
+  if nchunks = 1 then Array.iter (fun p -> add_pair_grad t ~gx ~gy p) pairs
   else begin
     let nc = Design.num_cells t.design in
     let bufs =
@@ -160,7 +156,7 @@ let add_grad t ~beta ~gx ~gy =
         ~scratch:(fun () -> (Array.make nc 0.0, Array.make nc 0.0))
         (fun ~scratch:(bx, by) ~chunk:_ ~lo ~hi ->
           for i = lo to hi - 1 do
-            add_pair_grad t ~beta ~gx:bx ~gy:by pairs.(i)
+            add_pair_grad t ~gx:bx ~gy:by pairs.(i)
           done)
     in
     Util.Parallel.for_ ~name:"pp.grad.merge" nc (fun c ->

@@ -19,8 +19,6 @@ val num_updates : t -> int
 val fold_pairs :
   t -> init:'a -> f:('a -> pin_i:int -> pin_j:int -> weight:float -> 'a) -> 'a
 
-val clear : t -> unit
-
 (** Fold one extraction round into P: Eq. 9 along every path (w0 on first
     insertion, += w1 * slack/WNS per further path), then relax untouched
     pairs by [stale_decay] (held when [paths] is empty — a met design must
@@ -42,6 +40,6 @@ val update_pair_momentum :
 (** Loss value (Eq. 10, before beta) under the current placement. *)
 val loss_value : t -> float
 
-(** Add beta * d(PP)/d(cell centre) into [gx]/[gy]; forces come in
+(** Add d(PP)/d(cell centre) into [gx]/[gy]; forces come in
     action-reaction pairs, so they sum to zero. *)
-val add_grad : t -> beta:float -> gx:float array -> gy:float array -> unit
+val add_grad : t -> gx:float array -> gy:float array -> unit

@@ -10,23 +10,12 @@
     same pair contribute no more than one (the effect Sec. III-A argues
     costs WNS). *)
 
-open Netlist
+type t = { timer : Sta.Timer.t; attract : Pin_attract.t }
 
-type t = {
-  design : Design.t;
-  timer : Sta.Timer.t;
-  attract : Pin_attract.t;
-  alpha : float;
-  momentum : float;
-}
-
-let create ?(alpha = 8.0) ?(momentum = 0.5) ?fault design ~topology =
+let create ?fault design ~topology =
   {
-    design;
     timer = Sta.Timer.create ~topology ?fault design;
     attract = Pin_attract.create design ~loss:Config.Quadratic;
-    alpha;
-    momentum;
   }
 
 (** One timing round: re-time; for each net arc whose sink fails, update
@@ -44,13 +33,13 @@ let round t =
         let j = graph.Sta.Graph.arc_to.(a) in
         if Float.is_finite slack.(j) && slack.(j) < 0.0 then begin
           let crit = Float.min 1.0 (slack.(j) /. wns) in
-          let w_hat = 1.0 +. (t.alpha *. crit) in
+          let w_hat = 1.0 +. (Net_weighting.alpha *. crit) in
           Pin_attract.update_pair_momentum t.attract
-            ~pin_i:graph.Sta.Graph.arc_from.(a) ~pin_j:j ~w_hat ~momentum:t.momentum
+            ~pin_i:graph.Sta.Graph.arc_from.(a) ~pin_j:j ~w_hat ~momentum:Net_weighting.momentum
         end
       end
     done
   end;
   (tns, wns)
 
-let add_grad_raw t ~gx ~gy = Pin_attract.add_grad t.attract ~beta:1.0 ~gx ~gy
+let add_grad t ~gx ~gy = Pin_attract.add_grad t.attract ~gx ~gy

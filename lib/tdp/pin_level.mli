@@ -4,12 +4,10 @@
 
 type t
 
-val create :
-  ?alpha:float -> ?momentum:float -> ?fault:(float -> float) -> Netlist.Design.t ->
-  topology:Sta.Delay.topology -> t
+val create : ?fault:(float -> float) -> Netlist.Design.t -> topology:Sta.Delay.topology -> t
 
 (** One timing round; returns (tns, wns). *)
 val round : t -> float * float
 
 (** Unscaled pair gradient (flows normalise and scale it). *)
-val add_grad_raw : t -> gx:float array -> gy:float array -> unit
+val add_grad : t -> gx:float array -> gy:float array -> unit

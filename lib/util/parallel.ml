@@ -260,30 +260,6 @@ let sum ?(grain = 1024) ?name n f =
     Array.fold_left ( +. ) 0.0 partial
   end
 
-let map_reduce ?(grain = 256) ?name n ~init ~map ~combine =
-  let d = !num_domains in
-  if d <= 1 then begin
-    let acc = ref init in
-    for i = 0 to n - 1 do
-      acc := combine !acc (map i)
-    done;
-    !acc
-  end
-  else begin
-    let per = (n + d - 1) / d in
-    let partial = Array.make d init in
-    let body c =
-      let lo = c * per and hi = min n ((c + 1) * per) in
-      let acc = ref init in
-      for i = lo to hi - 1 do
-        acc := combine !acc (map i)
-      done;
-      partial.(c) <- !acc
-    in
-    launch ?name ~n ~chunks:d ~dispatch:(n >= grain) body;
-    Array.fold_left combine init partial
-  end
-
 let iter_chunks_scratch ?grain ?name ~n ~scratch f =
   let k = chunk_count ~n in
   let bufs = Array.init k (fun _ -> scratch ()) in

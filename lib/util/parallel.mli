@@ -14,14 +14,14 @@
 
     {2 Determinism contract}
 
-    For a fixed [num_domains] = d, every reduction ({!sum},
-    {!map_reduce}) partitions [0, n) into exactly d fixed contiguous
-    chunks (ceil(n/d) each), folds each chunk left-to-right, and combines
-    the per-chunk results in chunk order — whether the call dispatched to
-    the pool or ran inline below its [grain] threshold. Results therefore
-    depend only on (n, d), never on scheduling, core count, or the grain.
-    Different d generally associate floats differently; bitwise
-    reproducibility holds per fixed d.
+    For a fixed [num_domains] = d, the reduction {!sum} partitions
+    [0, n) into exactly d fixed contiguous chunks (ceil(n/d) each), folds
+    each chunk left-to-right, and combines the per-chunk results in chunk
+    order — whether the call dispatched to the pool or ran inline below
+    its [grain] threshold. Results therefore depend only on (n, d), never
+    on scheduling, core count, or the grain. Different d generally
+    associate floats differently; bitwise reproducibility holds per
+    fixed d.
 
     {2 Nesting}
 
@@ -49,13 +49,6 @@ val for_ : ?grain:int -> ?name:string -> int -> (int -> unit) -> unit
 (** Deterministic chunked sum of [f i] over [0 <= i < n] (see the
     determinism contract above). [grain] defaults to 1024. *)
 val sum : ?grain:int -> ?name:string -> int -> (int -> float) -> float
-
-(** [map_reduce n ~init ~map ~combine] folds [combine acc (map i)] over
-    each fixed chunk starting from [init], then combines the per-chunk
-    results in chunk order starting from [init] — [init] must be neutral
-    for [combine]. Deterministic per the contract. [grain] default 256. *)
-val map_reduce :
-  ?grain:int -> ?name:string -> int -> init:'a -> map:(int -> 'a) -> combine:('a -> 'a -> 'a) -> 'a
 
 (** Split [0, n) into one contiguous chunk per domain; [f ~chunk ~lo ~hi]
     runs once per non-empty chunk ([chunk] indexes per-domain buffers).

@@ -12,7 +12,11 @@
      and sb18 (scale 0.5);
    - [Detailed.pass ~window:6], then [Detailed.reorder_rows], then
      [Detailed.run] on sb1, sb7 and sb18 (scale 0.5) after 200 vanilla
-     iterations and [Legalize.run]: each return value and the final x/y.
+     iterations and [Legalize.run]: each return value and the final x/y;
+   - [Tdp.Flow.run] of every flow name on sb1 (scale 0.15): hpwl, tns
+     and wns of [metrics] and [metrics_gp], the curve length and the
+     final x/y; then a warm rerun of dp4 and efficient on the placement
+     the cold run left.
 
    Arrays are long (a 256x256 field is 65536 values), so each one is
    written as its length, its first and last values as OCaml hex
@@ -180,6 +184,28 @@ let detailed_cases () =
       emit_array (short ^ ".detailed.y") (floats_of_farr d.Design.y))
     [ "sb1"; "sb7"; "sb18" ]
 
+let flow_cases () =
+  let emit_metrics tag (m : Evalkit.Metrics.t) =
+    emit_scalar (tag ^ ".hpwl") m.Evalkit.Metrics.hpwl;
+    emit_scalar (tag ^ ".tns") m.Evalkit.Metrics.tns;
+    emit_scalar (tag ^ ".wns") m.Evalkit.Metrics.wns
+  in
+  let emit_flow tag (d : Design.t) (r : Tdp.Flow.result) =
+    emit_metrics (tag ^ ".metrics") r.Tdp.Flow.metrics;
+    emit_metrics (tag ^ ".metrics_gp") r.Tdp.Flow.metrics_gp;
+    emit_count (tag ^ ".curve") (List.length r.Tdp.Flow.curve);
+    emit_array (tag ^ ".x") (floats_of_farr d.Design.x);
+    emit_array (tag ^ ".y") (floats_of_farr d.Design.y)
+  in
+  List.iter
+    (fun name ->
+      let d = Workloads.Suite.load ~scale:0.15 "sb1" in
+      let meth = Tdp.Flow.method_of_string name in
+      emit_flow ("flow." ^ name) d (Tdp.Flow.run meth d);
+      if name = "dp4" || name = "efficient" then
+        emit_flow ("flow." ^ name ^ ".warm") d (Tdp.Flow.run ~warm:true meth d))
+    [ "vanilla"; "dp4"; "diff"; "dist"; "efficient"; "noextract" ]
+
 let section domains =
   Util.Parallel.set_num_domains domains;
   Printf.printf "domains %d\n" domains;
@@ -187,7 +213,8 @@ let section domains =
   boundary_cases ();
   poisson_cases ();
   globalplace_cases ();
-  detailed_cases ()
+  detailed_cases ();
+  flow_cases ()
 
 let () =
   let domains =

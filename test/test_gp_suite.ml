@@ -419,8 +419,9 @@ let suite = suite @ [ ("wa gradient parallel equivalence", `Quick, test_wa_paral
 (* ---------------- Bitwise fixture and allocation budget ---------------- *)
 
 (* test/fixtures/gp_kernels (written by test/gen_gp_fixture.ml) pins the
-   density grid, the Poisson potential/field/energy and 200-iteration
-   vanilla placements bit for bit, one section per domain count. The
+   density grid, the Poisson potential/field/energy, 200-iteration
+   vanilla placements, detailed placement and every Tdp.Flow method bit
+   for bit, one section per domain count. The
    test reruns the generator at 1 and at 4 domains and compares each run
    with the committed section for that count, line by line: every array
    line carries per-block digests of the IEEE-754 bits, so a single

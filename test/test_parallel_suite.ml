@@ -120,27 +120,32 @@ let test_sum_sequential_close () =
   let s4 = with_domains 4 (fun () -> Util.Parallel.sum ~grain:1 n f) in
   Alcotest.(check bool) "1 vs 4 domains" true (Float.abs (s1 -. s4) /. Float.abs s1 < 1e-12)
 
-let test_map_reduce () =
-  let n = 10_000 in
-  let f i = float_of_int ((i * 7919) mod 10007) in
-  let expect_max = ref Float.neg_infinity in
-  for i = 0 to n - 1 do
-    expect_max := Float.max !expect_max (f i)
-  done;
-  List.iter
-    (fun d ->
-      with_domains d (fun () ->
-          let mx =
-            Util.Parallel.map_reduce ~grain:1 n ~init:Float.neg_infinity ~map:f ~combine:Float.max
-          in
-          check_float (Printf.sprintf "max at %d domains" d) !expect_max mx;
-          let count =
-            Util.Parallel.map_reduce ~grain:1 n ~init:0
-              ~map:(fun i -> if i mod 3 = 0 then 1 else 0)
-              ~combine:( + )
-          in
-          Alcotest.(check int) (Printf.sprintf "count at %d domains" d) ((n + 2) / 3) count))
-    [ 1; 4 ]
+let test_for_chunks_partition () =
+  (* The contract's fixed partition: chunk c covers [c*per, min n ((c+1)*per))
+     with per = ceil(n/4), empty chunks are skipped, and the dispatched and
+     inline paths see the same chunks. *)
+  let expect n =
+    let per = (n + 3) / 4 in
+    List.filter_map
+      (fun c ->
+        let lo = c * per and hi = min n ((c + 1) * per) in
+        if lo < hi then Some (c, lo, hi) else None)
+      [ 0; 1; 2; 3 ]
+  in
+  let observed ~grain n =
+    let slots = Array.make 4 None in
+    Util.Parallel.for_chunks ~grain ~n (fun ~chunk ~lo ~hi ->
+        (* One call per chunk, so each slot has a single writer. *)
+        slots.(chunk) <- Some (chunk, lo, hi));
+    List.filter_map Fun.id (Array.to_list slots)
+  in
+  let chunks = Alcotest.(list (triple int int int)) in
+  with_domains 4 (fun () ->
+      List.iter
+        (fun n ->
+          Alcotest.check chunks (Printf.sprintf "n=%d dispatched" n) (expect n) (observed ~grain:1 n);
+          Alcotest.check chunks (Printf.sprintf "n=%d inline" n) (expect n) (observed ~grain:max_int n))
+        [ 0; 1; 2; 3; 5; 255; 256; 1025 ])
 
 let test_chunk_count_fixed () =
   with_domains 4 (fun () ->
@@ -267,7 +272,7 @@ let test_pin_attract_equivalence () =
               ~momentum:0.5
         done;
         let gx = Array.make ncells 0.0 and gy = Array.make ncells 0.0 in
-        Tdp.Pin_attract.add_grad t ~beta:0.75 ~gx ~gy;
+        Tdp.Pin_attract.add_grad t ~gx ~gy;
         (gx, gy))
   in
   let gx1, gy1 = run 1 and gx4, gy4 = run 4 in
@@ -282,7 +287,7 @@ let suite =
     ("pool survives exception", `Quick, test_pool_survives_exception);
     ("sum matches fixed partition", `Quick, test_sum_matches_fixed_partition);
     ("sum 1 vs 4 domains close", `Quick, test_sum_sequential_close);
-    ("map_reduce", `Quick, test_map_reduce);
+    ("for_chunks partition", `Quick, test_for_chunks_partition);
     ("chunk_count fixed per domains", `Quick, test_chunk_count_fixed);
     ("iter_chunks_scratch merge", `Quick, test_iter_chunks_scratch_merge);
     ("density grid 1 vs 4 domains", `Quick, test_density_grid_equivalence);

@@ -328,7 +328,6 @@ let fast_cfg =
     Tdp.Config.timing_start = 20;
     extra_iters = 60;
     m = 10;
-    cooldown_iters = 0;
   }
 
 let elmore_plan kind = [ (Util.Fault.Elmore, { Util.Fault.kind; start = 0; count = 20_000 }) ]
@@ -370,6 +369,26 @@ let test_flow_with_elmore_nan_fault () =
       Alcotest.(check bool) (what ^ " hpwl finite") true
         (Float.is_finite r.Tdp.Flow.metrics.Evalkit.Metrics.hpwl))
     [ Util.Fault.Nan; Util.Fault.Pos_inf ]
+
+(* The baselines' timers take the same Elmore fault plans: every timing
+   method completes with finite final metrics. *)
+let test_flow_methods_with_elmore_fault () =
+  List.iter
+    (fun meth ->
+      List.iter
+        (fun kind ->
+          let what = Tdp.Flow.method_name meth ^ " " ^ Util.Fault.kind_to_string kind in
+          let d = Helpers.small_calibrated () in
+          let ctx = Obs.Ctx.create () in
+          let r = Tdp.Flow.run ~obs:ctx ~fault:(elmore_plan kind) meth d in
+          Alcotest.(check bool) (what ^ " window reached") true
+            (flow_faults ctx Util.Fault.Elmore > 0.0);
+          let m = r.Tdp.Flow.metrics in
+          Alcotest.(check bool) (what ^ " metrics finite") true
+            (List.for_all Float.is_finite
+               [ m.Evalkit.Metrics.hpwl; m.Evalkit.Metrics.tns; m.Evalkit.Metrics.wns ]))
+        [ Util.Fault.Nan; Util.Fault.Pos_inf; Util.Fault.Neg_inf; Util.Fault.Huge ])
+    Tdp.Flow.[ Dp4; Diff_tdp; Dist_tdp; Dp4_in_ours ]
 
 (* Fault windows are per run: the same windowed plan corrupts the same
    number of calls in two back-to-back runs. *)
@@ -567,6 +586,7 @@ let suite =
     ("config validation", `Quick, test_config_validate);
     ("flow survives elmore huge fault", `Slow, test_flow_with_elmore_fault);
     ("flow survives elmore nan fault", `Slow, test_flow_with_elmore_nan_fault);
+    ("every timing method survives elmore faults", `Slow, test_flow_methods_with_elmore_fault);
     ("fault window is per run", `Slow, test_fault_window_per_run);
     ("flow rejects invalid design", `Quick, test_flow_rejects_invalid_design);
     ("place exit codes", `Slow, test_place_exit_codes);

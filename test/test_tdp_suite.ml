@@ -136,7 +136,7 @@ let test_grad_antisymmetric_and_finite_diff () =
       Tdp.Pin_attract.update_from_paths pa g ~w0:3.0 ~w1:0.0 ~wns:(-1.0) ~stale_decay:1.0 [ p ];
       let n = Design.num_cells d in
       let gx = Array.make n 0.0 and gy = Array.make n 0.0 in
-      Tdp.Pin_attract.add_grad pa ~beta:1.0 ~gx ~gy;
+      Tdp.Pin_attract.add_grad pa ~gx ~gy;
       (* Total force sums to zero (action = reaction). *)
       check_float "sum gx zero" 0.0 (Array.fold_left ( +. ) 0.0 gx);
       check_float "sum gy zero" 0.0 (Array.fold_left ( +. ) 0.0 gy);
@@ -256,11 +256,12 @@ let test_diff_timing_smooth_ge_hard () =
   Sta.Timer.update timer;
   let arr_hard = Sta.Timer.arrivals timer in
   let g = Sta.Timer.graph timer in
+  let arr_sm = Tdp.Diff_timing.smooth_arrivals dt in
   Array.iter
     (fun ep ->
       if Float.is_finite arr_hard.(ep) then
         Alcotest.(check bool) "smooth >= hard" true
-          (dt.Tdp.Diff_timing.arr_sm.(ep) >= arr_hard.(ep) -. 1e-6))
+          (arr_sm.(ep) >= arr_hard.(ep) -. 1e-6))
     g.Sta.Graph.endpoints
 
 let test_diff_timing_gradient_descends () =
@@ -278,7 +279,7 @@ let test_diff_timing_gradient_descends () =
   let tns0, _ = Tdp.Diff_timing.round dt in
   let n = Design.num_cells d in
   let gx = Array.make n 0.0 and gy = Array.make n 0.0 in
-  Tdp.Diff_timing.add_grad dt ~mult:1.0 ~gx ~gy;
+  Tdp.Diff_timing.add_grad dt ~gx ~gy;
   let gnorm = Array.fold_left (fun a v -> a +. Float.abs v) 0.0 gx in
   Alcotest.(check bool) "nonzero gradient" true (gnorm > 0.0);
   (* Take a small step along -grad; hard TNS should improve. *)
@@ -312,7 +313,7 @@ let test_distribution_anchors () =
   Alcotest.(check bool) "violations" true (tns < 0.0);
   let n = Design.num_cells d in
   let gx = Array.make n 0.0 and gy = Array.make n 0.0 in
-  Tdp.Distribution.add_grad ds ~mult:1.0 ~gx ~gy;
+  Tdp.Distribution.add_grad ds ~gx ~gy;
   let gnorm = Array.fold_left (fun a v -> a +. Float.abs v) 0.0 gx in
   Alcotest.(check bool) "anchor forces exist" true (gnorm > 0.0);
   (* Gradients touch only movable cells. *)
@@ -352,23 +353,35 @@ let test_flow_breakdown_components () =
   Alcotest.(check bool) "extraction" true (has "extraction");
   Alcotest.(check bool) "legalize" true (has "legalize")
 
+(* Each method's timing round and force (none for DP4) run under their
+   own span names, which the Fig. 4 breakdown keys on. *)
 let test_flow_all_methods_run () =
   let d = Helpers.small_calibrated () in
+  let force_spans = [ "timing_grad"; "pp_grad" ] in
   List.iter
-    (fun meth ->
+    (fun (meth, round_span, force_span) ->
       let r = Tdp.Flow.run meth d in
       Alcotest.(check bool)
         (r.name ^ " metrics sane")
         true
-        (r.metrics.hpwl > 0.0 && r.metrics.tns <= 0.0 && r.metrics.wns <= 0.0))
+        (r.metrics.hpwl > 0.0 && r.metrics.tns <= 0.0 && r.metrics.wns <= 0.0);
+      let has s = List.mem_assoc s r.breakdown in
+      Alcotest.(check bool) (r.name ^ " round span " ^ round_span) true (has round_span);
+      List.iter
+        (fun s ->
+          Alcotest.(check bool) (r.name ^ " force span " ^ s) (Some s = force_span) (has s))
+        force_spans)
     [
-      Tdp.Flow.Dp4;
-      Tdp.Flow.Diff_tdp;
-      Tdp.Flow.Dist_tdp;
-      Tdp.Flow.Dp4_in_ours;
-      Tdp.Flow.Efficient (Tdp.Config.with_loss Tdp.Config.Linear flow_cfg);
-      Tdp.Flow.Efficient
-        { flow_cfg with extraction = Tdp.Config.Endpoint_based { k = 3 } };
+      (Tdp.Flow.Dp4, "sta+weighting", None);
+      (Tdp.Flow.Diff_tdp, "sta+backprop", Some "timing_grad");
+      (Tdp.Flow.Dist_tdp, "sta+anchors", Some "timing_grad");
+      (Tdp.Flow.Dp4_in_ours, "sta+weighting", Some "pp_grad");
+      ( Tdp.Flow.Efficient { flow_cfg with loss = Tdp.Config.Linear },
+        "sta+extraction",
+        Some "pp_grad" );
+      ( Tdp.Flow.Efficient { flow_cfg with extraction = Tdp.Config.Endpoint_based { k = 3 } },
+        "sta+extraction",
+        Some "pp_grad" );
     ]
 
 let test_flow_deterministic () =
@@ -393,7 +406,7 @@ let test_pin_level_round () =
   Alcotest.(check bool) "violations seen" true (tns < 0.0 && wns < 0.0);
   let n = Design.num_cells d in
   let gx = Array.make n 0.0 and gy = Array.make n 0.0 in
-  Tdp.Pin_level.add_grad_raw pl ~gx ~gy;
+  Tdp.Pin_level.add_grad pl ~gx ~gy;
   let gnorm = Array.fold_left (fun a v -> a +. Float.abs v) 0.0 gx in
   Alcotest.(check bool) "pin-level pairs pull" true (gnorm > 0.0);
   (* Action-reaction: total force is zero. *)
