@@ -22,11 +22,9 @@ type t = {
   eff_w : float array;
   eff_h : float array;
   eff_scale : float array;
-  mutable scratch : float array array; (* per-domain accumulation grids, grown on demand *)
   mutable xover : float array array;
       (* per-chunk x-overlap rows (length [bins_x]) for the multi-bin
-         deposit, grown on demand with [scratch] *)
-  mutable partial : float array; (* per-chunk reduction slots (overflow), grown on demand *)
+         deposit, grown on demand *)
 }
 
 let create (d : Design.t) ~bins_x ~bins_y =
@@ -59,9 +57,7 @@ let create (d : Design.t) ~bins_x ~bins_y =
       eff_w;
       eff_h;
       eff_scale;
-      scratch = [||];
       xover = [| Array.make bins_x 0.0 |];
-      partial = Array.make 1 0.0;
     }
   in
   (* Fixed density from blockages and fixed logic (pads are on the
@@ -112,12 +108,13 @@ let[@inline] fmax x y =
   else if x <> x then x
   else y
 
-(* Deposit one movable cell's (inflated) area into an accumulation grid.
-   The inflation (cells smaller than a bin stretched to bin size, density
-   scaled to preserve area) is computed inline with float locals — a
-   tuple-returning helper would allocate per cell per iteration. [xo]
-   is the chunk's x-overlap row (length [bins_x]). *)
-let[@inline] deposit t (d : Design.t) (acc : float array) (xo : float array) i =
+(* Deposit the part of one movable cell's (inflated) area that falls in
+   bin rows [rlo, rhi) into [acc]. The inflation (cells smaller than a
+   bin stretched to bin size, density scaled to preserve area) is
+   computed inline with float locals — a tuple-returning helper would
+   allocate per cell per iteration. [xo] is the chunk's x-overlap row
+   (length [bins_x]). *)
+let[@inline] deposit t (d : Design.t) (acc : float array) (xo : float array) ~rlo ~rhi i =
   let die = t.die in
   (* [i] is loop-bounded by the caller (< num_cells), so the coordinate
      reads skip bounds checks; the inflated extents/scale come from the
@@ -142,7 +139,7 @@ let[@inline] deposit t (d : Design.t) (acc : float array) (xo : float array) i =
     let bx1 = bx0 + 1 and by1 = by0 + 1 in
     let x0_ok = bx0 >= 0 && ox0 > 0.0 in
     let x1_ok = bx1 <= t.bins_x - 1 && ox1 > 0.0 in
-    if by0 >= 0 && oy0 > 0.0 then begin
+    if by0 >= rlo && by0 < rhi && oy0 > 0.0 then begin
       let row = by0 * t.bins_x in
       if x0_ok then begin
         let b = row + bx0 in
@@ -153,7 +150,7 @@ let[@inline] deposit t (d : Design.t) (acc : float array) (xo : float array) i =
         Array.unsafe_set acc b (Array.unsafe_get acc b +. (ox1 *. oy0 *. scale))
       end
     end;
-    if by1 <= t.bins_y - 1 && oy1 > 0.0 then begin
+    if by1 >= rlo && by1 < rhi && oy1 > 0.0 then begin
       let row = by1 * t.bins_x in
       if x0_ok then begin
         let b = row + bx0 in
@@ -170,14 +167,15 @@ let[@inline] deposit t (d : Design.t) (acc : float array) (xo : float array) i =
        generic compare four times per cell. *)
     let bxl = Int.max 0 (int_of_float (floor ((xl -. die.xl) *. t.inv_bin_w))) in
     let bxh = Int.min (t.bins_x - 1) (int_of_float (floor ((xh -. die.xl) *. t.inv_bin_w))) in
-    let byl = Int.max 0 (int_of_float (floor ((yl -. die.yl) *. t.inv_bin_h))) in
-    let byh = Int.min (t.bins_y - 1) (int_of_float (floor ((yh -. die.yl) *. t.inv_bin_h))) in
+    let byl = Int.max rlo (int_of_float (floor ((yl -. die.yl) *. t.inv_bin_h))) in
+    let byh = Int.min (rhi - 1) (int_of_float (floor ((yh -. die.yl) *. t.inv_bin_h))) in
     (* A column's x-overlap is the same in every row: compute each once
        per cell. [bxl, bxh] lies inside [0, bins_x) by the clamps above. *)
-    for bx = bxl to bxh do
-      let b_xl = die.xl +. (float_of_int bx *. t.bin_w) in
-      Array.unsafe_set xo bx (fmin xh (b_xl +. t.bin_w) -. fmax xl b_xl)
-    done;
+    if byl <= byh then
+      for bx = bxl to bxh do
+        let b_xl = die.xl +. (float_of_int bx *. t.bin_w) in
+        Array.unsafe_set xo bx (fmin xh (b_xl +. t.bin_w) -. fmax xl b_xl)
+      done;
     for by = byl to byh do
       let b_yl = die.yl +. (float_of_int by *. t.bin_h) in
       let oy = fmin yh (b_yl +. t.bin_h) -. fmax yl b_yl in
@@ -191,69 +189,36 @@ let[@inline] deposit t (d : Design.t) (acc : float array) (xo : float array) i =
     done
   end
 
-(** Accumulate movable-cell density from the current placement. Parallel
-    over cells with per-domain accumulation grids merged in chunk order
-    (cells overlap bins, so direct accumulation would race). *)
+(** Accumulate movable-cell density from the current placement.
+    Parallel over bin rows: each chunk walks every movable cell in index
+    order and deposits only into its own rows, so each bin sums its cells
+    in index order at every domain count. *)
 let update t (d : Design.t) =
-  let nbins = Array.length t.density in
-  Array.fill t.density 0 nbins 0.0;
+  Array.fill t.density 0 (Array.length t.density) 0.0;
+  let nchunks = Util.Parallel.chunk_count ~n:t.bins_y in
+  if Array.length t.xover < nchunks then
+    t.xover <- Array.init nchunks (fun _ -> Array.make t.bins_x 0.0);
   let ncells = Design.num_cells d in
-  let nchunks = Util.Parallel.chunk_count ~n:ncells in
-  if nchunks = 1 then begin
-    let xo = t.xover.(0) in
-    for i = 0 to ncells - 1 do
-      if Design.is_movable d i then deposit t d t.density xo i
-    done
-  end
-  else begin
-    if Array.length t.scratch < nchunks then begin
-      t.scratch <- Array.init nchunks (fun _ -> Array.make nbins 0.0);
-      t.xover <- Array.init nchunks (fun _ -> Array.make t.bins_x 0.0)
-    end;
-    for k = 0 to nchunks - 1 do
-      Array.fill t.scratch.(k) 0 nbins 0.0
-    done;
-    Util.Parallel.for_chunks ~grain:64 ~name:"density.bins" ~n:ncells (fun ~chunk ~lo ~hi ->
-        let acc = t.scratch.(chunk) and xo = t.xover.(chunk) in
-        for i = lo to hi - 1 do
-          if Design.is_movable d i then deposit t d acc xo i
-        done);
-    (* Merge per-domain grids; each bin sums its chunk contributions in
-       chunk order, so bins are independent and the result deterministic. *)
-    Util.Parallel.for_ ~name:"density.merge" nbins (fun b ->
-        let acc = ref 0.0 in
-        for k = 0 to nchunks - 1 do
-          acc := !acc +. t.scratch.(k).(b)
-        done;
-        t.density.(b) <- !acc)
-  end
+  Util.Parallel.for_chunks ~grain:8 ~name:"density.bins" ~n:t.bins_y (fun ~chunk ~lo ~hi ->
+      let xo = t.xover.(chunk) in
+      for i = 0 to ncells - 1 do
+        if Design.is_movable d i then deposit t d t.density xo ~rlo:lo ~rhi:hi i
+      done)
 
 (** Density overflow: fraction of movable area sitting above the per-bin
     capacity [target_density * bin_area - fixed]. The standard global
-    placement convergence metric ("overflow" in Fig. 5). *)
+    placement convergence metric ("overflow" in Fig. 5). A sequential
+    left fold over the bins. *)
 let overflow t ~target_density ~movable_area =
   if movable_area <= 0.0 then 0.0
   else begin
     let ba = bin_area t in
-    let nbins = Array.length t.density in
-    let nchunks = Util.Parallel.chunk_count ~n:nbins in
-    if Array.length t.partial < nchunks then t.partial <- Array.make nchunks 0.0;
-    let partial = t.partial in
-    Array.fill partial 0 (Array.length partial) 0.0;
-    (* Chunked reduction into preallocated slots: a closure-per-bin sum
-       would box every partial float. Chunk partition is fixed by
-       (nbins, domains), so the float association is deterministic. *)
-    Util.Parallel.for_chunks ~grain:4096 ~name:"density.overflow" ~n:nbins
-      (fun ~chunk ~lo ~hi ->
-        for i = lo to hi - 1 do
-          let cap = target_density *. ba -. t.fixed.(i) in
-          let cap = if cap > 0.0 then cap else 0.0 in
-          let over = t.density.(i) -. cap in
-          if over > 0.0 then partial.(chunk) <- partial.(chunk) +. over
-        done);
     let over = ref 0.0 in
-    for k = 0 to nchunks - 1 do
-      over := !over +. partial.(k)
+    for i = 0 to Array.length t.density - 1 do
+      let cap = target_density *. ba -. t.fixed.(i) in
+      let cap = if cap > 0.0 then cap else 0.0 in
+      let ov = t.density.(i) -. cap in
+      if ov > 0.0 then over := !over +. ov
     done;
     !over /. movable_area
   end

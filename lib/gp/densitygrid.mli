@@ -15,9 +15,7 @@ type t = {
   eff_w : float array; (* per-cell inflated extents / density scale, *)
   eff_h : float array; (* precomputed once (cell sizes are static) *)
   eff_scale : float array;
-  mutable scratch : float array array; (* per-domain accumulation grids *)
   mutable xover : float array array; (* per-chunk x-overlap rows, length [bins_x] *)
-  mutable partial : float array; (* per-chunk reduction slots (overflow) *)
 }
 
 (** Precomputes the fixed-density layer from non-movable cells. *)

@@ -6,9 +6,9 @@
 (** Exact net-weighted HPWL. *)
 val weighted_hpwl : Netlist.Design.t -> float
 
-(** Reusable kernel scratch (per-pin exponent buffers, per-chunk gradient
-    accumulators). Create once per design; the gradient kernel then runs
-    allocation-free in steady state. *)
+(** Reusable kernel scratch (per-chunk exponent buffers, per-pin gradient
+    slots, the cell->slot CSR). Create once per design; the gradient
+    kernel then runs allocation-free in steady state. *)
 type ws
 
 val make_ws : Netlist.Design.t -> ws
@@ -16,7 +16,8 @@ val make_ws : Netlist.Design.t -> ws
 (** Smooth weighted wirelength of the whole design; adds its gradient
     w.r.t. cell centres into [gx]/[gy] (cell-indexed; fixed cells receive
     gradient too — callers ignore them). Returns the smooth value.
-    Allocation-free in steady state. *)
+    Allocation-free in steady state; the result does not depend on the
+    domain count. *)
 val wa_wirelength_grad_ws :
   ws -> Netlist.Design.t -> gamma:float -> gx:float array -> gy:float array -> float
 

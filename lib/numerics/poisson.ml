@@ -109,21 +109,13 @@ let field t psi =
   field_into t ~psi ~ex ~ey;
   (ex, ey)
 
-(** System energy 0.5 * sum(rho * psi); the ePlace density penalty.
-    Deterministic chunked reduction (see [Util.Parallel.sum]); the
-    sequential path folds left-to-right exactly like [Parallel.sum] at
-    one domain, so results are bitwise-identical to the seed. The
-    accumulator is a local [ref] that never escapes, which the native
-    compiler keeps in an unboxed register: nothing is shared between
-    calls. *)
+(** System energy 0.5 * sum(rho * psi); the ePlace density penalty. A
+    sequential left fold, so the result does not depend on the domain
+    count. The accumulator is a local [ref] that never escapes, which the
+    native compiler keeps in an unboxed register. *)
 let energy rho psi =
-  if !Util.Parallel.num_domains <= 1 then begin
-    let acc = ref 0.0 in
-    for i = 0 to Array.length rho - 1 do
-      acc := !acc +. (rho.(i) *. psi.(i))
-    done;
-    0.5 *. !acc
-  end
-  else
-    0.5
-    *. Util.Parallel.sum ~name:"poisson.energy" (Array.length rho) (fun i -> rho.(i) *. psi.(i))
+  let acc = ref 0.0 in
+  for i = 0 to Array.length rho - 1 do
+    acc := !acc +. (rho.(i) *. psi.(i))
+  done;
+  0.5 *. !acc

@@ -39,5 +39,5 @@ val field_into : t -> psi:float array -> ex:float array -> ey:float array -> uni
 val field : t -> float array -> float array * float array
 
 (** System energy 0.5 * sum(rho * psi) — the ePlace density penalty.
-    Deterministic per the [Util.Parallel.sum] contract. *)
+    A sequential left fold over the grid. *)
 val energy : float array -> float array -> float

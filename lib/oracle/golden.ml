@@ -27,30 +27,22 @@ let method_slug m =
 let entry_name e = Printf.sprintf "%s-%s" (design_name e) (method_slug e.method_)
 
 let snapshot e =
-  (* Goldens are single-domain by construction: reductions associate
-     differently per domain count, and a golden must not depend on the
-     host's core count. *)
-  let saved = !Util.Parallel.num_domains in
-  Util.Parallel.set_num_domains 1;
-  Fun.protect
-    ~finally:(fun () -> Util.Parallel.set_num_domains saved)
-    (fun () ->
-      let d, scale =
-        match e.source with
-        | Suite { short; scale } -> (Workloads.Suite.load ~scale short, scale)
-        | File { path; _ } -> (Formats.Auto.load path, 1.0)
-      in
-      let r = Tdp.Flow.run ~obs:Obs.Ctx.null e.method_ d in
-      Obs.Json.Obj
-        [
-          ("design", Obs.Json.String (design_name e));
-          ("scale", Obs.Json.Float scale);
-          ("method", Obs.Json.String (Tdp.Flow.method_name e.method_));
-          ("metrics", Tdp.Flow.metrics_to_json r.Tdp.Flow.metrics);
-          ("metrics_gp", Tdp.Flow.metrics_to_json r.Tdp.Flow.metrics_gp);
-          ("curve_points", Obs.Json.Int (List.length r.Tdp.Flow.curve));
-          ("extraction_rounds", Obs.Json.Int (List.length r.Tdp.Flow.extraction_rounds));
-        ])
+  let d, scale =
+    match e.source with
+    | Suite { short; scale } -> (Workloads.Suite.load ~scale short, scale)
+    | File { path; _ } -> (Formats.Auto.load path, 1.0)
+  in
+  let r = Tdp.Flow.run ~obs:Obs.Ctx.null e.method_ d in
+  Obs.Json.Obj
+    [
+      ("design", Obs.Json.String (design_name e));
+      ("scale", Obs.Json.Float scale);
+      ("method", Obs.Json.String (Tdp.Flow.method_name e.method_));
+      ("metrics", Tdp.Flow.metrics_to_json r.Tdp.Flow.metrics);
+      ("metrics_gp", Tdp.Flow.metrics_to_json r.Tdp.Flow.metrics_gp);
+      ("curve_points", Obs.Json.Int (List.length r.Tdp.Flow.curve));
+      ("extraction_rounds", Obs.Json.Int (List.length r.Tdp.Flow.extraction_rounds));
+    ]
 
 let float_rtol = 1e-6
 

@@ -2,8 +2,8 @@
     fixed matrix of (design, method) cases into JSON files and compare
     later runs against them under a per-field tolerance policy (integers
     exact, floats to a small relative tolerance, runtimes ignored).
-    Snapshots always run single-domain so the goldens are bit-stable
-    regardless of the host. [bin/golden.exe] is the CLI over this. *)
+    Flow results do not depend on the domain count, so a snapshot runs at
+    whatever count is set. [bin/golden.exe] is the CLI over this. *)
 
 (** An entry's design: a [Workloads.Suite] design at a scale, or a file
     loaded through [Formats.Auto.load], named [stem] (reported scale 1). *)
@@ -22,9 +22,9 @@ val design_name : entry -> string
 (** Stable file stem of an entry, e.g. ["sb1-vanilla"]. *)
 val entry_name : entry -> string
 
-(** Run the flow for one entry (domains pinned to 1 for the duration) and
-    return the comparable subset of the result as JSON: final and
-    raw-GP metrics, curve length, extraction round count. *)
+(** Run the flow for one entry and return the comparable subset of the
+    result as JSON: final and raw-GP metrics, curve length, extraction
+    round count. *)
 val snapshot : entry -> Obs.Json.t
 
 (** Relative tolerance applied to float fields on [check] (1e-6). *)

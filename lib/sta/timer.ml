@@ -92,6 +92,11 @@ let tns t =
   ensure t;
   Propagate.tns t.prop t.graph
 
+let retime t =
+  update t;
+  let tns = tns t in
+  (tns, wns t)
+
 let endpoint_slack t pin =
   ensure t;
   Propagate.endpoint_slack t.prop t.graph pin

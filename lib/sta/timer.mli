@@ -46,6 +46,10 @@ val wns : t -> float
 
 val tns : t -> float
 
+(** Full re-time from the current placement, then [(tns t, wns t)]: the
+    refresh every timing round starts with. *)
+val retime : t -> float * float
+
 val endpoint_slack : t -> int -> float
 
 val failing_endpoints : t -> int list

@@ -24,6 +24,13 @@ type t = {
   arr_sm : float array; (* smooth arrivals *)
   adjoint : float array; (* dLoss / d(arr) *)
   dl_darc : float array; (* dLoss / d(arc delay) *)
+  (* Per-sink scratch of [add_grad], sized to the widest net and reused
+     for every net: driver-to-sink dx/dy, Manhattan length, and the
+     sink arc's dLoss/d(delay). *)
+  dxs : float array;
+  dys : float array;
+  lens : float array;
+  garc : float array;
 }
 
 let gamma_sm = 8.0 (* smooth-max temperature, ps *)
@@ -33,12 +40,20 @@ let eta = 15.0 (* softplus sharpness for negative slack, ps *)
 let create ?fault design =
   let timer = Sta.Timer.create ~topology:Sta.Delay.Star ?fault design in
   let graph = Sta.Timer.graph timer in
+  let max_sinks = ref 0 in
+  for nid = 0 to Design.num_nets design - 1 do
+    max_sinks := Int.max !max_sinks (Design.net_num_sinks design nid)
+  done;
   {
     design;
     timer;
     arr_sm = Array.make (Sta.Graph.num_pins graph) 0.0;
     adjoint = Array.make (Sta.Graph.num_pins graph) 0.0;
     dl_darc = Array.make graph.Sta.Graph.num_arcs 0.0;
+    dxs = Array.make !max_sinks 0.0;
+    dys = Array.make !max_sinks 0.0;
+    lens = Array.make !max_sinks 0.0;
+    garc = Array.make !max_sinks 0.0;
   }
 
 let softplus x = if x > 30.0 then x else log (1.0 +. exp x)
@@ -116,11 +131,10 @@ let backward t =
 (** One timing round: re-time (star model), run the differentiable
     forward/backward. Returns (tns, wns) from the hard timer. *)
 let round t =
-  Sta.Timer.invalidate t.timer;
-  Sta.Timer.update t.timer;
+  let tns_wns = Sta.Timer.retime t.timer in
   forward t;
   let _loss = backward t in
-  (Sta.Timer.tns t.timer, Sta.Timer.wns t.timer)
+  tns_wns
 
 let smooth_arrivals t = t.arr_sm
 
@@ -140,10 +154,9 @@ let add_grad t ~gx ~gy =
       let driver = d.net_driver.(nid) in
       let drive_res, _, _ = Sta.Delay.driver_params d driver in
       let dx0 = Design.pin_x d driver and dy0 = Design.pin_y d driver in
-      let dxs = Array.make nsinks 0.0 and dys = Array.make nsinks 0.0 in
-      let lens = Array.make nsinks 0.0 in
+      let dxs = t.dxs and dys = t.dys and lens = t.lens and garc = t.garc in
+      Array.fill garc 0 nsinks 0.0;
       let gsum = ref 0.0 in
-      let garc = Array.make nsinks 0.0 in
       for k = 0 to nsinks - 1 do
         let spid = Design.net_sink d nid k in
         dxs.(k) <- dx0 -. Design.pin_x d spid;

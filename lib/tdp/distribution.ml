@@ -22,9 +22,7 @@ let create ?fault design ~topology =
 (** One timing round: re-time, extract each failing endpoint's worst path,
     derive anchors. Returns (tns, wns). *)
 let round t =
-  Sta.Timer.invalidate t.timer;
-  Sta.Timer.update t.timer;
-  let tns = Sta.Timer.tns t.timer and wns = Sta.Timer.wns t.timer in
+  let tns, wns = Sta.Timer.retime t.timer in
   let d = t.design in
   t.anchors <- [];
   if wns < 0.0 then begin

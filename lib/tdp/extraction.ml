@@ -48,9 +48,8 @@ let round t ~iter =
   let t0 = Unix.gettimeofday () in
   let tns, wns, failing =
     Obs.Ctx.span t.obs "sta" (fun () ->
-        Sta.Timer.invalidate t.timer;
-        Sta.Timer.update t.timer;
-        (Sta.Timer.tns t.timer, Sta.Timer.wns t.timer, Sta.Timer.failing_endpoints t.timer))
+        let tns, wns = Sta.Timer.retime t.timer in
+        (tns, wns, Sta.Timer.failing_endpoints t.timer))
   in
   let n = List.length failing in
   (* A poisoned timing graph (NaN/Inf arrival times, e.g. from corrupt

@@ -25,9 +25,7 @@ let create ?fault design ~topology = { timer = Sta.Timer.create ~topology ?fault
 (** One timing round: re-time, refresh all net weights in place.
     Returns (tns, wns). *)
 let round t =
-  Sta.Timer.invalidate t.timer;
-  Sta.Timer.update t.timer;
-  let tns = Sta.Timer.tns t.timer and wns = Sta.Timer.wns t.timer in
+  let tns, wns = Sta.Timer.retime t.timer in
   let slack = Sta.Timer.slacks t.timer in
   let d = t.design in
   if wns < 0.0 then

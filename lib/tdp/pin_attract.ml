@@ -109,7 +109,7 @@ let loss_value t =
       acc +. (p.weight *. q))
     t.pairs 0.0
 
-(* Gradient contribution of one pair into the given accumulators. *)
+(* Gradient contribution of one pair into [gx]/[gy]. *)
 let add_pair_grad t ~gx ~gy (p : pair) =
   let d = t.design in
   let dx = Design.pin_x d p.pin_i -. Design.pin_x d p.pin_j in
@@ -131,12 +131,11 @@ let add_pair_grad t ~gx ~gy (p : pair) =
   gx.(cj) <- gx.(cj) -. (w *. gx_i);
   gy.(cj) <- gy.(cj) -. (w *. gy_i)
 
-(** Add d(PP)/d(cell position) into [gx]/[gy] (cell-indexed).
-    Pin offsets are rigid, so pin gradients add directly to their cells.
-    Pairs share cells, so the parallel path accumulates into per-domain
-    buffers merged in chunk order (see [Util.Parallel]). Weights mutate in
-    place on the same records, so the cached pair order stays valid until
-    the next insert. *)
+(** Add d(PP)/d(cell position) into [gx]/[gy] (cell-indexed), one pair
+    at a time in the cached pair order. Pin offsets are rigid, so pin
+    gradients add directly to their cells. Weights mutate in place on the
+    same records, so the cached pair order stays valid until the next
+    insert. *)
 let add_grad t ~gx ~gy =
   let pairs =
     match t.order with
@@ -146,23 +145,4 @@ let add_grad t ~gx ~gy =
         t.order <- Some a;
         a
   in
-  let npairs = Array.length pairs in
-  let nchunks = Util.Parallel.chunk_count ~n:npairs in
-  if nchunks = 1 then Array.iter (fun p -> add_pair_grad t ~gx ~gy p) pairs
-  else begin
-    let nc = Design.num_cells t.design in
-    let bufs =
-      Util.Parallel.iter_chunks_scratch ~grain:256 ~name:"pp.grad" ~n:npairs
-        ~scratch:(fun () -> (Array.make nc 0.0, Array.make nc 0.0))
-        (fun ~scratch:(bx, by) ~chunk:_ ~lo ~hi ->
-          for i = lo to hi - 1 do
-            add_pair_grad t ~gx:bx ~gy:by pairs.(i)
-          done)
-    in
-    Util.Parallel.for_ ~name:"pp.grad.merge" nc (fun c ->
-        Array.iter
-          (fun (bx, by) ->
-            gx.(c) <- gx.(c) +. bx.(c);
-            gy.(c) <- gy.(c) +. by.(c))
-          bufs)
-  end
+  Array.iter (fun p -> add_pair_grad t ~gx ~gy p) pairs

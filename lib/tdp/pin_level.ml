@@ -22,9 +22,7 @@ let create ?fault design ~topology =
     the pair weight toward 1 + alpha * crit with momentum. Returns
     (tns, wns). *)
 let round t =
-  Sta.Timer.invalidate t.timer;
-  Sta.Timer.update t.timer;
-  let tns = Sta.Timer.tns t.timer and wns = Sta.Timer.wns t.timer in
+  let tns, wns = Sta.Timer.retime t.timer in
   if wns < 0.0 then begin
     let graph = Sta.Timer.graph t.timer in
     let slack = Sta.Timer.slacks t.timer in

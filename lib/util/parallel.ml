@@ -8,10 +8,9 @@
     iteration issuing dozens of kernel launches pays the spawn cost once
     per process, not once per call.
 
-    Determinism contract (see the .mli): every reduction partitions
-    [0, n) into exactly [num_domains] fixed contiguous chunks and combines
-    the per-chunk results in chunk order, whether or not the pool actually
-    ran — results depend only on (n, domain count), never on scheduling. *)
+    Determinism contract (see the .mli): every parallel body writes
+    locations no other chunk writes, and no float reduction crosses a
+    chunk boundary, so results do not depend on the domain count. *)
 
 let num_domains = ref 1
 
@@ -198,8 +197,8 @@ let launch ?name ~n ~chunks ~dispatch body =
 
 (* ------------------------------------------------------------------ *)
 (* Entry points. [grain] is the dispatch threshold: below it the call
-   runs inline (still on the deterministic chunk partition for
-   reductions); at or above it the pool is used. *)
+   runs inline (on the same chunk partition); at or above it the pool is
+   used. *)
 
 let seq_for n f =
   for i = 0 to n - 1 do
@@ -233,35 +232,3 @@ let for_chunks ?(grain = 256) ?name ~n f =
     in
     launch ?name ~n ~chunks:d ~dispatch:(n >= grain) body
   end
-
-let sum ?(grain = 1024) ?name n f =
-  let d = !num_domains in
-  if d <= 1 then begin
-    let acc = ref 0.0 in
-    for i = 0 to n - 1 do
-      acc := !acc +. f i
-    done;
-    !acc
-  end
-  else begin
-    (* Fixed partition into d chunks whether or not the pool runs: the
-       float association depends only on (n, d). *)
-    let per = (n + d - 1) / d in
-    let partial = Array.make d 0.0 in
-    let body c =
-      let lo = c * per and hi = min n ((c + 1) * per) in
-      let acc = ref 0.0 in
-      for i = lo to hi - 1 do
-        acc := !acc +. f i
-      done;
-      partial.(c) <- !acc
-    in
-    launch ?name ~n ~chunks:d ~dispatch:(n >= grain) body;
-    Array.fold_left ( +. ) 0.0 partial
-  end
-
-let iter_chunks_scratch ?grain ?name ~n ~scratch f =
-  let k = chunk_count ~n in
-  let bufs = Array.init k (fun _ -> scratch ()) in
-  for_chunks ?grain ?name ~n (fun ~chunk ~lo ~hi -> f ~scratch:bufs.(chunk) ~chunk ~lo ~hi);
-  bufs

@@ -14,14 +14,13 @@
 
     {2 Determinism contract}
 
-    For a fixed [num_domains] = d, the reduction {!sum} partitions
-    [0, n) into exactly d fixed contiguous chunks (ceil(n/d) each), folds
-    each chunk left-to-right, and combines the per-chunk results in chunk
-    order — whether the call dispatched to the pool or ran inline below
-    its [grain] threshold. Results therefore depend only on (n, d), never
-    on scheduling, core count, or the grain. Different d generally
-    associate floats differently; bitwise reproducibility holds per
-    fixed d.
+    There is no reduction entry point. Every parallel body writes only
+    locations no other chunk writes (a per-index output slot, a bin row,
+    a per-chunk scratch lane), and any float sum runs sequentially in a
+    fixed order, either after the parallel pass or inside one chunk's
+    own slot. Results therefore do not depend on the domain count,
+    scheduling, core count or the grain: every domain count produces the
+    bits of the 1-domain run.
 
     {2 Nesting}
 
@@ -46,10 +45,6 @@ val shutdown : unit -> unit
     disjoint locations per index. *)
 val for_ : ?grain:int -> ?name:string -> int -> (int -> unit) -> unit
 
-(** Deterministic chunked sum of [f i] over [0 <= i < n] (see the
-    determinism contract above). [grain] defaults to 1024. *)
-val sum : ?grain:int -> ?name:string -> int -> (int -> float) -> float
-
 (** Split [0, n) into one contiguous chunk per domain; [f ~chunk ~lo ~hi]
     runs once per non-empty chunk ([chunk] indexes per-domain buffers).
     The partition is the same whether the call dispatches ([n >= grain],
@@ -58,21 +53,9 @@ val for_chunks :
   ?grain:int -> ?name:string -> n:int -> (chunk:int -> lo:int -> hi:int -> unit) -> unit
 
 (** Number of chunks {!for_chunks} uses for size [n] — [num_domains]
-    when parallel (even for small [n]: determinism), 1 when sequential. *)
+    when parallel, 1 when sequential or [n = 0]. Kernels use it only to
+    size per-chunk scratch. *)
 val chunk_count : n:int -> int
-
-(** [iter_chunks_scratch ~n ~scratch f] allocates one scratch buffer per
-    chunk with [scratch ()], runs [f ~scratch ~chunk ~lo ~hi] per chunk
-    ({!for_chunks} semantics), and returns the buffers in chunk order for
-    the caller to merge — the accumulate-then-merge pattern for kernels
-    whose writes are not disjoint per index. *)
-val iter_chunks_scratch :
-  ?grain:int ->
-  ?name:string ->
-  n:int ->
-  scratch:(unit -> 'b) ->
-  (scratch:'b -> chunk:int -> lo:int -> hi:int -> unit) ->
-  'b array
 
 (** {2 Instrumentation} *)
 

@@ -1,6 +1,6 @@
 (* Writes the global-placement bitwise fixture read by the gp suite
    ("gp kernels match bitwise fixture"): the outputs of the density,
-   Poisson and optimizer layers on fixed inputs, per domain count.
+   Poisson and optimizer layers on fixed inputs.
 
    - [Densitygrid.update] on sb1/sb7 (scale 0.5, auto grid) at the
      initial spread and after 100 vanilla iterations, and on a small
@@ -22,11 +22,12 @@
    written as its length, its first and last values as OCaml hex
    literals, and an MD5 of every value's IEEE-754 bit pattern per block
    of [block] values; a mismatch is located to its block. Scalars are
-   hex literals. Each domain count gets its own section, because the
-   chunked reductions associate differently at 1 and at 4 domains.
+   hex literals. Results do not depend on the domain count, so there is
+   one section: the test runs the generator at 1, 2 and 4 domains
+   (PARALLEL_DOMAINS=N, as for the test runner; default 1) and compares
+   every run with it.
 
      dune exec test/gen_gp_fixture.exe > test/fixtures/gp_kernels
-     dune exec test/gen_gp_fixture.exe -- --domains 4   # one section
 
    Regenerate only when placement results are meant to change. *)
 
@@ -206,26 +207,16 @@ let flow_cases () =
         emit_flow ("flow." ^ name ^ ".warm") d (Tdp.Flow.run ~warm:true meth d))
     [ "vanilla"; "dp4"; "diff"; "dist"; "efficient"; "noextract" ]
 
-let section domains =
-  Util.Parallel.set_num_domains domains;
-  Printf.printf "domains %d\n" domains;
+let () =
+  Option.iter
+    (fun s -> Util.Parallel.set_num_domains (int_of_string s))
+    (Sys.getenv_opt "PARALLEL_DOMAINS");
+  Printf.printf
+    "# gp bitwise fixture: per-block MD5 of IEEE-754 bits, block %d; ends are OCaml hex literals\n"
+    block;
   density_cases ();
   boundary_cases ();
   poisson_cases ();
   globalplace_cases ();
   detailed_cases ();
   flow_cases ()
-
-let () =
-  let domains =
-    match Array.to_list Sys.argv with
-    | [ _ ] -> [ 1; 4 ]
-    | [ _; "--domains"; n ] -> [ int_of_string n ]
-    | _ ->
-        prerr_endline "usage: gen_gp_fixture [--domains N]";
-        exit 2
-  in
-  Printf.printf
-    "# gp bitwise fixture: per-block MD5 of IEEE-754 bits, block %d; ends are OCaml hex literals\n"
-    block;
-  List.iter section domains

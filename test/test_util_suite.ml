@@ -223,11 +223,20 @@ let test_parallel_for () =
   Helpers.with_domains 4 (fun () -> Util.Parallel.for_ n (fun i -> a.(i) <- i));
   Alcotest.(check bool) "all written" true (Array.for_all Fun.id (Array.mapi (fun i v -> v = i) a))
 
+(* A sum in the contract's pattern: each chunk folds its own range into
+   its own slot, and the caller folds the slots in chunk order. *)
 let test_parallel_sum () =
+  let n = 10_000 in
   let s =
-    Helpers.with_domains 4 (fun () -> Util.Parallel.sum 10_000 (fun i -> float_of_int i))
+    Helpers.with_domains 4 (fun () ->
+        let slots = Array.make (Util.Parallel.chunk_count ~n) 0.0 in
+        Util.Parallel.for_chunks ~grain:1 ~n (fun ~chunk ~lo ~hi ->
+            for i = lo to hi - 1 do
+              slots.(chunk) <- slots.(chunk) +. float_of_int i
+            done);
+        Array.fold_left ( +. ) 0.0 slots)
   in
-  check_float "gauss sum" (float_of_int (10_000 * 9_999 / 2)) s
+  check_float "gauss sum" (float_of_int (n * (n - 1) / 2)) s
 
 let suite =
   [
