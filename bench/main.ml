@@ -628,7 +628,6 @@ let buffering_recovery d timer =
             ~c:d.Netlist.Design.c_per_unit ~drive_res
             ~term_req:(fun _ -> 0.0)
             ~term_cap:(fun k -> d.Netlist.Design.pin_cap.{Netlist.Design.net_sink d nid (k - 1)})
-            ()
         in
         (res.Rctree.Buffering.best_q -. res.Rctree.Buffering.unbuffered_q) :: acc)
       nets []

@@ -12,22 +12,6 @@
 
 open Cmdliner
 
-type span_rec = {
-  id : int;
-  parent : int;
-  name : string;
-  t0 : float;
-  dur : float;
-  attrs : (string * Obs.Json.t) list;
-}
-
-type name_stat = {
-  mutable count : int;
-  mutable total : float;
-  mutable self : float;
-  mutable dmax : float;
-}
-
 let mem_str k j = Option.bind (Obs.Json.member k j) Obs.Json.to_string_opt
 let mem_int k j = Option.bind (Obs.Json.member k j) Obs.Json.to_int
 let mem_float k j = Option.bind (Obs.Json.member k j) Obs.Json.to_float
@@ -61,63 +45,33 @@ let load path =
                    | Some (Obs.Json.Obj kvs) -> kvs
                    | _ -> []
                  in
-                 spans :=
-                   {
-                     id = geti "id";
-                     parent = geti "parent";
-                     name;
-                     t0 = getf "t0";
-                     dur = getf "dur";
-                     attrs;
-                   }
-                   :: !spans
+                 let s =
+                   Obs.Span.make ~id:(geti "id") ~parent:(geti "parent") ~name ~start:(getf "t0")
+                     ~attrs
+                 in
+                 s.Obs.Span.dur <- getf "dur";
+                 spans := s :: !spans
              | Some "metric" -> metrics := j :: !metrics
              | _ -> Obs.Log.warn "line %d: unknown record type, skipped" !lineno)
      done
    with End_of_file -> close_in ic);
   (List.rev !spans, List.rev !metrics)
 
+(* Per-name count / total / self / max through the same aggregator a
+   live run uses. The file holds spans in completion order (children
+   before their parent), which is the order [Obs.Agg.record] needs. *)
 let summarize spans =
-  (* Self time: subtract each span's duration from its parent's credit.
-     Spans are streamed in completion order, so both id->name and the
-     child-time accumulation are resolved after a full pass. *)
-  let child_time = Hashtbl.create 256 in
-  List.iter
-    (fun s ->
-      if s.parent >= 0 then
-        let r =
-          match Hashtbl.find_opt child_time s.parent with
-          | Some r -> r
-          | None ->
-              let r = ref 0.0 in
-              Hashtbl.add child_time s.parent r;
-              r
-        in
-        r := !r +. s.dur)
-    spans;
-  let stats = Hashtbl.create 64 in
-  List.iter
-    (fun s ->
-      let st =
-        match Hashtbl.find_opt stats s.name with
-        | Some st -> st
-        | None ->
-            let st = { count = 0; total = 0.0; self = 0.0; dmax = 0.0 } in
-            Hashtbl.add stats s.name st;
-            st
-      in
-      let children = match Hashtbl.find_opt child_time s.id with Some r -> !r | None -> 0.0 in
-      st.count <- st.count + 1;
-      st.total <- st.total +. s.dur;
-      st.self <- st.self +. Float.max 0.0 (s.dur -. children);
-      st.dmax <- Float.max st.dmax s.dur)
-    spans;
-  Hashtbl.fold (fun name st acc -> (name, st) :: acc) stats []
-  |> List.sort (fun (_, a) (_, b) -> compare b.total a.total)
+  let agg = Obs.Agg.create () in
+  List.iter (Obs.Agg.record agg) spans;
+  Obs.Agg.stats agg |> List.sort (fun (_, (a : Obs.Agg.stat)) (_, b) -> compare b.total a.total)
 
 let print_spans spans top =
   let rows = summarize spans in
-  let wall = List.fold_left (fun acc s -> if s.parent < 0 then acc +. s.dur else acc) 0.0 spans in
+  let wall =
+    List.fold_left
+      (fun acc (s : Obs.Span.t) -> if s.parent < 0 then acc +. s.dur else acc)
+      0.0 spans
+  in
   let tbl =
     Util.Tablefmt.create ~title:"Span summary (component breakdown)"
       ~headers:[ "span"; "count"; "total s"; "self s"; "max s"; "% wall" ]
@@ -125,7 +79,7 @@ let print_spans spans top =
   in
   let shown = if top > 0 then List.filteri (fun i _ -> i < top) rows else rows in
   List.iter
-    (fun (name, st) ->
+    (fun (name, (st : Obs.Agg.stat)) ->
       Util.Tablefmt.add_row tbl
         [
           name;
@@ -169,16 +123,6 @@ let print_metrics metrics =
     Util.Tablefmt.print tbl
   end
 
-(* Rebuild [Obs.Span.t] values from the replayed records so the timeline
-   exporters see exactly what a live [Sink.memory] would have. *)
-let to_spans recs =
-  List.map
-    (fun r ->
-      let s = Obs.Span.make ~id:r.id ~parent:r.parent ~name:r.name ~start:r.t0 ~attrs:r.attrs in
-      s.Obs.Span.dur <- r.dur;
-      s)
-    recs
-
 let write_file path content =
   let oc = open_out path in
   output_string oc content;
@@ -191,14 +135,14 @@ let run path top chrome_out flame_out =
   print_metrics metrics;
   (match chrome_out with
   | Some out ->
-      let doc = Obs.Timeline.to_chrome_trace ~process_name:"place" (to_spans spans) in
+      let doc = Obs.Timeline.to_chrome_trace ~process_name:"place" spans in
       write_file out (Obs.Json.to_string doc ^ "\n");
       Printf.printf "wrote Chrome trace (%d events) to %s — load in chrome://tracing or Perfetto\n"
         (List.length spans + 1) out
   | None -> ());
   match flame_out with
   | Some out ->
-      let folded = Obs.Timeline.to_folded (to_spans spans) in
+      let folded = Obs.Timeline.to_folded spans in
       write_file out (Obs.Timeline.folded_to_string folded);
       Printf.printf "wrote %d folded stacks to %s — render with flamegraph.pl\n"
         (List.length folded) out

@@ -3,60 +3,32 @@
       min_x,y  sum_e w_e * WA_e(x, y) + lambda * Energy(x, y)
 
     solved with preconditioned Nesterov. Timing-driven flows plug in via
-    [hooks]: [on_round] fires every [round_every] iterations after the
-    reference placement is materialised (the point where a TDP flow runs
-    STA and refreshes weights), and [extra_grad] contributes additional
-    gradient terms (e.g. the pin-to-pin attraction loss). *)
+    [hooks], called every iteration: [on_round] after the reference
+    placement is materialised (where a TDP flow decides whether to run
+    STA and refresh weights), and [extra_grad] after the density gradient
+    (where it adds e.g. the pin-to-pin attraction loss). When timing
+    rounds fire is the flow's rule, not the engine's. *)
 
 open Netlist
 
 type params = {
-  bins_x : int;
-  bins_y : int; (* 0 = auto from design size *)
-  target_density : float;
   max_iters : int;
   min_iters : int;
-  stop_overflow : float;
-  gamma_scale : float; (* WA gamma in bin widths at high overflow *)
-  lambda_mult : float; (* per-iteration density multiplier growth *)
-  noise_sigma : float; (* initial spread, in bin widths *)
   seed : int;
-  timing_start : int; (* iteration at which hooks begin to fire *)
-  round_every : int; (* hook cadence (the paper's m) *)
-  max_recoveries : int; (* consecutive divergence rollbacks before a hard
-                           [Util.Errors.Diverged] failure *)
   warm_start : bool; (* keep the design's current positions instead of the
                         Gaussian initial spread — incremental re-placement
                         resumes from the previous converged solution *)
-  verbose : bool;
 }
 
-let default_params =
-  {
-    bins_x = 0;
-    bins_y = 0;
-    target_density = 1.0;
-    max_iters = 900;
-    min_iters = 150;
-    stop_overflow = 0.07;
-    gamma_scale = 4.0;
-    lambda_mult = 1.05;
-    noise_sigma = 2.0;
-    seed = 1;
-    timing_start = max_int; (* vanilla: hooks never fire *)
-    round_every = 15;
-    max_recoveries = 5;
-    warm_start = false;
-    verbose = false;
-  }
+let default_params = { max_iters = 900; min_iters = 150; seed = 1; warm_start = false }
 
-type trace_point = {
-  iter : int;
-  hpwl : float;
-  overflow : float;
-  gamma : float;
-  lambda : float;
-}
+(* Engine constants (DESIGN.md §6, "GP constants"). *)
+let target_density = 1.0
+let stop_overflow = 0.07
+let gamma_scale = 4.0 (* WA gamma in bin widths at high overflow *)
+let lambda_mult = 1.05 (* per-iteration density multiplier growth *)
+let noise_sigma = 2.0 (* initial spread, in bin widths *)
+let max_recoveries = 5
 
 type hooks = {
   on_round : iter:int -> overflow:float -> unit;
@@ -65,12 +37,6 @@ type hooks = {
          movable cells this iteration — the stable yardstick auxiliary
          (timing) forces should be normalised against. *)
 }
-
-let no_hooks =
-  {
-    on_round = (fun ~iter:_ ~overflow:_ -> ());
-    extra_grad = (fun ~iter:_ ~wl_norm:_ ~gx:_ ~gy:_ -> ());
-  }
 
 let auto_bins (d : Design.t) =
   let n = Design.num_movable d in
@@ -98,13 +64,13 @@ let unpack d movable vec =
 
 (** Spread movable cells around the die centre with Gaussian noise — the
     standard analytic-placement initialisation. *)
-let initial_spread ?(sigma_bins = 2.0) (d : Design.t) ~bin_w ~bin_h ~seed =
+let initial_spread (d : Design.t) ~bin_w ~bin_h ~seed =
   let rng = Util.Rng.create seed in
   let ctr = Geom.Rect.center d.die in
   for i = 0 to Design.num_cells d - 1 do
     if Design.is_movable d i then begin
-      d.x.{i} <- Util.Rng.gaussian rng ~mean:ctr.Geom.Point.x ~stddev:(sigma_bins *. bin_w);
-      d.y.{i} <- Util.Rng.gaussian rng ~mean:ctr.Geom.Point.y ~stddev:(sigma_bins *. bin_h)
+      d.x.{i} <- Util.Rng.gaussian rng ~mean:ctr.Geom.Point.x ~stddev:(noise_sigma *. bin_w);
+      d.y.{i} <- Util.Rng.gaussian rng ~mean:ctr.Geom.Point.y ~stddev:(noise_sigma *. bin_h)
     end
   done;
   Design.clamp_movable d
@@ -128,18 +94,15 @@ let[@inline] fmax x y =
   else y
 
 type result = {
-  trace : trace_point list; (* chronological *)
   iters : int;
   final_hpwl : float;
   final_overflow : float;
 }
 
-let run ?(params = default_params) ?(hooks = no_hooks) ?(obs = Obs.Ctx.null) ?heartbeat ?fault
-    (d : Design.t) =
+let run ?(params = default_params) ?hooks ?(obs = Obs.Ctx.null) ?heartbeat ?fault (d : Design.t) =
   let tick name f = Obs.Ctx.span obs name f in
-  let bins_x = if params.bins_x > 0 then params.bins_x else auto_bins d in
-  let bins_y = if params.bins_y > 0 then params.bins_y else bins_x in
-  let grid = Densitygrid.create d ~bins_x ~bins_y in
+  let bins = auto_bins d in
+  let grid = Densitygrid.create d ~bins_x:bins ~bins_y:bins in
   let electro = Electro.create ~obs grid in
   let movable = Array.of_list (Design.movable_ids d) in
   let nm = Array.length movable in
@@ -151,7 +114,7 @@ let run ?(params = default_params) ?(hooks = no_hooks) ?(obs = Obs.Ctx.null) ?he
      still applies so an out-of-die delta cannot seed the optimizer with
      an infeasible iterate. *)
   if params.warm_start then Design.clamp_movable d
-  else initial_spread d ~sigma_bins:params.noise_sigma ~bin_w ~bin_h ~seed:params.seed;
+  else initial_spread d ~bin_w ~bin_h ~seed:params.seed;
   let opt = ref (Nesterov.create ~obs (pack d movable)) in
   (* Per-cell preconditioner data. *)
   let pin_count = Array.make (Design.num_cells d) 0 in
@@ -173,7 +136,6 @@ let run ?(params = default_params) ?(hooks = no_hooks) ?(obs = Obs.Ctx.null) ?he
      float [ref] would box one float per element summed. *)
   let nacc = Array.make 1 0.0 in
   let lambda = ref 0.0 in
-  let trace = ref [] in
   let iter = ref 0 in
   let stop = ref false in
   let converged_once = ref false in
@@ -192,7 +154,7 @@ let run ?(params = default_params) ?(hooks = no_hooks) ?(obs = Obs.Ctx.null) ?he
   let backoff = ref 1.0 in
   let recover ~what =
     Obs.Ctx.count obs "guard.nan_detected";
-    if !consecutive_recoveries >= params.max_recoveries then
+    if !consecutive_recoveries >= max_recoveries then
       Util.Errors.diverged ~stage:"globalplace" ~recoveries:!consecutive_recoveries
         (Printf.sprintf "non-finite %s at iteration %d; %d consecutive rollbacks exhausted"
            what !iter !consecutive_recoveries);
@@ -206,7 +168,7 @@ let run ?(params = default_params) ?(hooks = no_hooks) ?(obs = Obs.Ctx.null) ?he
     backoff := Float.max 1e-3 (!backoff *. 0.5);
     Obs.Ctx.count obs "guard.rollbacks";
     Obs.Log.warn "[gp %s] non-finite %s at iter %d: rolled back (recovery %d/%d, backoff %.3g)"
-      d.name what !iter !consecutive_recoveries params.max_recoveries !backoff
+      d.name what !iter !consecutive_recoveries max_recoveries !backoff
   in
   (* Per-movable box keeping the cell on the die, fixed for the run
      (die and cell sizes do not change during placement). *)
@@ -228,9 +190,8 @@ let run ?(params = default_params) ?(hooks = no_hooks) ?(obs = Obs.Ctx.null) ?he
     done
   in
   while (not !stop) && !iter < params.max_iters do
-    (* One [gp_iter] span per iteration (the journalled replacement for the
-       write-only trace_point list): iter/overflow/gamma/lambda always,
-       hpwl whenever this iteration computes it. *)
+    (* One [gp_iter] span per iteration: iter/overflow/gamma/lambda
+       always, hpwl whenever this iteration computes it. *)
     Obs.Ctx.span obs "gp_iter" (fun () ->
     just_recovered := false;
     (* Materialise the reference point; all evaluation happens there. *)
@@ -238,19 +199,15 @@ let run ?(params = default_params) ?(hooks = no_hooks) ?(obs = Obs.Ctx.null) ?he
     let overflow =
       tick "density" (fun () ->
           Densitygrid.update grid d;
-          let overflow =
-            Densitygrid.overflow grid ~target_density:params.target_density ~movable_area
-          in
-          Electro.solve electro ~target_density:params.target_density;
+          let overflow = Densitygrid.overflow grid ~target_density ~movable_area in
+          Electro.solve electro ~target_density;
           overflow)
     in
     last_overflow := overflow;
-    (* Timing hook cadence (the paper's "every m rounds"). *)
-    if !iter >= params.timing_start && (!iter - params.timing_start) mod params.round_every = 0
-    then hooks.on_round ~iter:!iter ~overflow;
+    (match hooks with Some h -> h.on_round ~iter:!iter ~overflow | None -> ());
     (* gamma: large when the design is spread-chaotic, small near
        convergence so WA approaches true HPWL. *)
-    let gamma = bin_w *. params.gamma_scale *. (0.1 +. (0.9 *. Float.min 1.0 overflow)) in
+    let gamma = bin_w *. gamma_scale *. (0.1 +. (0.9 *. Float.min 1.0 overflow)) in
     Array.fill gx 0 (Array.length gx) 0.0;
     Array.fill gy 0 (Array.length gy) 0.0;
     let _wl = tick "wl_grad" (fun () -> Wirelength.wa_wirelength_grad_ws wl_ws d ~gamma ~gx ~gy) in
@@ -298,7 +255,7 @@ let run ?(params = default_params) ?(hooks = no_hooks) ?(obs = Obs.Ctx.null) ?he
       gx.(id) <- gx.(id) +. (!lambda *. dgx.(id));
       gy.(id) <- gy.(id) +. (!lambda *. dgy.(id))
     done;
-    if !iter >= params.timing_start then hooks.extra_grad ~iter:!iter ~wl_norm ~gx ~gy;
+    (match hooks with Some h -> h.extra_grad ~iter:!iter ~wl_norm ~gx ~gy | None -> ());
     (* Precondition and pack. *)
     for i = 0 to nm - 1 do
       let id = movable.(i) in
@@ -334,8 +291,8 @@ let run ?(params = default_params) ?(hooks = no_hooks) ?(obs = Obs.Ctx.null) ?he
        reached, then latches: timing forces perturb the density, and
        resuming the exponential growth would let lambda run away and shred
        the placement (observed as HPWL divergence in the timing phase). *)
-    if overflow < params.stop_overflow then converged_once := true;
-    if not !converged_once then lambda := !lambda *. params.lambda_mult;
+    if overflow < stop_overflow then converged_once := true;
+    if not !converged_once then lambda := !lambda *. lambda_mult;
     (* The attribute list and its boxed floats are built only when
        someone records them: under [Obs.Ctx.null] the iteration
        allocates (almost) nothing. *)
@@ -347,7 +304,7 @@ let run ?(params = default_params) ?(hooks = no_hooks) ?(obs = Obs.Ctx.null) ?he
           ("gamma", Obs.Json.Float gamma);
           ("lambda", Obs.Json.Float !lambda);
         ];
-    if (not !just_recovered) && (!iter mod 10 = 0 || overflow < params.stop_overflow) then begin
+    if (not !just_recovered) && (!iter mod 10 = 0 || overflow < stop_overflow) then begin
       unpack d movable (Nesterov.iterate !opt);
       let hpwl = Design.total_hpwl d in
       if Util.Guard.is_finite hpwl then begin
@@ -356,10 +313,9 @@ let run ?(params = default_params) ?(hooks = no_hooks) ?(obs = Obs.Ctx.null) ?he
         last_good := (Design.snapshot d, !lambda);
         consecutive_recoveries := 0;
         backoff := Float.min 1.0 (!backoff *. 1.25);
-        trace := { iter = !iter; hpwl; overflow; gamma; lambda = !lambda } :: !trace;
         (match heartbeat with Some hb -> Obs.Heartbeat.note_hpwl hb hpwl | None -> ());
         if Obs.Ctx.enabled obs then Obs.Ctx.span_attrs obs [ ("hpwl", Obs.Json.Float hpwl) ];
-        if params.verbose || Obs.Log.enabled Obs.Log.Debug then
+        if Obs.Log.enabled Obs.Log.Debug then
           Obs.Log.emit Obs.Log.Debug
             (Printf.sprintf "[gp %s] iter %4d hpwl %.3e ovf %.3f" d.name !iter hpwl overflow)
       end
@@ -369,7 +325,7 @@ let run ?(params = default_params) ?(hooks = no_hooks) ?(obs = Obs.Ctx.null) ?he
     (* Heartbeat after the hooks and guards so the record carries this
        iteration's timing/guard updates (cadence decided inside). *)
     (match heartbeat with Some hb -> Obs.Heartbeat.tick hb ~iter:!iter ~overflow | None -> ());
-    if overflow < params.stop_overflow && !iter >= params.min_iters then stop := true;
+    if overflow < stop_overflow && !iter >= params.min_iters then stop := true;
     incr iter)
   done;
   unpack d movable (Nesterov.iterate !opt);
@@ -403,9 +359,4 @@ let run ?(params = default_params) ?(hooks = no_hooks) ?(obs = Obs.Ctx.null) ?he
       Obs.Heartbeat.note_hpwl hb final_hpwl;
       Obs.Heartbeat.force hb ~iter:!iter ~overflow:!last_overflow
   | None -> ());
-  {
-    trace = List.rev !trace;
-    iters = !iter;
-    final_hpwl;
-    final_overflow = !last_overflow;
-  }
+  { iters = !iter; final_hpwl; final_overflow = !last_overflow }

@@ -3,40 +3,28 @@
       min  sum_e w_e * WA_e(x, y) + lambda * Energy(x, y)
 
     solved with preconditioned Nesterov. Timing-driven flows plug in via
-    {!hooks}: [on_round] fires every [round_every] iterations with the
-    reference placement materialised (where a TDP flow runs STA and
-    refreshes weights); [extra_grad] contributes additional gradient terms
-    every iteration of the timing phase. *)
+    {!hooks}, both called every iteration: [on_round] with the reference
+    placement materialised (where a TDP flow decides whether to run STA
+    and refresh weights); [extra_grad] to contribute additional gradient
+    terms. The flow owns the timing schedule. *)
 
 type params = {
-  bins_x : int; (* 0 = auto from design size *)
-  bins_y : int;
-  target_density : float;
   max_iters : int;
   min_iters : int;
-  stop_overflow : float;
-  gamma_scale : float; (* WA gamma in bin widths at high overflow *)
-  lambda_mult : float; (* per-iteration density multiplier growth *)
-  noise_sigma : float; (* initial spread, in bin widths *)
   seed : int;
-  timing_start : int; (* iteration at which hooks begin to fire *)
-  round_every : int; (* hook cadence (the paper's m) *)
-  max_recoveries : int; (* consecutive divergence rollbacks before a hard
-                           [Util.Errors.Diverged] failure *)
   warm_start : bool; (* skip the initial spread; resume from the design's
                         current (clamped) positions *)
-  verbose : bool;
 }
 
 val default_params : params
 
-type trace_point = {
-  iter : int;
-  hpwl : float;
-  overflow : float;
-  gamma : float;
-  lambda : float;
-}
+(** The run stops once overflow falls below this (after [min_iters]);
+    the density multiplier stops growing the first time it does. *)
+val stop_overflow : float
+
+(** Consecutive divergence rollbacks before a hard
+    [Util.Errors.Diverged] failure. *)
+val max_recoveries : int
 
 type hooks = {
   on_round : iter:int -> overflow:float -> unit;
@@ -46,18 +34,14 @@ type hooks = {
           (timing) forces are normalised against. *)
 }
 
-val no_hooks : hooks
-
 (** Power-of-two bin count heuristic for a design. *)
 val auto_bins : Netlist.Design.t -> int
 
 (** Gaussian spread around the die centre — the standard initialisation
     (called by {!run}; exposed for tests). *)
-val initial_spread :
-  ?sigma_bins:float -> Netlist.Design.t -> bin_w:float -> bin_h:float -> seed:int -> unit
+val initial_spread : Netlist.Design.t -> bin_w:float -> bin_h:float -> seed:int -> unit
 
 type result = {
-  trace : trace_point list; (* chronological *)
   iters : int;
   final_hpwl : float;
   final_overflow : float;
@@ -65,6 +49,7 @@ type result = {
 
 (** Runs global placement in place (re-initialises movable positions from
     [params.seed], unless [params.warm_start] keeps the current ones).
+    Without [hooks] the loop runs no timing code at all.
     [obs] receives one [gp_iter] span per iteration
     (attributes: iter / overflow / gamma / lambda, plus hpwl whenever the
     iteration computes it) with [density] / [wl_grad] / [optimizer] child
@@ -76,7 +61,7 @@ type result = {
     [guard.nan_detected] (plus [guard.gradient_nonfinite] when the
     gradient check fired), rolls back to the last HPWL-verified checkpoint
     ([guard.rollbacks]) with backed-off step bounds, and raises
-    [Util.Errors.Error (Diverged _)] after [params.max_recoveries]
+    [Util.Errors.Error (Diverged _)] after {!max_recoveries}
     consecutive rollbacks. Raises [Util.Errors.Error (Invalid_design _)]
     when the design has no movable cells. [fault] (robustness tests) is
     applied to each movable cell's x then y WA gradient component. *)

@@ -38,8 +38,8 @@ let level () = !current
 
 let enabled l = severity l <= severity !current
 
-(** Print [msg] at [lvl] regardless of the current level — the escape
-    hatch for output explicitly requested by a flag (e.g. [verbose]). *)
+(** Print [msg] at [lvl] without checking the level — for callers that
+    test [enabled] first so a message nobody prints is never formatted. *)
 let emit lvl msg =
   match lvl with
   | Info ->

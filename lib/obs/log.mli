@@ -17,8 +17,8 @@ val level : unit -> level
 (** Would a message at this level print? *)
 val enabled : level -> bool
 
-(** Print at [level] bypassing the level check — for output explicitly
-    requested by a flag (e.g. a [verbose] parameter). *)
+(** Print at [level] without checking it — for callers that test
+    {!enabled} first so a message nobody prints is never formatted. *)
 val emit : level -> string -> unit
 
 val log : level -> ('a, unit, string, unit) format4 -> 'a

@@ -62,12 +62,14 @@ type result = {
   unbuffered_q : float; (* same metric with no buffers allowed *)
 }
 
-(** [estimate tree ~r ~c ~drive_res ~term_req ~term_cap ~buf ~max_buffers]
-    where [term_req i]/[term_cap i] give each caller terminal's required
-    time and load. Buffers may be placed at internal tree nodes (Steiner
-    points and intermediate terminals). *)
-let estimate (tree : Steiner.t) ~r ~c ~drive_res ~term_req ~term_cap
-    ?(buf = default_buffer) ?(max_buffers = 16) () =
+(* Cap on buffers along one candidate's subtree. *)
+let max_buffers = 16
+
+(** [estimate tree ~r ~c ~drive_res ~term_req ~term_cap] where
+    [term_req i]/[term_cap i] give each caller terminal's required time
+    and load. Buffers ([default_buffer]) may be placed at internal tree
+    nodes (Steiner points and intermediate terminals). *)
+let estimate (tree : Steiner.t) ~r ~c ~drive_res ~term_req ~term_cap =
   let n = Steiner.num_nodes tree in
   let children = Array.make n [] in
   for v = 1 to n - 1 do
@@ -90,7 +92,8 @@ let estimate (tree : Steiner.t) ~r ~c ~drive_res ~term_req ~term_cap
               (after_wire
               @ List.filter_map
                   (fun cd ->
-                    if cd.buffers < max_buffers then Some (with_buffer buf cd) else None)
+                    if cd.buffers < max_buffers then Some (with_buffer default_buffer cd)
+                    else None)
                   after_wire)
           else prune after_wire)
         children.(v)

@@ -28,7 +28,4 @@ val estimate :
   drive_res:float ->
   term_req:(int -> float) ->
   term_cap:(int -> float) ->
-  ?buf:buffer ->
-  ?max_buffers:int ->
-  unit ->
   result

@@ -164,7 +164,10 @@ let apply (d : Design.t) (ops : t) =
     reweighted = !reweighted;
   }
 
-let random ?(seed = 7) ?(max_disp_frac = 0.02) ~frac (d : Design.t) =
+(* Largest random displacement, as a fraction of the die span. *)
+let max_disp_frac = 0.02
+
+let random ?(seed = 7) ~frac (d : Design.t) =
   let rng = Util.Rng.create seed in
   let movable = Array.of_list (Design.movable_ids d) in
   let nm = Array.length movable in

@@ -47,8 +47,6 @@ val to_json : t -> Obs.Json.t
 val apply : Netlist.Design.t -> t -> applied
 
 (** A reproducible small random delta: [frac] of the movable cells
-    (at least 1) each displaced by up to [max_disp_frac] of the die span
-    (default 0.02). The bench's "≤1% ECO" workload. Deterministic in
-    [seed]. *)
-val random :
-  ?seed:int -> ?max_disp_frac:float -> frac:float -> Netlist.Design.t -> t
+    (at least 1) each displaced by up to 2% of the die span. The bench's
+    "≤1% ECO" workload. Deterministic in [seed]. *)
+val random : ?seed:int -> frac:float -> Netlist.Design.t -> t

@@ -24,6 +24,7 @@ type t = {
   arr_sm : float array; (* smooth arrivals *)
   adjoint : float array; (* dLoss / d(arr) *)
   dl_darc : float array; (* dLoss / d(arc delay) *)
+  drive_res : float array; (* per net: its driver's output resistance *)
   (* Per-sink scratch of [add_grad], sized to the widest net and reused
      for every net: driver-to-sink dx/dy, Manhattan length, and the
      sink arc's dLoss/d(delay). *)
@@ -41,8 +42,14 @@ let create ?fault design =
   let timer = Sta.Timer.create ~topology:Sta.Delay.Star ?fault design in
   let graph = Sta.Timer.graph timer in
   let max_sinks = ref 0 in
+  let drive_res = Array.make (Design.num_nets design) 0.0 in
   for nid = 0 to Design.num_nets design - 1 do
-    max_sinks := Int.max !max_sinks (Design.net_num_sinks design nid)
+    let nsinks = Design.net_num_sinks design nid in
+    max_sinks := Int.max !max_sinks nsinks;
+    if nsinks > 0 then begin
+      let r, _, _ = Sta.Delay.driver_params design design.net_driver.(nid) in
+      drive_res.(nid) <- r
+    end
   done;
   {
     design;
@@ -50,11 +57,17 @@ let create ?fault design =
     arr_sm = Array.make (Sta.Graph.num_pins graph) 0.0;
     adjoint = Array.make (Sta.Graph.num_pins graph) 0.0;
     dl_darc = Array.make graph.Sta.Graph.num_arcs 0.0;
+    drive_res;
     dxs = Array.make !max_sinks 0.0;
     dys = Array.make !max_sinks 0.0;
     lens = Array.make !max_sinks 0.0;
     garc = Array.make !max_sinks 0.0;
   }
+
+(* At top level and inlined: as a local function in [add_grad]'s loop it
+   was called out of line and boxed its result (about 5M minor words on
+   a diff-flow run of sb1 at scale 0.5). *)
+let[@inline] sgn v = if v > 0.0 then 1.0 else if v < 0.0 then -1.0 else 0.0
 
 let softplus x = if x > 30.0 then x else log (1.0 +. exp x)
 
@@ -152,15 +165,20 @@ let add_grad t ~gx ~gy =
     let nsinks = Design.net_num_sinks d nid in
     if nsinks > 0 then begin
       let driver = d.net_driver.(nid) in
-      let drive_res, _, _ = Sta.Delay.driver_params d driver in
-      let dx0 = Design.pin_x d driver and dy0 = Design.pin_y d driver in
+      let drive_res = t.drive_res.(nid) in
+      (* Pin positions read in place: [Design.pin_x] is a cross-module
+         call under the dev profile's [-opaque] and boxes its result. *)
+      let cd = d.pin_owner.(driver) in
+      let dx0 = d.x.{cd} +. d.pin_off_x.{driver} in
+      let dy0 = d.y.{cd} +. d.pin_off_y.{driver} in
       let dxs = t.dxs and dys = t.dys and lens = t.lens and garc = t.garc in
       Array.fill garc 0 nsinks 0.0;
       let gsum = ref 0.0 in
       for k = 0 to nsinks - 1 do
         let spid = Design.net_sink d nid k in
-        dxs.(k) <- dx0 -. Design.pin_x d spid;
-        dys.(k) <- dy0 -. Design.pin_y d spid;
+        let cs = d.pin_owner.(spid) in
+        dxs.(k) <- dx0 -. (d.x.{cs} +. d.pin_off_x.{spid});
+        dys.(k) <- dy0 -. (d.y.{cs} +. d.pin_off_y.{spid});
         lens.(k) <- Float.abs dxs.(k) +. Float.abs dys.(k)
       done;
       (* dLoss/d(arc delay) for each sink arc. *)
@@ -183,10 +201,9 @@ let add_grad t ~gx ~gy =
           +. (garc.(k) *. ((r *. c *. lens.(k)) +. (r *. sink_cap)))
         in
         if dl_dlen <> 0.0 then begin
-          let sgn v = if v > 0.0 then 1.0 else if v < 0.0 then -1.0 else 0.0 in
           let gx_d = dl_dlen *. sgn dxs.(k) in
           let gy_d = dl_dlen *. sgn dys.(k) in
-          let cd = d.pin_owner.(driver) and cs = d.pin_owner.(spid) in
+          let cs = d.pin_owner.(spid) in
           gx.(cd) <- gx.(cd) +. gx_d;
           gy.(cd) <- gy.(cd) +. gy_d;
           gx.(cs) <- gx.(cs) -. gx_d;

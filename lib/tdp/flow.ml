@@ -119,26 +119,22 @@ let checkpoint_decision ~best_key ~best_hpwl ~key ~hpwl =
    near target from iteration 0 and the timing machinery only needs to
    repair the delta's neighbourhood, not rebuild the placement. *)
 let gp_params ~warm ~seed =
-  let p = Gp.Globalplace.default_params in
-  if warm then { p with seed; warm_start = true; min_iters = 60; max_iters = 400 }
-  else { p with seed; min_iters = 300; max_iters = 1000 }
+  if warm then { Gp.Globalplace.seed; warm_start = true; min_iters = 60; max_iters = 400 }
+  else { Gp.Globalplace.seed; warm_start = false; min_iters = 300; max_iters = 1000 }
 
 let warm_config (cfg : Config.t) =
   { cfg with timing_start = 20; extra_iters = max 60 (cfg.extra_iters / 3) }
 
+(* A timing flow runs a fixed budget: the timing phase plus the
+   iterations before it. *)
 let timing_gp_params ~warm ~seed (cfg : Config.t) =
-  {
-    (gp_params ~warm ~seed) with
-    timing_start = cfg.timing_start;
-    round_every = cfg.m;
-    min_iters = cfg.timing_start + cfg.extra_iters;
-    max_iters = cfg.timing_start + cfg.extra_iters;
-  }
+  let budget = cfg.timing_start + cfg.extra_iters in
+  { (gp_params ~warm ~seed) with min_iters = budget; max_iters = budget }
 
-(* A timing method as the engine sees it: a round every [m] iterations
-   (re-time, refresh the method's state; returns tns, wns) run under
-   [round_span], and optionally a force added to the placement gradient
-   under [span], normalised to [mult ()] of the wirelength force. *)
+(* A timing method as the engine sees it: a round (re-time, refresh the
+   method's state; returns tns, wns) run under [round_span], and
+   optionally a force added to the placement gradient under [span],
+   normalised to [mult ()] of the wirelength force. *)
 type force = {
   span : string;
   mult : unit -> float;
@@ -147,20 +143,28 @@ type force = {
 
 type timing = { round_span : string; round : int -> float * float; force : force option }
 
-let timing_hooks ~obs ~push_curve ~cells t =
+(* The timing schedule (paper Sec. III-D): the phase starts at
+   [cfg.timing_start]; from then on a round fires every [cfg.m]
+   iterations and the force applies every iteration. The engine calls
+   both hooks on every iteration. *)
+let timing_hooks ~obs ~push_curve ~cells (cfg : Config.t) t =
+  let start = cfg.timing_start and m = cfg.m in
   {
     Gp.Globalplace.on_round =
       (fun ~iter ~overflow ->
-        let tns, wns = Obs.Ctx.span obs t.round_span (fun () -> t.round iter) in
-        push_curve ~iter ~overflow ~tns ~wns);
+        if iter >= start && (iter - start) mod m = 0 then begin
+          let tns, wns = Obs.Ctx.span obs t.round_span (fun () -> t.round iter) in
+          push_curve ~iter ~overflow ~tns ~wns
+        end);
     extra_grad =
       (match t.force with
-      | None -> Gp.Globalplace.no_hooks.extra_grad
+      | None -> fun ~iter:_ ~wl_norm:_ ~gx:_ ~gy:_ -> ()
       | Some f ->
           let tx = Array.make cells 0.0 and ty = Array.make cells 0.0 in
-          fun ~iter:_ ~wl_norm ~gx ~gy ->
-            Obs.Ctx.span obs f.span (fun () ->
-                add_normalized ~tx ~ty ~obs ~mult:(f.mult ()) ~wl_norm ~gx ~gy f.fill));
+          fun ~iter ~wl_norm ~gx ~gy ->
+            if iter >= start then
+              Obs.Ctx.span obs f.span (fun () ->
+                  add_normalized ~tx ~ty ~obs ~mult:(f.mult ()) ~wl_norm ~gx ~gy f.fill));
   }
 
 let run ?(seed = 1) ?(warm = false) ?(legalize = true) ?(topology = flow_topology) ?obs
@@ -287,10 +291,10 @@ let run ?(seed = 1) ?(warm = false) ?(legalize = true) ?(topology = flow_topolog
   in
   let gp_params, hooks =
     match timing with
-    | None -> (gp_params ~warm ~seed, Gp.Globalplace.no_hooks)
+    | None -> (gp_params ~warm ~seed, None)
     | Some t ->
-        let hooks = timing_hooks ~obs ~push_curve ~cells:(Design.num_cells d) t in
-        (timing_gp_params ~warm ~seed cfg, hooks)
+        let hooks = timing_hooks ~obs ~push_curve ~cells:(Design.num_cells d) cfg t in
+        (timing_gp_params ~warm ~seed cfg, Some hooks)
   in
   (* Each site reports its corrupted calls, also when the run fails. *)
   let report_faults () =
@@ -311,7 +315,7 @@ let run ?(seed = 1) ?(warm = false) ?(legalize = true) ?(topology = flow_topolog
         ]
       (fun () ->
         let _gp =
-          Gp.Globalplace.run ~params:gp_params ~hooks ~obs ?heartbeat
+          Gp.Globalplace.run ~params:gp_params ?hooks ~obs ?heartbeat
             ?fault:(fault_at Util.Fault.Wl_grad) d
         in
         (* Keep the better of (final iterate, best checkpoint) under the

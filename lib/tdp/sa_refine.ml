@@ -26,10 +26,15 @@ let swap (d : Design.t) a b =
 
 (* Combined cost: negative slack dominates; wirelength is a regulariser
    with weight chosen so a site of wire trades against ~1 ps of TNS. *)
-let cost ~tns ~hpwl ~wl_weight = -.tns +. (wl_weight *. hpwl)
+let wl_weight = 0.2
 
-let run ?(seed = 1) ?(moves = 2000) ?(t0 = 15.0) ?(alpha = 0.998) ?(wl_weight = 0.2)
-    ?(window = 12.0) (d : Design.t) =
+let cost ~tns ~hpwl = -.tns +. (wl_weight *. hpwl)
+
+(* Metropolis schedule: starting temperature (ps of cost), per-move decay. *)
+let t0 = 15.0
+let alpha = 0.998
+
+let run ?(seed = 1) ?(moves = 2000) ?(window = 12.0) (d : Design.t) =
   let rng = Util.Rng.create seed in
   let timer = Sta.Timer.create ~topology:Sta.Delay.Steiner_tree d in
   Sta.Timer.update timer;
@@ -88,7 +93,7 @@ let run ?(seed = 1) ?(moves = 2000) ?(t0 = 15.0) ?(alpha = 0.998) ?(wl_weight = 
     try_k 12 None
   in
   let accepted = ref 0 in
-  let cur_cost = ref (cost ~tns:tns_before ~hpwl:hpwl_before ~wl_weight) in
+  let cur_cost = ref (cost ~tns:tns_before ~hpwl:hpwl_before) in
   let best_cost = ref !cur_cost in
   let best_snap = ref (Design.snapshot d) in
   let temp = ref t0 in
@@ -105,7 +110,7 @@ let run ?(seed = 1) ?(moves = 2000) ?(t0 = 15.0) ?(alpha = 0.998) ?(wl_weight = 
       if a <> b then begin
         swap d a b;
         Sta.Timer.update_moved timer ~cells:[ a; b ];
-        let c = cost ~tns:(Sta.Timer.tns timer) ~hpwl:(Design.total_hpwl d) ~wl_weight in
+        let c = cost ~tns:(Sta.Timer.tns timer) ~hpwl:(Design.total_hpwl d) in
         let delta = c -. !cur_cost in
         let accept =
           delta <= 0.0 || Util.Rng.float rng 1.0 < exp (-.delta /. Float.max 1e-9 !temp)

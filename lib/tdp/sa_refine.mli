@@ -13,12 +13,4 @@ type stats = {
   hpwl_after : float;
 }
 
-val run :
-  ?seed:int ->
-  ?moves:int ->
-  ?t0:float ->
-  ?alpha:float ->
-  ?wl_weight:float ->
-  ?window:float ->
-  Netlist.Design.t ->
-  stats
+val run : ?seed:int -> ?moves:int -> ?window:float -> Netlist.Design.t -> stats

@@ -44,11 +44,13 @@ let first_nonfinite (a : float array) =
 let count_nonfinite (a : float array) =
   Array.fold_left (fun acc v -> if Float.is_finite v then acc else acc + 1) 0 a
 
+let samples = 64
+
 (** Probe at most [samples] elements on a fixed stride starting at
     [offset] (rotate the offset across calls to sweep the array over
     time). Falls back to the full scan for short arrays. A [true] result
     is *not* a proof of finiteness — pair with a periodic full check. *)
-let sampled_finite ?(samples = 64) ?(offset = 0) (a : float array) =
+let sampled_finite ?(offset = 0) (a : float array) =
   let n = Array.length a in
   if n <= 4 * samples then all_finite a
   else begin

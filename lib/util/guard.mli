@@ -15,8 +15,8 @@ val first_nonfinite : float array -> int option
 
 val count_nonfinite : float array -> int
 
-(** Cheap sampled check for hot paths: probes at most [samples] elements
+(** Cheap sampled check for hot paths: probes at most 64 elements
     on a fixed stride starting at [offset] (rotate the offset across
     calls to sweep the array). Full scan for short arrays. A [true]
     result is not a proof — pair with a periodic full check. *)
-val sampled_finite : ?samples:int -> ?offset:int -> float array -> bool
+val sampled_finite : ?offset:int -> float array -> bool

@@ -250,9 +250,9 @@ let generate (p : Genparams.t) =
     endpoints fail under a vanilla global placement — the operating regime
     of the paper's experiments. Mutates [d.clock_period]; restores the
     pre-calibration placement. *)
-let calibrate_clock ?(gp_params = Gp.Globalplace.default_params) (d : Design.t) ~quantile =
+let calibrate_clock (d : Design.t) ~quantile =
   let saved = Design.snapshot d in
-  let _ = Gp.Globalplace.run ~params:gp_params d in
+  let _ = Gp.Globalplace.run d in
   let timer = Sta.Timer.create d in
   Sta.Timer.update timer;
   let graph = Sta.Timer.graph timer in

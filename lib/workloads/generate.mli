@@ -16,5 +16,4 @@ val generate : Genparams.t -> Netlist.Design.t
     under a vanilla global placement (the paper's operating regime).
     Mutates [d.clock_period]; restores the pre-calibration placement.
     Returns the period. *)
-val calibrate_clock :
-  ?gp_params:Gp.Globalplace.params -> Netlist.Design.t -> quantile:float -> float
+val calibrate_clock : Netlist.Design.t -> quantile:float -> float

@@ -181,6 +181,52 @@ let test_jsonl_sink () =
         (Option.bind (Obs.Json.member "dur" b) Obs.Json.to_float);
       Alcotest.(check bool) "b carries attrs" true (Obs.Json.member "attrs" b <> None))
 
+(* A trace read back from its JSONL file, in file order, aggregates to
+   the same per-name count / total / self as the live aggregator
+   (trace_report summarises files this way). *)
+let test_jsonl_replay_matches_agg () =
+  let path = Filename.temp_file "obs_test" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let live = Obs.Agg.create () in
+      let ctx, tick = manual_ctx [ Obs.Agg.sink live; Obs.Sink.jsonl path ] in
+      Obs.Ctx.span ctx "flow" (fun () ->
+          for i = 1 to 3 do
+            Obs.Ctx.span ctx "iter" (fun () ->
+                tick 0.25;
+                Obs.Ctx.span ctx "grad" (fun () -> tick (0.125 *. float_of_int i));
+                if i = 2 then
+                  Obs.Ctx.span ctx "round" (fun () ->
+                      Obs.Ctx.span ctx "grad" (fun () -> tick 1.0)))
+          done;
+          tick 0.75);
+      Obs.Ctx.close ctx;
+      let replay = Obs.Agg.create () in
+      String.split_on_char '\n' (Helpers.read_file path)
+      |> List.filter (( <> ) "")
+      |> List.iter (fun line ->
+             let j = Obs.Json.parse_exn line in
+             let get k conv = Option.get (Option.bind (Obs.Json.member k j) conv) in
+             if get "type" Obs.Json.to_string_opt = "span" then begin
+               let s =
+                 Obs.Span.make ~id:(get "id" Obs.Json.to_int)
+                   ~parent:(get "parent" Obs.Json.to_int)
+                   ~name:(get "name" Obs.Json.to_string_opt) ~start:0.0 ~attrs:[]
+               in
+               s.Obs.Span.dur <- get "dur" Obs.Json.to_float;
+               Obs.Agg.record replay s
+             end);
+      Alcotest.(check int) "same names" (List.length (Obs.Agg.stats live))
+        (List.length (Obs.Agg.stats replay));
+      List.iter
+        (fun (name, (l : Obs.Agg.stat)) ->
+          let r = Option.get (Obs.Agg.get replay name) in
+          Alcotest.(check int) (name ^ " count") l.count r.count;
+          check_float (name ^ " total") l.total r.total;
+          check_float (name ^ " self") l.self r.self)
+        (Obs.Agg.stats live))
+
 (* ---------------- Disabled context ---------------- *)
 
 let test_null_ctx_noop () =
@@ -542,6 +588,7 @@ let suite =
     Alcotest.test_case "counters + gauges" `Quick test_counter_gauge;
     Alcotest.test_case "histogram quantiles" `Quick test_histogram_quantiles;
     Alcotest.test_case "jsonl sink" `Quick test_jsonl_sink;
+    Alcotest.test_case "jsonl replay matches aggregator" `Quick test_jsonl_replay_matches_agg;
     Alcotest.test_case "null context no-op" `Quick test_null_ctx_noop;
     Alcotest.test_case "resource delta accounting" `Quick test_resource_delta;
     Alcotest.test_case "chrome trace well-formed" `Quick test_chrome_trace_wellformed;

@@ -209,7 +209,7 @@ let test_buffering_hand_computed () =
   let term_req i = if i = 2 then 0.0 else Float.infinity in
   let term_cap _ = 0.0 in
   let r =
-    Rctree.Buffering.estimate tree ~r:1.0 ~c:1.0 ~drive_res:0.0 ~term_req ~term_cap ()
+    Rctree.Buffering.estimate tree ~r:1.0 ~c:1.0 ~drive_res:0.0 ~term_req ~term_cap
   in
   check_float "unbuffered" (-800.0) r.unbuffered_q;
   check_float "buffered" (-552.0) r.best_q;
@@ -226,7 +226,6 @@ let test_buffering_never_hurts () =
       Rctree.Buffering.estimate tree ~r:0.06 ~c:0.5 ~drive_res:8.0
         ~term_req:(fun _ -> 0.0)
         ~term_cap:(fun _ -> 1.5)
-        ()
     in
     Alcotest.(check bool) "buffering >= unbuffered" true (r.best_q >= r.unbuffered_q -. 1e-9);
     Alcotest.(check bool) "finite" true (Float.is_finite r.best_q)
@@ -257,7 +256,6 @@ let test_buffering_short_wire_needs_none () =
     Rctree.Buffering.estimate tree ~r:0.06 ~c:0.5 ~drive_res:8.0
       ~term_req:(fun _ -> 0.0)
       ~term_cap:(fun _ -> 1.5)
-      ()
   in
   Alcotest.(check int) "no buffers" 0 r.buffers_used;
   check_float "equal to unbuffered" r.unbuffered_q r.best_q
@@ -291,7 +289,6 @@ let test_buffering_matches_brute_force () =
       Rctree.Buffering.estimate tree ~r ~c ~drive_res:0.0
         ~term_req:(fun i -> if i = m + 1 then 0.0 else Float.infinity)
         ~term_cap:(fun i -> if i = m + 1 then sink_cap else 0.0)
-        ()
     in
     (* Brute force: subset of buffered intermediate nodes (indices 1..m). *)
     let best = ref Float.neg_infinity in

@@ -202,11 +202,11 @@ let test_gp_persistent_fault_diverges () =
       | _ -> Alcotest.fail "expected Diverged"
       | exception Util.Errors.Error (Util.Errors.Diverged { recoveries; stage; _ }) ->
           Alcotest.(check string) "stage" "globalplace" stage;
-          Alcotest.(check int) "budget exhausted" gp_params.Gp.Globalplace.max_recoveries
+          Alcotest.(check int) "budget exhausted" Gp.Globalplace.max_recoveries
             recoveries;
           Alcotest.(check bool) "rollbacks counted" true
             (counter ctx "guard.rollbacks"
-            >= float_of_int gp_params.Gp.Globalplace.max_recoveries))
+            >= float_of_int Gp.Globalplace.max_recoveries))
 
 (* ---------------- Flow checkpoint decision (satellite) ---------------- *)
 

@@ -391,6 +391,20 @@ let test_flow_deterministic () =
   check_float "same tns" r1.metrics.tns r2.metrics.tns;
   check_float "same hpwl" r1.metrics.hpwl r2.metrics.hpwl
 
+(* A timing round fires at exactly [timing_start + k*m] (paper Sec.
+   III-D), on a cold run and on a warm re-run (timing_start 20). *)
+let test_flow_round_schedule () =
+  let d = Helpers.small_calibrated () in
+  let cfg = { flow_cfg with m = 7 } in
+  let iters (r : Tdp.Flow.result) = List.map (fun (c : Tdp.Flow.curve_point) -> c.iter) r.curve in
+  let expect ~start ~budget =
+    List.init ((budget - start + cfg.m - 1) / cfg.m) (fun k -> start + (k * cfg.m))
+  in
+  let cold = Tdp.Flow.run (Tdp.Flow.Efficient cfg) d in
+  Alcotest.(check (list int)) "cold rounds" (expect ~start:120 ~budget:300) (iters cold);
+  let warm = Tdp.Flow.run ~warm:true (Tdp.Flow.Efficient cfg) d in
+  Alcotest.(check (list int)) "warm rounds" (expect ~start:20 ~budget:80) (iters warm)
+
 let test_pin_level_round () =
   let d = Helpers.small_calibrated () in
   let rng = Util.Rng.create 13 in
@@ -446,4 +460,5 @@ let suite =
     ("flow: breakdown components", `Slow, test_flow_breakdown_components);
     ("flow: all methods run", `Slow, test_flow_all_methods_run);
     ("flow: deterministic", `Slow, test_flow_deterministic);
+    ("flow: round schedule", `Slow, test_flow_round_schedule);
   ]
