@@ -355,7 +355,7 @@ let fig3 c =
     let timer = Sta.Timer.create d in
     Sta.Timer.update timer;
     let graph = Sta.Timer.graph timer in
-    match Sta.Paths.worst_path graph (Sta.Timer.arrivals timer) ~endpoint:target_ep with
+    match Sta.Timer.worst_path timer ~endpoint:target_ep with
     | None -> ()
     | Some p ->
         let segs =

@@ -24,27 +24,9 @@
 
 open Cmdliner
 
-let serve_channels engine ic oc =
-  let rec loop () =
-    if Service.Engine.shutdown_requested engine then ()
-    else
-      match input_line ic with
-      | exception End_of_file -> ()
-      | line when String.trim line = "" -> loop ()
-      | line ->
-          let reply = Service.Engine.handle_line engine line in
-          (try
-             output_string oc (Obs.Json.to_string reply);
-             output_char oc '\n';
-             flush oc
-           with Sys_error _ -> () (* client went away mid-reply *));
-          loop ()
-  in
-  loop ()
-
 let serve_stdin engine =
   Obs.Log.info "placed: serving JSONL on stdin";
-  serve_channels engine stdin stdout
+  Service.Engine.serve engine stdin stdout
 
 let serve_socket engine path =
   if Sys.file_exists path then Unix.unlink path;
@@ -58,7 +40,7 @@ let serve_socket engine path =
       let client, _ = Unix.accept sock in
       let ic = Unix.in_channel_of_descr client in
       let oc = Unix.out_channel_of_descr client in
-      (try serve_channels engine ic oc with Sys_error _ | End_of_file -> ());
+      (try Service.Engine.serve engine ic oc with Sys_error _ | End_of_file -> ());
       (try Unix.close client with Unix.Unix_error _ -> ());
       accept_loop ()
     end

@@ -57,7 +57,7 @@ let () =
     (fun i (p : Sta.Paths.path) ->
       Printf.printf "path %d: arrival %.2f ps, slack %.2f ps\n  %s\n" i p.arrival p.slack
         (String.concat " -> " (Array.to_list (Array.map (pin_label d) p.pins))))
-    (Sta.Paths.k_worst g arr ~endpoint:ep ~k:2);
+    (Sta.Timer.k_worst timer ~endpoint:ep ~k:2);
 
   Printf.printf "\n=== moving ub close to the merge point re-times the circuit ===\n";
   d.x.{ub} <- 55.0;

@@ -144,11 +144,10 @@ let prop_paths =
       (fun d ->
         let timer = timed_timer d in
         let graph = Sta.Timer.graph timer in
-        let arr = Sta.Timer.arrivals timer in
         match Sta.Timer.failing_endpoints timer with
         | [] -> Ok ()
         | ep :: _ ->
-            let got = Sta.Paths.k_worst graph arr ~endpoint:ep ~k:5 in
+            let got = Sta.Timer.k_worst timer ~endpoint:ep ~k:5 in
             let want = Ref_paths.k_worst graph ~endpoint:ep ~k:5 in
             check_paths ~what:(Printf.sprintf "k_worst endpoint %d" ep) got want);
   }

@@ -223,3 +223,29 @@ let handle_line t line =
   match Protocol.parse_request line with
   | Ok req -> handle t req
   | Error msg -> Protocol.raw_error_reply ~id:"" ~kind:"bad_request" ~message:msg
+
+let serve t ic oc =
+  let r = Protocol.reader ic in
+  let reply json =
+    try
+      output_string oc (Obs.Json.to_string json);
+      output_char oc '\n';
+      flush oc
+    with Sys_error _ -> () (* client went away mid-reply *)
+  in
+  let rec loop () =
+    if not t.shutdown then
+      match Protocol.read_line r with
+      | Protocol.Eof -> ()
+      | Protocol.Too_long ->
+          reply
+            (Protocol.raw_error_reply ~id:"" ~kind:"bad_request"
+               ~message:
+                 (Printf.sprintf "request line longer than %d bytes" Protocol.max_line_bytes));
+          loop ()
+      | Protocol.Line line when String.trim line = "" -> loop ()
+      | Protocol.Line line ->
+          reply (handle_line t line);
+          loop ()
+  in
+  loop ()

@@ -38,3 +38,10 @@ val handle : ?fault:Util.Fault.plan -> t -> Protocol.request -> Obs.Json.t
 (** Parse one JSONL line and dispatch; malformed lines get a
     kind ["bad_request"] error reply (never raises). *)
 val handle_line : t -> string -> Obs.Json.t
+
+(** Serve a JSONL session: one reply line on [oc] per request line read
+    from [ic] (blank lines are skipped), until end of input or a handled
+    [shutdown]. A line longer than [Protocol.max_line_bytes] gets a
+    ["bad_request"] reply and the session goes on. A client that hangs up
+    mid-reply loses that reply only. *)
+val serve : t -> in_channel -> out_channel -> unit

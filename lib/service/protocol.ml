@@ -4,6 +4,45 @@
 
 type request = { id : string; op : string; params : Obs.Json.t }
 
+let max_line_bytes = 16 * 1024 * 1024
+
+type line = Line of string | Too_long | Eof
+
+(* Bytes are read in chunks; [chunk.[pos, len)] is not consumed yet. *)
+type reader = { ic : in_channel; chunk : Bytes.t; mutable pos : int; mutable len : int }
+
+let reader ic = { ic; chunk = Bytes.create 65536; pos = 0; len = 0 }
+
+let read_line r =
+  let buf = Buffer.create 256 in
+  (* [over]: the line passed the cap; its bytes are skipped, not kept. *)
+  let rec go over =
+    if r.pos >= r.len then begin
+      r.len <- input r.ic r.chunk 0 (Bytes.length r.chunk);
+      r.pos <- 0
+    end;
+    if r.len = 0 then
+      if over then Too_long else if Buffer.length buf = 0 then Eof else Line (Buffer.contents buf)
+    else begin
+      let stop = ref r.pos in
+      while !stop < r.len && Bytes.get r.chunk !stop <> '\n' do
+        incr stop
+      done;
+      let n = !stop - r.pos in
+      let over = over || Buffer.length buf + n > max_line_bytes in
+      if over then Buffer.reset buf else Buffer.add_subbytes buf r.chunk r.pos n;
+      if !stop < r.len then begin
+        r.pos <- !stop + 1;
+        if over then Too_long else Line (Buffer.contents buf)
+      end
+      else begin
+        r.pos <- r.len;
+        go over
+      end
+    end
+  in
+  go false
+
 let parse_request line =
   match Obs.Json.parse line with
   | Error msg -> Error ("malformed JSON: " ^ msg)

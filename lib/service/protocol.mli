@@ -14,6 +14,26 @@
 
 type request = { id : string; op : string; params : Obs.Json.t }
 
+(** The longest request line a reader accepts: 16 MiB, far above the
+    largest inline ECO delta a client sends. *)
+val max_line_bytes : int
+
+type line =
+  | Line of string (* without its newline *)
+  | Too_long (* longer than {!max_line_bytes}; its bytes were skipped *)
+  | Eof
+
+(** A bounded line reader over a channel. *)
+type reader
+
+val reader : in_channel -> reader
+
+(** The next line. An over-long line is consumed up to its newline
+    without being kept, so memory stays bounded by the cap and the next
+    call reads the following line. A last line without a newline is
+    still a [Line]. *)
+val read_line : reader -> line
+
 (** Parse one request line. [Error] describes the syntax problem — the
     caller turns it into an [error_reply] rather than dying, so a
     malformed line can never take the daemon down. Requests missing

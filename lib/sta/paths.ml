@@ -18,26 +18,6 @@ type path = {
   arcs : int array; (* arc ids, aligned: arcs.(i) connects pins.(i) -> pins.(i+1) *)
 }
 
-(* Backward suffix as a shared cons-list of arc ids. *)
-type suffix = Nil | Cons of int * suffix
-
-let rec suffix_to_list s acc = match s with Nil -> acc | Cons (a, rest) -> suffix_to_list rest (a :: acc)
-
-let make_path (graph : Graph.t) ~endpoint ~arrival ~start_pin ~suffix =
-  (* suffix holds arcs from [start_pin] forward to [endpoint] in forward
-     order already reversed during the backward walk. *)
-  let arcs = Array.of_list (List.rev (suffix_to_list suffix [])) in
-  let npins = Array.length arcs + 1 in
-  let pins = Array.make npins start_pin in
-  Array.iteri (fun i a -> pins.(i + 1) <- graph.arc_to.(a)) arcs;
-  {
-    endpoint;
-    arrival;
-    slack = graph.end_required.(endpoint) -. arrival;
-    pins;
-    arcs;
-  }
-
 (* Lexicographic comparison of pin-id arrays — the structural tie-break
    that makes path orderings total (and therefore reproducible across
    domain counts and heap layouts). *)
@@ -75,16 +55,77 @@ let rec take n = function
   | [] -> []
   | x :: rest -> if n <= 0 then [] else x :: take (n - 1) rest
 
-(** [k_worst graph arr ~endpoint ~k] returns up to [k] complete paths into
-    [endpoint], worst (largest arrival) first. [arr] must hold the current
-    arrival times. Returns [] when the endpoint is unreachable. *)
-let k_worst (graph : Graph.t) (arr : float array) ~endpoint ~k =
+(* The search state, reused from one search to the next. Every pushed
+   partial suffix is one arena entry: its first pin [node], the suffix
+   delay from [node] to the endpoint, the arc leaving [node] along the
+   suffix and the entry of the suffix it extends ([parent]; the root
+   entry, the endpoint itself, has arc and parent -1). The heap holds
+   arena indices. The arrays only grow, to the largest search so far. *)
+type workspace = {
+  heap : Util.Dheap.t;
+  mutable node : int array;
+  mutable sfx_delay : float array;
+  mutable arc : int array;
+  mutable parent : int array;
+  mutable len : int;
+}
+
+let workspace () =
+  { heap = Util.Dheap.create (); node = [||]; sfx_delay = [||]; arc = [||]; parent = [||]; len = 0 }
+
+let grow_arena ws =
+  let cap = max 64 (2 * ws.len) in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 ws.len;
+    b
+  in
+  ws.node <- extend ws.node 0;
+  ws.sfx_delay <- extend ws.sfx_delay 0.0;
+  ws.arc <- extend ws.arc 0;
+  ws.parent <- extend ws.parent 0
+
+(* Push the suffix that reaches [v] with delay [d] over [arc], extending
+   entry [parent]; [key] is its negated completion bound. *)
+let push ws key v d arc parent =
+  if ws.len = Array.length ws.node then grow_arena ws;
+  let e = ws.len in
+  ws.node.(e) <- v;
+  ws.sfx_delay.(e) <- d;
+  ws.arc.(e) <- arc;
+  ws.parent.(e) <- parent;
+  ws.len <- e + 1;
+  Util.Dheap.push ws.heap key e
+
+(* The complete path of entry [e]: its pins and arcs in forward order,
+   read off the parent chain (startpoint first). *)
+let make_path ws (graph : Graph.t) ~endpoint ~arrival e =
+  let npins = ref 0 in
+  let i = ref e in
+  while !i >= 0 do
+    incr npins;
+    i := ws.parent.(!i)
+  done;
+  let pins = Array.make !npins 0 and arcs = Array.make (!npins - 1) 0 in
+  let i = ref e in
+  for j = 0 to !npins - 1 do
+    pins.(j) <- ws.node.(!i);
+    if j < !npins - 1 then arcs.(j) <- ws.arc.(!i);
+    i := ws.parent.(!i)
+  done;
+  { endpoint; arrival; slack = graph.end_required.(endpoint) -. arrival; pins; arcs }
+
+(** [k_worst ws graph arr ~endpoint ~k] returns up to [k] complete paths
+    into [endpoint], worst (largest arrival) first. [arr] must hold the
+    current arrival times; [ws] is scratch state, overwritten. Returns []
+    when the endpoint is unreachable. *)
+let k_worst ws (graph : Graph.t) (arr : float array) ~endpoint ~k =
   if k <= 0 || not (Float.is_finite arr.(endpoint)) then []
   else begin
-    (* Min-heap on the negated completion bound. Payload: (node, suffix
-       delay, suffix arcs). *)
-    let pq : (int * float * suffix) Util.Dheap.t = Util.Dheap.create () in
-    Util.Dheap.push pq (-.arr.(endpoint)) (endpoint, 0.0, Nil);
+    (* Min-heap on the negated completion bound; payload: arena entry. *)
+    Util.Dheap.clear ws.heap;
+    ws.len <- 0;
+    push ws (-.arr.(endpoint)) endpoint 0.0 (-1) (-1);
     let out = ref [] in
     let count = ref 0 in
     (* Arrival of the k-th completed path. Completion bounds pop in
@@ -101,14 +142,18 @@ let k_worst (graph : Graph.t) (arr : float array) ~endpoint ~k =
     let kth = ref Float.neg_infinity in
     let cutoff = ref Float.neg_infinity in
     let stop = ref false in
-    while (not !stop) && not (Util.Dheap.is_empty pq) do
-      let neg_bound, (v, sfx_delay, sfx) = Util.Dheap.pop pq in
-      let bound = -.neg_bound in
+    while (not !stop) && not (Util.Dheap.is_empty ws.heap) do
+      let e = Util.Dheap.pop ws.heap in
+      let v = ws.node.(e) in
+      (* The popped key negated back, recomputed bit for bit: the root
+         (entry 0) was keyed on -arr(endpoint), every other entry on
+         -(arr(v) + D). *)
+      let bound = if e = 0 then arr.(v) else arr.(v) +. ws.sfx_delay.(e) in
       if !count >= k && bound < !cutoff then stop := true
       else if graph.is_startpoint.(v) || graph.in_start.(v) = graph.in_start.(v + 1) then begin
         (* Complete path: v has no predecessors to extend through. *)
         if graph.is_startpoint.(v) then begin
-          out := make_path graph ~endpoint ~arrival:bound ~start_pin:v ~suffix:sfx :: !out;
+          out := make_path ws graph ~endpoint ~arrival:bound e :: !out;
           incr count;
           if !count = k then begin
             kth := bound;
@@ -122,8 +167,8 @@ let k_worst (graph : Graph.t) (arr : float array) ~endpoint ~k =
           let a = graph.in_arc.(i) in
           let u = graph.arc_from.(a) in
           if Float.is_finite arr.(u) then begin
-            let nd = sfx_delay +. graph.arc_delay.(a) in
-            Util.Dheap.push pq (-.(arr.(u) +. nd)) (u, nd, Cons (a, sfx))
+            let nd = ws.sfx_delay.(e) +. graph.arc_delay.(a) in
+            push ws (-.(arr.(u) +. nd)) u nd a e
           end
         done
     done;
@@ -133,10 +178,10 @@ let k_worst (graph : Graph.t) (arr : float array) ~endpoint ~k =
     take k (List.stable_sort compare_worst (List.rev !out))
   end
 
-(** The single worst path into [endpoint] by following worst-arrival
-    predecessors — O(depth), no queue. *)
-let worst_path (graph : Graph.t) (arr : float array) ~endpoint =
-  match k_worst graph arr ~endpoint ~k:1 with [] -> None | p :: _ -> Some p
+(** The single worst path into [endpoint]: the first path of the k-worst
+    search at k = 1. *)
+let worst_path ws (graph : Graph.t) (arr : float array) ~endpoint =
+  match k_worst ws graph arr ~endpoint ~k:1 with [] -> None | p :: _ -> Some p
 
 (** Validity check used by tests: consecutive pins are linked by the listed
     arcs, the path starts at a startpoint and ends at the endpoint, and the

@@ -21,13 +21,20 @@ val compare_worst : path -> path -> int
     structural tie-break as {!compare_worst}. *)
 val compare_by_slack : path -> path -> int
 
+(** Scratch state of the k-worst search: a heap and a flat arena of
+    partial suffixes (parent pointers), grown to the largest search and
+    reused. One search at a time per workspace. *)
+type workspace
+
+val workspace : unit -> workspace
+
 (** Up to [k] complete paths into [endpoint], worst (largest arrival)
     first ({!compare_worst} order); [] when unreachable. [arr] must hold
     current arrivals. *)
-val k_worst : Graph.t -> float array -> endpoint:int -> k:int -> path list
+val k_worst : workspace -> Graph.t -> float array -> endpoint:int -> k:int -> path list
 
-(** The single worst path into [endpoint]. *)
-val worst_path : Graph.t -> float array -> endpoint:int -> path option
+(** The single worst path into [endpoint]: {!k_worst} at k = 1. *)
+val worst_path : workspace -> Graph.t -> float array -> endpoint:int -> path option
 
 (** Structural validity + arrival consistency; used by tests. *)
 val is_valid : Graph.t -> path -> bool

@@ -16,6 +16,9 @@ type t = {
   req : float array;
   slack : float array;
   levels : int array array; (* pins bucketed by topological depth, sources first *)
+  mutable ranked : int array; (* endpoints, worst slack first; see [ranking] *)
+  mutable ranked_failing : int; (* failing prefix of [ranked]; -1 = stale *)
+  mutable ranked_tail : bool; (* whether the rest of [ranked] is sorted too *)
 }
 
 let build_levels (graph : Graph.t) =
@@ -48,12 +51,16 @@ let create graph =
     req = Array.make np 0.0;
     slack = Array.make np 0.0;
     levels = build_levels graph;
+    ranked = [||];
+    ranked_failing = -1;
+    ranked_tail = false;
   }
 
 let update ?(obs = Obs.Ctx.null) t (graph : Graph.t) =
   let np = Graph.num_pins graph in
   let arr = t.arr and req = t.req in
   let nlevels = Array.length t.levels in
+  t.ranked_failing <- -1;
   (* Forward: arrival times level by level; within a level every pin only
      reads arrivals of strictly earlier levels. *)
   Obs.Ctx.span obs "sta.arrival" (fun () ->
@@ -122,12 +129,57 @@ let compare_endpoint_slack t a b =
   let c = compare t.slack.(a) t.slack.(b) in
   if c <> 0 then c else compare a b
 
-(** Endpoints with negative slack, worst first (ties by pin id). *)
-let failing_endpoints t (graph : Graph.t) =
-  Array.to_list graph.endpoints
-  |> List.filter (fun p -> t.slack.(p) < 0.0)
-  |> List.sort (compare_endpoint_slack t)
+(* Sort [a.(lo .. hi-1)] into rank order. *)
+let sort_range t a lo hi =
+  let s = Array.sub a lo (hi - lo) in
+  Array.stable_sort (compare_endpoint_slack t) s;
+  Array.blit s 0 a lo (hi - lo)
 
-(** All endpoints sorted by slack, worst first (ties by pin id). *)
-let endpoints_by_slack t (graph : Graph.t) =
-  Array.to_list graph.endpoints |> List.sort (compare_endpoint_slack t)
+(** All endpoints by slack, worst first (ties by pin id), with at least
+    the first [n] in final order. The order is built on the first call
+    after an [update] (the only writer of [slack]) and shared until the
+    next one: callers must not mutate it. Every failing endpoint ranks
+    before every other one, so the failing endpoints are moved to the
+    front and sorted; the rest is sorted only when a call needs more
+    than the failing prefix. Slacks are never NaN (the slack pass maps
+    every non-finite operand to +inf), and the order is total, so
+    sorting the two parts apart gives the order of one full sort. *)
+let ranking t (graph : Graph.t) ~n =
+  let eps = graph.endpoints in
+  if t.ranked_failing < 0 then begin
+    if Array.length t.ranked <> Array.length eps then t.ranked <- Array.make (Array.length eps) 0;
+    (* Failing endpoints fill the front, the others the back; each part
+       is sorted before it is read, so the order they arrive in here
+       does not matter. *)
+    let r = t.ranked in
+    let i = ref 0 and j = ref (Array.length eps) in
+    Array.iter
+      (fun p ->
+        if t.slack.(p) < 0.0 then begin
+          r.(!i) <- p;
+          incr i
+        end
+        else begin
+          decr j;
+          r.(!j) <- p
+        end)
+      eps;
+    sort_range t r 0 !i;
+    t.ranked_failing <- !i;
+    t.ranked_tail <- false
+  end;
+  if n > t.ranked_failing && not t.ranked_tail then begin
+    sort_range t t.ranked t.ranked_failing (Array.length eps);
+    t.ranked_tail <- true
+  end;
+  t.ranked
+
+(** Number of endpoints with negative slack. *)
+let num_failing t graph =
+  ignore (ranking t graph ~n:0);
+  t.ranked_failing
+
+(** Endpoints with negative slack, worst first (ties by pin id). *)
+let failing_endpoints t graph =
+  let ranked = ranking t graph ~n:0 in
+  List.init t.ranked_failing (Array.get ranked)

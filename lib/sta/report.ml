@@ -20,12 +20,13 @@ type stats = {
   elapsed : float; (* seconds *)
 }
 
-let worst_endpoints (prop : Propagate.t) (graph : Graph.t) ~n ~failing_only =
-  let eps =
-    if failing_only then Propagate.failing_endpoints prop graph
-    else Propagate.endpoints_by_slack prop graph
+(* How many of the ranked endpoints a command investigates: the first
+   [n], failing ones only when [failing_only]. *)
+let num_investigated (prop : Propagate.t) (graph : Graph.t) ~n ~failing_only =
+  let avail =
+    if failing_only then Propagate.num_failing prop graph else Array.length graph.endpoints
   in
-  List.filteri (fun i _ -> i < n) eps
+  max 0 (min n avail)
 
 (* Distinct (from, to) pairs over *net* arcs of the given paths: cell-arc
    pairs have fixed geometry (same cell) so the placement objective only
@@ -52,23 +53,24 @@ let stats_of (graph : Graph.t) paths ~elapsed =
   }
 
 (** OpenTimer-style global top-n extraction (see module doc). The optional
-    [cap] bounds the candidate pool to keep pathological calls tractable. *)
-let report_timing ?(failing_only = true) ?(cap = 4_000_000) (prop : Propagate.t)
+    [cap] bounds the candidate pool to keep pathological calls tractable.
+    The endpoint searches run one after another in [wss.(0)]. *)
+let report_timing ?(failing_only = true) ?(cap = 4_000_000) wss (prop : Propagate.t)
     (graph : Graph.t) ~n =
-  let eps = worst_endpoints prop graph ~n ~failing_only in
-  let per_endpoint = n in
+  let m = num_investigated prop graph ~n ~failing_only in
+  let ranked = Propagate.ranking prop graph ~n:m in
   let budget = ref cap in
   let candidates =
     List.concat_map
       (fun e ->
         if !budget <= 0 then []
         else begin
-          let k = min per_endpoint !budget in
-          let ps = Paths.k_worst graph prop.Propagate.arr ~endpoint:e ~k in
+          let k = min n !budget in
+          let ps = Paths.k_worst wss.(0) graph prop.Propagate.arr ~endpoint:e ~k in
           budget := !budget - List.length ps;
           ps
         end)
-      eps
+      (List.init m (Array.get ranked))
   in
   (* Total order (slack, endpoint, pins): reproducible under slack ties. *)
   let sorted = List.sort Paths.compare_by_slack candidates in
@@ -77,15 +79,20 @@ let report_timing ?(failing_only = true) ?(cap = 4_000_000) (prop : Propagate.t)
 (** The paper's extraction: k worst paths for each of the n worst
     endpoints; every endpoint investigated is represented. Endpoints are
     independent best-first searches over read-only state, so the
-    fan-out is parallel across domains (result order — and therefore the
-    result itself — is identical to the sequential enumeration). *)
-let report_timing_endpoint ?(failing_only = true) (prop : Propagate.t) (graph : Graph.t) ~n ~k =
-  let eps = Array.of_list (worst_endpoints prop graph ~n ~failing_only) in
-  let per_ep = Array.make (Array.length eps) [] in
-  Util.Parallel.for_ ~grain:2 ~name:"extract.endpoints" (Array.length eps) (fun i ->
-      per_ep.(i) <- Paths.k_worst graph prop.Propagate.arr ~endpoint:eps.(i) ~k);
+    fan-out is parallel across domains, each chunk searching in its own
+    workspace [wss.(chunk)] (result order — and therefore the result
+    itself — is identical to the sequential enumeration). *)
+let report_timing_endpoint ?(failing_only = true) wss (prop : Propagate.t) (graph : Graph.t) ~n
+    ~k =
+  let m = num_investigated prop graph ~n ~failing_only in
+  let ranked = Propagate.ranking prop graph ~n:m in
+  let per_ep = Array.make m [] in
+  Util.Parallel.for_chunks ~grain:2 ~name:"extract.endpoints" ~n:m (fun ~chunk ~lo ~hi ->
+      let ws = wss.(chunk) in
+      for i = lo to hi - 1 do
+        per_ep.(i) <- Paths.k_worst ws graph prop.Propagate.arr ~endpoint:ranked.(i) ~k
+      done);
   List.concat (Array.to_list per_ep)
-
 
 (** OpenTimer-style textual path report: one line per pin with the arc
     increment and cumulative arrival, ending with the slack summary. *)

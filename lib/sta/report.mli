@@ -18,12 +18,27 @@ type stats = {
 val stats_of : Graph.t -> Paths.path list -> elapsed:float -> stats
 
 (** [failing_only] (default true) restricts to violated endpoints; [cap]
-    bounds the candidate pool of the O(n^2) command. *)
+    bounds the candidate pool of the O(n^2) command. Both commands take
+    the endpoints from {!Propagate.ranking} and search in [wss], one
+    {!Paths.workspace} per [Util.Parallel] chunk
+    ([Util.Parallel.chunk_count] of them). *)
 val report_timing :
-  ?failing_only:bool -> ?cap:int -> Propagate.t -> Graph.t -> n:int -> Paths.path list
+  ?failing_only:bool ->
+  ?cap:int ->
+  Paths.workspace array ->
+  Propagate.t ->
+  Graph.t ->
+  n:int ->
+  Paths.path list
 
 val report_timing_endpoint :
-  ?failing_only:bool -> Propagate.t -> Graph.t -> n:int -> k:int -> Paths.path list
+  ?failing_only:bool ->
+  Paths.workspace array ->
+  Propagate.t ->
+  Graph.t ->
+  n:int ->
+  k:int ->
+  Paths.path list
 
 (** OpenTimer-style textual path report (per-pin increments + slack). *)
 val pp_path : Format.formatter -> Graph.t -> Paths.path -> unit

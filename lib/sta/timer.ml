@@ -15,6 +15,7 @@ type t = {
   delay : Delay.t;
   prop : Propagate.t;
   early : Early.t;
+  mutable search : Paths.workspace array; (* one per extraction chunk, grown on demand *)
   obs : Obs.Ctx.t;
   mutable up_to_date : bool;
   mutable early_up_to_date : bool;
@@ -28,6 +29,7 @@ let create ?(topology = Delay.Steiner_tree) ?(obs = Obs.Ctx.null) ?fault design 
     delay = Delay.create ?fault graph ~topology;
     prop = Propagate.create graph;
     early = Early.create graph;
+    search = [||];
     obs;
     up_to_date = false;
     early_up_to_date = false;
@@ -105,23 +107,40 @@ let failing_endpoints t =
   ensure t;
   Propagate.failing_endpoints t.prop t.graph
 
-let num_failing_endpoints t = List.length (failing_endpoints t)
+let num_failing_endpoints t =
+  ensure t;
+  Propagate.num_failing t.prop t.graph
+
+(* The path-search workspaces, one per chunk of a non-empty fan-out. *)
+let workspaces t =
+  let k = Util.Parallel.chunk_count ~n:1 in
+  let have = Array.length t.search in
+  if have < k then
+    t.search <- Array.init k (fun i -> if i < have then t.search.(i) else Paths.workspace ());
+  t.search
 
 let report_timing ?failing_only ?cap t ~n =
   ensure t;
-  Report.report_timing ?failing_only ?cap t.prop t.graph ~n
+  Report.report_timing ?failing_only ?cap (workspaces t) t.prop t.graph ~n
 
 let report_timing_endpoint ?failing_only t ~n ~k =
   ensure t;
-  Report.report_timing_endpoint ?failing_only t.prop t.graph ~n ~k
+  Report.report_timing_endpoint ?failing_only (workspaces t) t.prop t.graph ~n ~k
+
+let k_worst t ~endpoint ~k =
+  ensure t;
+  Paths.k_worst (workspaces t).(0) t.graph t.prop.Propagate.arr ~endpoint ~k
+
+let worst_path t ~endpoint =
+  ensure t;
+  Paths.worst_path (workspaces t).(0) t.graph t.prop.Propagate.arr ~endpoint
 
 (** The single most critical path of the design (None when nothing is
     reachable). *)
 let critical_path t =
   ensure t;
-  match Propagate.endpoints_by_slack t.prop t.graph with
-  | [] -> None
-  | e :: _ -> Paths.worst_path t.graph t.prop.Propagate.arr ~endpoint:e
+  let ranked = Propagate.ranking t.prop t.graph ~n:1 in
+  if Array.length ranked = 0 then None else worst_path t ~endpoint:ranked.(0)
 
 let stats_of_paths t paths ~elapsed = Report.stats_of t.graph paths ~elapsed
 

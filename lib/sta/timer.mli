@@ -52,6 +52,12 @@ val retime : t -> float * float
 
 val endpoint_slack : t -> int -> float
 
+(** The ranking queries ([failing_endpoints], [num_failing_endpoints],
+    the report commands, [critical_path]) read one endpoint order, built
+    by the first of them after each re-time ({!Propagate.ranking}). The
+    path searches reuse the timer's workspaces, so a warm query
+    allocates little beyond the paths it returns. *)
+
 val failing_endpoints : t -> int list
 
 val num_failing_endpoints : t -> int
@@ -59,6 +65,12 @@ val num_failing_endpoints : t -> int
 val report_timing : ?failing_only:bool -> ?cap:int -> t -> n:int -> Paths.path list
 
 val report_timing_endpoint : ?failing_only:bool -> t -> n:int -> k:int -> Paths.path list
+
+(** {!Paths.k_worst} on the current timing, in the timer's workspace. *)
+val k_worst : t -> endpoint:int -> k:int -> Paths.path list
+
+(** {!Paths.worst_path} on the current timing. *)
+val worst_path : t -> endpoint:int -> Paths.path option
 
 (** The single most critical path of the design. *)
 val critical_path : t -> Paths.path option

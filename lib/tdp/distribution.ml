@@ -26,8 +26,7 @@ let round t =
   let d = t.design in
   t.anchors <- [];
   if wns < 0.0 then begin
-    let failing = Sta.Timer.failing_endpoints t.timer in
-    let n = List.length failing in
+    let n = Sta.Timer.num_failing_endpoints t.timer in
     let paths = Sta.Timer.report_timing_endpoint t.timer ~n ~k:1 in
     List.iter
       (fun (p : Sta.Paths.path) ->

@@ -46,12 +46,11 @@ let create ?(obs = Obs.Ctx.null) ?fault design ~(config : Config.t) ~topology =
 let round t ~iter =
   let cfg = t.config in
   let t0 = Unix.gettimeofday () in
-  let tns, wns, failing =
+  let tns, wns, n =
     Obs.Ctx.span t.obs "sta" (fun () ->
         let tns, wns = Sta.Timer.retime t.timer in
-        (tns, wns, Sta.Timer.failing_endpoints t.timer))
+        (tns, wns, Sta.Timer.num_failing_endpoints t.timer))
   in
-  let n = List.length failing in
   (* A poisoned timing graph (NaN/Inf arrival times, e.g. from corrupt
      wire parasitics) would push non-finite slack ratios into the pair
      weights and from there into the gradient. Skip the whole update for

@@ -63,9 +63,7 @@ let run ?(seed = 1) ?(moves = 2000) ?(window = 12.0) (d : Design.t) =
     List.iteri
       (fun i e ->
         if i < 40 then
-          match
-            Sta.Paths.worst_path (Sta.Timer.graph timer) (Sta.Timer.arrivals timer) ~endpoint:e
-          with
+          match Sta.Timer.worst_path timer ~endpoint:e with
           | None -> ()
           | Some p ->
               Array.iter

@@ -23,9 +23,7 @@ let critical_cells (d : Design.t) timer ~max_endpoints =
   List.iteri
     (fun i e ->
       if i < max_endpoints then
-        match
-          Sta.Paths.worst_path (Sta.Timer.graph timer) (Sta.Timer.arrivals timer) ~endpoint:e
-        with
+        match Sta.Timer.worst_path timer ~endpoint:e with
         | None -> ()
         | Some p ->
             Array.iter

@@ -1,12 +1,11 @@
-(** Binary min-heap keyed by floats, carrying arbitrary payloads.
+(** Binary min-heap of int payloads keyed by floats, reusable across
+    searches ({!clear} keeps the arrays). Its one user is the k-worst-path
+    search of [Sta.Paths], whose payloads index a flat arena and whose
+    keys are negated completion bounds. *)
 
-    Used for k-worst-path deviation search (keys are slack deficits) and
-    Prim's algorithm in Steiner tree construction. For a max-heap behaviour
-    insert negated keys. *)
-
-type 'a t = {
+type t = {
   mutable keys : float array;
-  mutable data : 'a array;
+  mutable data : int array;
   mutable size : int;
 }
 
@@ -16,11 +15,13 @@ let length t = t.size
 
 let is_empty t = t.size = 0
 
-let grow t x =
+let clear t = t.size <- 0
+
+let grow t =
   let cap = Array.length t.keys in
   if t.size = cap then begin
     let ncap = max 8 (2 * cap) in
-    let nk = Array.make ncap 0.0 and nd = Array.make ncap x in
+    let nk = Array.make ncap 0.0 and nd = Array.make ncap 0 in
     Array.blit t.keys 0 nk 0 t.size;
     Array.blit t.data 0 nd 0 t.size;
     t.keys <- nk;
@@ -54,23 +55,22 @@ let rec sift_down t i =
   end
 
 let push t key x =
-  grow t x;
+  grow t;
   t.keys.(t.size) <- key;
   t.data.(t.size) <- x;
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-(** Smallest key with its payload; raises [Not_found] when empty. *)
 let pop t =
   if t.size = 0 then raise Not_found;
-  let k = t.keys.(0) and x = t.data.(0) in
+  let x = t.data.(0) in
   t.size <- t.size - 1;
   if t.size > 0 then begin
     t.keys.(0) <- t.keys.(t.size);
     t.data.(0) <- t.data.(t.size);
     sift_down t 0
   end;
-  (k, x)
+  x
 
 let peek_key t =
   if t.size = 0 then raise Not_found;

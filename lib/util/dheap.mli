@@ -1,21 +1,25 @@
-(** Binary min-heap keyed by floats, carrying arbitrary payloads.
+(** Binary min-heap of int payloads keyed by floats, reusable across
+    searches. Used by the k-worst-path search of [Sta.Paths] (keys are
+    negated completion bounds, payloads index its arena). For max-heap
+    behaviour insert negated keys. *)
 
-    Used for k-worst-path deviation search (keys are negated arrival
-    bounds) and Prim's algorithm. For max-heap behaviour insert negated
-    keys. *)
+type t
 
-type 'a t
+val create : unit -> t
 
-val create : unit -> 'a t
+val length : t -> int
 
-val length : 'a t -> int
+val is_empty : t -> bool
 
-val is_empty : 'a t -> bool
+(** Empty the heap, keeping its storage. *)
+val clear : t -> unit
 
-val push : 'a t -> float -> 'a -> unit
+val push : t -> float -> int -> unit
 
-(** Smallest key with its payload; raises [Not_found] when empty. *)
-val pop : 'a t -> float * 'a
+(** Remove the entry with the smallest key and return its payload;
+    raises [Not_found] when empty. Read the key first with {!peek_key}
+    when it is needed. *)
+val pop : t -> int
 
 (** Smallest key without removing it; raises [Not_found] when empty. *)
-val peek_key : 'a t -> float
+val peek_key : t -> float

@@ -107,18 +107,17 @@ let paths_vs_exhaustive () =
   let timer = Sta.Timer.create d in
   Sta.Timer.update timer;
   let graph = Sta.Timer.graph timer in
-  let arr = Sta.Timer.arrivals timer in
   let eps = Sta.Timer.failing_endpoints timer in
   Alcotest.(check bool) "tight design has failing endpoints" true (eps <> []);
   List.iteri
     (fun i ep ->
       if i < 3 then begin
-        let got = Sta.Paths.k_worst graph arr ~endpoint:ep ~k:7 in
+        let got = Sta.Timer.k_worst timer ~endpoint:ep ~k:7 in
         let want = Ref_paths.k_worst graph ~endpoint:ep ~k:7 in
         check_ok
           (Printf.sprintf "k_worst endpoint %d" ep)
           (Compare.check_paths ~what:"k_worst" got want);
-        match (Sta.Paths.worst_path graph arr ~endpoint:ep, want) with
+        match (Sta.Timer.worst_path timer ~endpoint:ep, want) with
         | Some p, w :: _ -> check_ok "worst_path" (Compare.check_path ~what:"worst_path" p w)
         | None, [] -> ()
         | _ -> Alcotest.fail "worst_path and exhaustive enumeration disagree"
@@ -142,6 +141,57 @@ let reports_vs_oracle () =
         (Compare.check_paths ~what:"report_timing_endpoint"
            (Sta.Timer.report_timing_endpoint timer ~n ~k:3)
            (Ref_paths.report_timing_endpoint graph ~slack ~n ~k:3)))
+
+(* The timer caches its endpoint ranking until the next re-time. After
+   each kind of timing change (an incremental re-time after an ECO move,
+   a tighter clock, an invalidate + update after a placement change) a
+   warm query must answer from the fresh slacks: every ranking query is
+   compared with the reference ranking and enumeration on slacks
+   recomputed from the current arc delays. *)
+let ranking_never_stale () =
+  at_domains (fun () ->
+      let d = tight_design () in
+      let timer = Sta.Timer.create d in
+      Sta.Timer.update timer;
+      let graph = Sta.Timer.graph timer in
+      let check what =
+        let slack = Ref_sta.slacks graph in
+        let failing = Ref_paths.failing_endpoints graph ~slack in
+        Alcotest.(check bool) (what ^ ": has failing endpoints") true (failing <> []);
+        Alcotest.(check (list int))
+          (what ^ ": failing_endpoints") failing
+          (Sta.Timer.failing_endpoints timer);
+        Alcotest.(check int)
+          (what ^ ": num_failing_endpoints") (List.length failing)
+          (Sta.Timer.num_failing_endpoints timer);
+        (match (Sta.Timer.critical_path timer, Ref_paths.endpoints_by_slack graph ~slack) with
+        | Some p, e :: _ ->
+            check_ok (what ^ ": critical_path")
+              (Compare.check_paths ~what:"critical_path" [ p ]
+                 (Ref_paths.k_worst graph ~endpoint:e ~k:1))
+        | _ -> Alcotest.failf "%s: critical_path disagrees with the reference" what);
+        (* Past the failing prefix, so the whole ranking is exercised. *)
+        let n = List.length failing + 3 in
+        check_ok (what ^ ": report_timing_endpoint")
+          (Compare.check_paths ~what:"report_timing_endpoint"
+             (Sta.Timer.report_timing_endpoint ~failing_only:false timer ~n ~k:2)
+             (Ref_paths.report_timing_endpoint ~failing_only:false graph ~slack ~n ~k:2))
+      in
+      check "initial";
+      let applied = Service.Eco.apply d (Service.Eco.random ~seed:3 ~frac:0.2 d) in
+      Sta.Timer.update_moved timer ~cells:applied.Service.Eco.moved;
+      check "eco move";
+      Sta.Timer.set_clock timer (0.8 *. d.Netlist.Design.clock_period);
+      check "tighter clock";
+      let rng = Util.Rng.create 11 in
+      for id = 0 to Netlist.Design.num_cells d - 1 do
+        if Netlist.Design.is_movable d id then
+          d.Netlist.Design.x.{id} <- d.Netlist.Design.x.{id} +. Util.Rng.float rng 40.0
+      done;
+      Netlist.Design.clamp_movable d;
+      Sta.Timer.invalidate timer;
+      Sta.Timer.update timer;
+      check "invalidate + update")
 
 (* A design with one dominant endpoint: po_dom sits behind a chain of
    reconvergent diamonds (2^4 near-critical paths), next to three
@@ -806,6 +856,7 @@ let suite =
     Alcotest.test_case "sta eco sequence differential (1 and 4 domains)" `Quick sta_eco_sequence;
     Alcotest.test_case "k_worst vs exhaustive DFS" `Quick paths_vs_exhaustive;
     Alcotest.test_case "report commands vs oracle" `Quick reports_vs_oracle;
+    Alcotest.test_case "endpoint ranking never stale (1 and 4 domains)" `Quick ranking_never_stale;
     Alcotest.test_case "report_timing_endpoint contracts" `Quick endpoint_contracts;
     Alcotest.test_case "path order deterministic under ties" `Quick tie_break_determinism;
     Alcotest.test_case "elmore vs naive tree walk" `Quick elmore_diff;

@@ -27,8 +27,8 @@ let test_k_worst_monotone () =
   Array.iter
     (fun ep ->
       if Float.is_finite arr.(ep) then begin
-        let p2 = Sta.Paths.k_worst g arr ~endpoint:ep ~k:2 in
-        let p5 = Sta.Paths.k_worst g arr ~endpoint:ep ~k:5 in
+        let p2 = Sta.Timer.k_worst timer ~endpoint:ep ~k:2 in
+        let p5 = Sta.Timer.k_worst timer ~endpoint:ep ~k:5 in
         Alcotest.(check bool) "monotone count" true (List.length p5 >= List.length p2);
         (* p2 is a prefix of p5 by arrival *)
         List.iteri

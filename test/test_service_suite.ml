@@ -491,6 +491,44 @@ let test_daemon_stdin_session () =
             (float_member "completed" (member "jobs" stats) >= 4.0);
           ignore (expect_ok "shutdown" (reply "6"))))
 
+(* A request line one byte over the cap gets a bad_request reply and the
+   next request is still served. The over-long line's bytes are skipped
+   as they are read, not kept: serving the pair allocates less than
+   64 MiB, about two line buffers of the cap's size. *)
+let test_overlong_request_line () =
+  let req = Filename.temp_file "placed_long" ".jsonl" in
+  let out = Filename.temp_file "placed_long_out" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ req; out ])
+    (fun () ->
+      let oc = open_out_bin req in
+      output_string oc (String.make (Protocol.max_line_bytes + 1) 'x');
+      output_string oc "\n{\"id\":\"p\",\"op\":\"ping\"}\n";
+      close_out oc;
+      let engine = Engine.create () in
+      let ic = open_in_bin req and oc = open_out_bin out in
+      let a0 = Gc.allocated_bytes () in
+      Engine.serve engine ic oc;
+      let allocated = Gc.allocated_bytes () -. a0 in
+      close_in ic;
+      close_out oc;
+      let ic = open_in_bin out in
+      let replies = List.map Obs.Json.parse_exn (In_channel.input_lines ic) in
+      close_in ic;
+      match replies with
+      | [ long; ping ] ->
+          expect_error "over-long line" ~kind:"bad_request" long;
+          let message = string_member "message" (member "error" long) in
+          Alcotest.(check bool) ("rejected for its length: " ^ message) true
+            (String.starts_with ~prefix:"request line longer than" message);
+          Alcotest.(check bool) "then the ping is served" true
+            (bool_member "pong" (expect_ok "ping" ping));
+          Alcotest.(check bool)
+            (Printf.sprintf "allocated %.1f MiB (want < 64)" (allocated /. 1048576.0))
+            true
+            (allocated < 64.0 *. 1048576.0)
+      | _ -> Alcotest.failf "want 2 replies, got %d" (List.length replies))
+
 let suite =
   [
     ("protocol parse", `Quick, test_protocol_parse);
@@ -506,4 +544,5 @@ let suite =
     ("engine vs one-shot metrics identity", `Slow, test_engine_metrics_identity);
     ("warm replace quality and speedup", `Slow, test_warm_replace_quality);
     ("daemon stdin session", `Slow, test_daemon_stdin_session);
+    ("over-long request line", `Quick, test_overlong_request_line);
   ]

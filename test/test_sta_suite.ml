@@ -118,7 +118,7 @@ let test_diamond_k_worst () =
   Sta.Timer.update timer;
   let g = Sta.Timer.graph timer in
   let ep = g.Sta.Graph.endpoints.(0) in
-  let paths = Sta.Paths.k_worst g (Sta.Timer.arrivals timer) ~endpoint:ep ~k:5 in
+  let paths = Sta.Timer.k_worst timer ~endpoint:ep ~k:5 in
   (* Exactly two distinct pi->po paths exist. *)
   Alcotest.(check int) "two paths" 2 (List.length paths);
   (match paths with
@@ -131,7 +131,7 @@ let test_diamond_k_worst () =
         paths
   | _ -> Alcotest.fail "expected 2");
   (* k=1 returns the worst one, equal to critical_path. *)
-  match Sta.Paths.k_worst g (Sta.Timer.arrivals timer) ~endpoint:ep ~k:1 with
+  match Sta.Timer.k_worst timer ~endpoint:ep ~k:1 with
   | [ p ] -> check_float "worst = arr at endpoint" (Sta.Timer.arrivals timer).(ep) p.arrival
   | _ -> Alcotest.fail "expected 1"
 
@@ -158,7 +158,7 @@ let test_generated_paths_valid () =
       Array.iter
         (fun ep ->
           if Float.is_finite arr.(ep) then begin
-            let paths = Sta.Paths.k_worst g arr ~endpoint:ep ~k:4 in
+            let paths = Sta.Timer.k_worst timer ~endpoint:ep ~k:4 in
             Alcotest.(check bool) "at least one" true (List.length paths >= 1);
             let prev = ref Float.infinity in
             List.iter
@@ -479,10 +479,37 @@ let test_delay_update_alloc () =
             true (per_net < 16.0))
         [ Sta.Delay.Star; Sta.Delay.Steiner_tree ])
 
+(* A warm [report_timing_endpoint] allocates little beyond the paths it
+   returns: the endpoint ranking is kept until the next re-time and the
+   searches reuse the timer's workspaces. After one warm-up call, a
+   repeat call stays within 4x the words of its paths, counted as pins +
+   arcs + 8 words per path. *)
+let test_warm_query_alloc () =
+  Helpers.with_domains 1 (fun () ->
+      with_generated_timer (fun _d timer ->
+          Alcotest.(check bool) "10 failing endpoints" true
+            (Sta.Timer.num_failing_endpoints timer >= 10);
+          let query () = Sta.Timer.report_timing_endpoint timer ~n:10 ~k:2 in
+          ignore (query ());
+          let w0 = Gc.minor_words () in
+          let paths = query () in
+          let words = Gc.minor_words () -. w0 in
+          let path_words =
+            List.fold_left
+              (fun acc (p : Sta.Paths.path) ->
+                acc + Array.length p.pins + Array.length p.arcs + 8)
+              0 paths
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "minor words %.0f for %d path words (want <= 4x)" words path_words)
+            true
+            (words <= 4.0 *. float_of_int path_words)))
+
 let suite =
   suite
   @ [
       ("parallel delay kernel", `Quick, test_parallel_delay_equivalence);
       ("delay == fresh tree per net", `Quick, test_delay_matches_fresh_trees);
       ("delay update allocation-free", `Quick, test_delay_update_alloc);
+      ("warm query allocation", `Quick, test_warm_query_alloc);
     ]

@@ -15,9 +15,7 @@ let chain_with_graph () =
   (d, timer)
 
 let get_path timer ep =
-  match
-    Sta.Paths.k_worst (Sta.Timer.graph timer) (Sta.Timer.arrivals timer) ~endpoint:ep ~k:1
-  with
+  match Sta.Timer.k_worst timer ~endpoint:ep ~k:1 with
   | [ p ] -> p
   | _ -> Alcotest.fail "expected a path"
 
@@ -64,7 +62,7 @@ let test_eq9_path_sharing () =
   Sta.Timer.update timer;
   let g = Sta.Timer.graph timer in
   let ep = g.Sta.Graph.endpoints.(0) in
-  let paths = Sta.Paths.k_worst g (Sta.Timer.arrivals timer) ~endpoint:ep ~k:2 in
+  let paths = Sta.Timer.k_worst timer ~endpoint:ep ~k:2 in
   Alcotest.(check int) "two paths" 2 (List.length paths);
   let pa = Tdp.Pin_attract.create d ~loss:Tdp.Config.Quadratic in
   Tdp.Pin_attract.update_from_paths pa g ~w0:1.0 ~w1:1.0 ~wns:(Sta.Timer.wns timer)

@@ -91,40 +91,48 @@ let test_dheap_sorted_pop () =
   Array.iteri (fun i k -> Util.Dheap.push h k i) keys;
   let prev = ref Float.neg_infinity in
   while not (Util.Dheap.is_empty h) do
-    let k, _ = Util.Dheap.pop h in
+    let k = Util.Dheap.peek_key h in
+    ignore (Util.Dheap.pop h);
     Alcotest.(check bool) "non-decreasing" true (k >= !prev);
     prev := k
   done
 
 let test_dheap_payloads () =
   let h = Util.Dheap.create () in
-  Util.Dheap.push h 3.0 "c";
-  Util.Dheap.push h 1.0 "a";
-  Util.Dheap.push h 2.0 "b";
-  let _, a = Util.Dheap.pop h in
-  let _, b = Util.Dheap.pop h in
-  let _, c = Util.Dheap.pop h in
-  Alcotest.(check (list string)) "payload order" [ "a"; "b"; "c" ] [ a; b; c ]
+  Util.Dheap.push h 3.0 30;
+  Util.Dheap.push h 1.0 10;
+  Util.Dheap.push h 2.0 20;
+  let a = Util.Dheap.pop h in
+  let b = Util.Dheap.pop h in
+  let c = Util.Dheap.pop h in
+  Alcotest.(check (list int)) "payload order" [ 10; 20; 30 ] [ a; b; c ];
+  (* [clear] empties the heap; it is reusable afterwards. *)
+  Util.Dheap.push h 4.0 40;
+  Util.Dheap.clear h;
+  Alcotest.(check bool) "cleared" true (Util.Dheap.is_empty h);
+  Util.Dheap.push h 5.0 50;
+  Alcotest.(check int) "reused" 50 (Util.Dheap.pop h)
 
 let test_dheap_empty_raises () =
-  let h : int Util.Dheap.t = Util.Dheap.create () in
+  let h = Util.Dheap.create () in
   Alcotest.check_raises "pop empty" Not_found (fun () -> ignore (Util.Dheap.pop h));
   Alcotest.check_raises "peek empty" Not_found (fun () -> ignore (Util.Dheap.peek_key h))
 
 let test_dheap_peek () =
   let h = Util.Dheap.create () in
-  Util.Dheap.push h 5.0 ();
-  Util.Dheap.push h 2.0 ();
+  Util.Dheap.push h 5.0 0;
+  Util.Dheap.push h 2.0 1;
   check_float "peek is min" 2.0 (Util.Dheap.peek_key h);
   Alcotest.(check int) "length" 2 (Util.Dheap.length h)
 
 let dheap_qcheck =
   qtest "dheap pops sorted" QCheck.(list (float_bound_inclusive 1000.0)) (fun keys ->
       let h = Util.Dheap.create () in
-      List.iter (fun k -> Util.Dheap.push h k ()) keys;
+      List.iteri (fun i k -> Util.Dheap.push h k i) keys;
       let out = ref [] in
       while not (Util.Dheap.is_empty h) do
-        out := fst (Util.Dheap.pop h) :: !out
+        out := Util.Dheap.peek_key h :: !out;
+        ignore (Util.Dheap.pop h)
       done;
       List.rev !out = List.sort compare keys)
 
