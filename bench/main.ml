@@ -591,48 +591,7 @@ let scaling c =
 
 (* ------------------------------------------------------------------ *)
 (* Extension ablations beyond the paper: design decisions DESIGN.md      *)
-(* calls out, plus hold / buffer-candidate side metrics.                 *)
-
-(* Mean van-Ginneken-recoverable required time over the nets of the
-   worst critical paths: how much slack buffer insertion would have to
-   claw back (smaller is better placement). *)
-let buffering_recovery d timer =
-  let graph = Sta.Timer.graph timer in
-  let paths = Sta.Timer.report_timing_endpoint timer ~n:10 ~k:1 ~failing_only:true in
-  let nets = Hashtbl.create 64 in
-  List.iter
-    (fun (p : Sta.Paths.path) ->
-      Array.iter
-        (fun a ->
-          if graph.Sta.Graph.arc_is_net.(a) then
-            Hashtbl.replace nets graph.Sta.Graph.arc_net.(a) ())
-        p.arcs)
-    paths;
-  let recs =
-    Hashtbl.fold
-      (fun nid () acc ->
-        let nsinks = Netlist.Design.net_num_sinks d nid in
-        let driver = d.Netlist.Design.net_driver.(nid) in
-        let xs = Array.make (nsinks + 1) 0.0 and ys = Array.make (nsinks + 1) 0.0 in
-        xs.(0) <- Netlist.Design.pin_x d driver;
-        ys.(0) <- Netlist.Design.pin_y d driver;
-        for k = 0 to nsinks - 1 do
-          let pid = Netlist.Design.net_sink d nid k in
-          xs.(k + 1) <- Netlist.Design.pin_x d pid;
-          ys.(k + 1) <- Netlist.Design.pin_y d pid
-        done;
-        let tree = Rctree.Steiner.steiner ~xs ~ys in
-        let drive_res, _, _ = Sta.Delay.driver_params d driver in
-        let res =
-          Rctree.Buffering.estimate tree ~r:d.Netlist.Design.r_per_unit
-            ~c:d.Netlist.Design.c_per_unit ~drive_res
-            ~term_req:(fun _ -> 0.0)
-            ~term_cap:(fun k -> d.Netlist.Design.pin_cap.{Netlist.Design.net_sink d nid (k - 1)})
-        in
-        (res.Rctree.Buffering.best_q -. res.Rctree.Buffering.unbuffered_q) :: acc)
-      nets []
-  in
-  if recs = [] then 0.0 else Util.Stats.mean (Array.of_list recs)
+(* calls out, plus hold / wire-segment side metrics.                     *)
 
 let ext c =
   let dnames = [ "sb18"; "sb16"; "sb4" ] in
@@ -664,26 +623,32 @@ let ext c =
       Util.Tablefmt.add_row t (vname :: row))
     variants;
   print_table t;
-  (* -- B: side metrics per flow on sb1: hold, buffers -- *)
+  (* -- B: side metrics per flow on sb1: hold, wire segments. Every flow
+     is scored on the same endpoints, vanilla's 30 worst by slack. -- *)
   let t2 =
-    table ~title:"EXT B: side metrics on sb1 (hold THS, buffer candidates)"
-      [ "Method"; "setup TNS"; "hold THS"; "buf cands"; "max seg"; "buf recovery" ]
+    table ~title:"EXT B: side metrics on sb1 (hold THS; wire segments on vanilla's 30 worst endpoints)"
+      [ "Method"; "setup TNS"; "hold THS"; "segments"; "buf cands"; "max seg"; "mean seg" ]
   in
   let d = design c "sb1" in
+  let endpoints =
+    ignore (ok_flow c "sb1" Tdp.Flow.Vanilla);
+    Sta.Timer.report_timing_endpoint ~failing_only:false (Sta.Timer.create d) ~n:30 ~k:1
+    |> List.map (fun (p : Sta.Paths.path) -> p.endpoint)
+  in
   List.iter
     (fun meth ->
       let r = ok_flow c "sb1" meth in
       let timer = Sta.Timer.create d in
-      Sta.Timer.update timer;
-      let ws = Evalkit.Wire_stats.of_critical_paths d ~n:30 in
+      let ws = Evalkit.Wire_stats.of_endpoints d ~endpoints in
       Util.Tablefmt.add_row t2
         [
           r.name;
           f1 r.metrics.tns;
           f1 (Sta.Timer.ths timer);
+          string_of_int ws.Evalkit.Wire_stats.num_segments;
           string_of_int ws.Evalkit.Wire_stats.buffer_candidates;
           f1 ws.Evalkit.Wire_stats.max_length;
-          f1 (buffering_recovery d timer);
+          f2 ws.Evalkit.Wire_stats.mean_length;
         ])
     Tdp.Flow.[ Vanilla; Dp4; Efficient Tdp.Config.default ];
   print_table t2;

@@ -3,8 +3,7 @@
 
     1. place a design and meet its calibrated clock,
     2. an engineering change tightens the clock by 10% (new violations),
-    3. repair with timing-aware detailed placement (incremental STA),
-    4. render before/after SVGs of the layout with critical paths.
+    3. repair with timing-aware detailed placement (incremental STA).
 
     Run with: dune exec examples/eco_flow.exe *)
 
@@ -19,7 +18,6 @@ let () =
   let before = Evalkit.Metrics.evaluate d in
   Printf.printf "\nECO: clock tightened to %.0f ps\n" d.clock_period;
   Printf.printf "violations now: %s\n" (Format.asprintf "%a" Evalkit.Metrics.pp before);
-  Evalkit.Svg.write_file "/tmp/eco_before.svg" d;
 
   (* Repair without re-placing: TNS-verified swaps on the incremental
      timer (each candidate is re-timed in ~tens of microseconds). *)
@@ -27,11 +25,9 @@ let () =
   let s = Tdp.Timing_dp.run ~max_endpoints:60 ~window:10.0 d in
   let t_repair = Unix.gettimeofday () -. t0 in
   let after = Evalkit.Metrics.evaluate d in
-  Evalkit.Svg.write_file "/tmp/eco_after.svg" d;
 
   Printf.printf "\nrepair: %d/%d swaps accepted in %.2f s\n" s.accepted s.candidates t_repair;
   Printf.printf "  TNS %.1f -> %.1f ps (%.0f%% recovered)\n" before.tns after.tns
     (100.0 *. (after.tns -. before.tns) /. Float.abs before.tns);
   Printf.printf "  WNS %.1f -> %.1f ps\n" before.wns after.wns;
-  Printf.printf "  placement still legal: %b\n" (Gp.Legalize.is_legal d);
-  Printf.printf "layouts written to /tmp/eco_before.svg and /tmp/eco_after.svg\n"
+  Printf.printf "  placement still legal: %b\n" (Gp.Legalize.is_legal d)

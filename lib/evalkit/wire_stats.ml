@@ -40,16 +40,19 @@ let of_segments ?(buffer_threshold = 25.0) segs =
       buffer_candidates = Array.fold_left (fun n l -> if l > buffer_threshold then n + 1 else n) 0 a;
     }
 
-(** Statistics over the worst paths of the [n] worst failing endpoints
-    under the current placement. *)
-let of_critical_paths ?buffer_threshold (d : Design.t) ~n =
+(** Statistics over the worst path to each of [endpoints] under the
+    current placement. One endpoint set scores every placement on the
+    same endpoints; the clock moves only required times, so it does not
+    change which path is worst. *)
+let of_endpoints (d : Design.t) ~endpoints =
   let timer = Sta.Timer.create ~topology:Sta.Delay.Steiner_tree d in
-  Sta.Timer.update timer;
   let graph = Sta.Timer.graph timer in
-  let paths = Sta.Timer.report_timing_endpoint timer ~n ~k:1 ~failing_only:true in
-  let segs = List.concat_map (fun p -> path_segments d graph p) paths in
-  of_segments ?buffer_threshold segs
-
-let pp fmt s =
-  Format.fprintf fmt "segments=%d total=%.1f max=%.1f mean=%.1f cv=%.2f buffers>=%d"
-    s.num_segments s.total_length s.max_length s.mean_length s.cv s.buffer_candidates
+  let segs =
+    List.concat_map
+      (fun e ->
+        match Sta.Timer.worst_path timer ~endpoint:e with
+        | None -> []
+        | Some p -> path_segments d graph p)
+      endpoints
+  in
+  of_segments segs

@@ -17,7 +17,6 @@ val path_segments :
 
 val of_segments : ?buffer_threshold:float -> float list -> t
 
-(** Over the worst paths of the [n] worst failing endpoints. *)
-val of_critical_paths : ?buffer_threshold:float -> Netlist.Design.t -> n:int -> t
-
-val pp : Format.formatter -> t -> unit
+(** Over the worst path (Steiner-tree timing) to each given endpoint
+    pin; unreachable endpoints add no segment. *)
+val of_endpoints : Netlist.Design.t -> endpoints:int list -> t

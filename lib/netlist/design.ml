@@ -107,10 +107,6 @@ let libcell t i =
   if li < 0 then invalid_arg "Design.libcell: cell has no library cell";
   t.libs.(li)
 
-let libcell_of t i =
-  let li = t.lib_idx.(i) in
-  if li < 0 then None else Some t.libs.(li)
-
 let cell_name t i = t.cell_names.(i)
 
 let pin_name t p = t.pin_names.(p)

@@ -91,8 +91,6 @@ val is_ff : t -> int -> bool
     blockages — guard with [kind]. *)
 val libcell : t -> int -> Libcell.t
 
-val libcell_of : t -> int -> Libcell.t option
-
 val cell_name : t -> int -> string
 
 val pin_name : t -> int -> string

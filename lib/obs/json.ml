@@ -16,22 +16,20 @@ type t =
 
 (* ---- emission ---- *)
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
+(* Appends [s] to [buf] as a quoted JSON string. *)
+let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+  for i = 0 to String.length s - 1 do
+    match s.[i] with
+    | '"' -> Buffer.add_string buf "\\\""
+    | '\\' -> Buffer.add_string buf "\\\\"
+    | '\n' -> Buffer.add_string buf "\\n"
+    | '\r' -> Buffer.add_string buf "\\r"
+    | '\t' -> Buffer.add_string buf "\\t"
+    | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+    | c -> Buffer.add_char buf c
+  done;
+  Buffer.add_char buf '"'
 
 let float_repr f =
   if not (Float.is_finite f) then "null"
@@ -46,7 +44,7 @@ let rec write buf = function
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f -> Buffer.add_string buf (float_repr f)
-  | String s -> Buffer.add_string buf (escape_string s)
+  | String s -> escape_string buf s
   | List xs ->
       Buffer.add_char buf '[';
       List.iteri
@@ -60,7 +58,7 @@ let rec write buf = function
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (escape_string k);
+          escape_string buf k;
           Buffer.add_char buf ':';
           write buf v)
         kvs;

@@ -34,7 +34,12 @@ let cost ~tns ~hpwl = -.tns +. (wl_weight *. hpwl)
 let t0 = 15.0
 let alpha = 0.998
 
-let run ?(seed = 1) ?(moves = 2000) ?(window = 12.0) (d : Design.t) =
+(* Fixed RNG seed, so runs repeat, and the Manhattan radius of the
+   partner search. *)
+let seed = 1
+let window = 12.0
+
+let run ?(moves = 2000) (d : Design.t) =
   let rng = Util.Rng.create seed in
   let timer = Sta.Timer.create ~topology:Sta.Delay.Steiner_tree d in
   Sta.Timer.update timer;

@@ -13,4 +13,4 @@ type stats = {
   hpwl_after : float;
 }
 
-val run : ?seed:int -> ?moves:int -> ?window:float -> Netlist.Design.t -> stats
+val run : ?moves:int -> Netlist.Design.t -> stats

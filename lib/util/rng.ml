@@ -53,12 +53,6 @@ let normal t =
 
 let gaussian t ~mean ~stddev = mean +. (stddev *. normal t)
 
-(** Geometric-like long-tail sample in [lo, hi]: repeatedly doubles with
-    probability [p_grow]; used for net fanout distributions. *)
-let long_tail t ~lo ~hi ~p_grow =
-  let rec grow v = if v < hi && bernoulli t p_grow then grow (v + 1 + int t (max 1 (v / 2))) else v in
-  min hi (grow lo)
-
 (** Random permutation index array of length [n] (Fisher-Yates). *)
 let permutation t n =
   let a = Array.init n (fun i -> i) in

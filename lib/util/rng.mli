@@ -37,9 +37,6 @@ val normal : t -> float
 
 val gaussian : t -> mean:float -> stddev:float -> float
 
-(** Geometric-like long-tail sample in [lo, hi]. *)
-val long_tail : t -> lo:int -> hi:int -> p_grow:float -> int
-
 (** Uniformly random permutation of [0 .. n-1] (Fisher-Yates). *)
 val permutation : t -> int -> int array
 

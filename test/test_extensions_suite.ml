@@ -92,6 +92,9 @@ let test_wire_stats_of_segments () =
   let empty = Evalkit.Wire_stats.of_segments [] in
   Alcotest.(check int) "empty" 0 empty.num_segments
 
+(* The endpoint set, not the failing count, fixes what is scored: the
+   clock enters only endpoint required times, so a loose clock (nothing
+   fails) and a tight one (most fail) score the same worst paths. *)
 let test_wire_stats_critical_paths () =
   let d = Helpers.small_calibrated () in
   let rng = Util.Rng.create 6 in
@@ -101,10 +104,24 @@ let test_wire_stats_critical_paths () =
       d.y.{id} <- Util.Rng.float rng (Geom.Rect.height d.die)
     end
   done;
-  d.clock_period <- d.clock_period *. 0.7;
-  let s = Evalkit.Wire_stats.of_critical_paths d ~n:10 in
-  Alcotest.(check bool) "segments found" true (s.num_segments > 0);
-  Alcotest.(check bool) "mean <= max" true (s.mean_length <= s.max_length +. 1e-9)
+  let timer = Sta.Timer.create d in
+  let all = (Sta.Timer.graph timer).Sta.Graph.endpoints in
+  let endpoints = Array.to_list (Array.sub all 0 10) in
+  let score_at period =
+    Sta.Timer.set_clock timer period;
+    (Sta.Timer.num_failing_endpoints timer, Evalkit.Wire_stats.of_endpoints d ~endpoints)
+  in
+  let base = d.clock_period in
+  let loose_failing, loose = score_at (base *. 100.0) in
+  let tight_failing, tight = score_at (base *. 0.3) in
+  Alcotest.(check int) "loose clock: none failing" 0 loose_failing;
+  Alcotest.(check bool)
+    (Printf.sprintf "tight clock: most failing (%d of %d)" tight_failing (Array.length all))
+    true
+    (2 * tight_failing > Array.length all);
+  Alcotest.(check bool) "segments found" true (loose.num_segments > 0);
+  Alcotest.(check bool) "same stats at both clocks" true (loose = tight);
+  Alcotest.(check bool) "mean <= max" true (loose.mean_length <= loose.max_length +. 1e-9)
 
 (* ---------------- Timing-aware detailed placement ---------------- *)
 
@@ -183,27 +200,6 @@ let test_pp_path_report () =
       Alcotest.(check bool) "mentions startpoint" true (Helpers.contains ~sub:"Startpoint" s);
       Alcotest.(check bool) "mentions slack" true (Helpers.contains ~sub:"slack" s)
 
-(* ---------------- SVG rendering ---------------- *)
-
-let test_svg_render () =
-  let d = Helpers.small_calibrated () in
-  ignore (Gp.Globalplace.run ~params:{ Gp.Globalplace.default_params with max_iters = 120 } d);
-  let s = Evalkit.Svg.render d in
-  Alcotest.(check bool) "is svg" true
-    (Helpers.contains ~sub:"<svg" s && Helpers.contains ~sub:"</svg>" s);
-  Alcotest.(check bool) "has rects" true (Helpers.contains ~sub:"<rect" s);
-  (* every logic cell becomes a rect: more rects than cells/2 *)
-  let count_sub sub =
-    let n = ref 0 and i = ref 0 in
-    let sl = String.length sub and l = String.length s in
-    while !i + sl <= l do
-      if String.sub s !i sl = sub then incr n;
-      incr i
-    done;
-    !n
-  in
-  Alcotest.(check bool) "rect per cell" true (count_sub "<rect" > Design.num_cells d / 2)
-
 (* ---------------- Row reordering ---------------- *)
 
 let test_reorder_rows_legal_and_improving () =
@@ -238,7 +234,7 @@ let test_sa_refine_deterministic () =
     let d = Helpers.small_calibrated () in
     ignore (Gp.Globalplace.run ~params:{ Gp.Globalplace.default_params with max_iters = 150 } d);
     ignore (Gp.Legalize.run d);
-    let s = Tdp.Sa_refine.run ~seed:5 ~moves:300 d in
+    let s = Tdp.Sa_refine.run ~moves:300 d in
     (s.accepted, s.tns_after)
   in
   let a1, t1 = run_once () in
@@ -301,7 +297,6 @@ let suite =
     ("save_placement format", `Quick, test_save_placement_format);
     ("sa refine cost never regresses", `Slow, test_sa_refine_never_regresses_cost);
     ("sa refine deterministic", `Slow, test_sa_refine_deterministic);
-    ("svg render", `Quick, test_svg_render);
     ("reorder rows legal", `Quick, test_reorder_rows_legal_and_improving);
     ("early <= late arrivals", `Quick, test_early_le_late);
     ("io delays shift timing", `Quick, test_io_delays_shift_timing);

@@ -195,125 +195,6 @@ let suite =
     q_elmore_nonneg;
   ]
 
-(* ---------------- Van Ginneken buffering ---------------- *)
-
-let test_buffering_hand_computed () =
-  (* Collinear chain root(0,0) - mid(20,0) - far(40,0); r=c=1; loads 0;
-     far sink required time 0; mid is a zero-load pass-through.
-     Unbuffered: q(root) = -40*(40/2) = -800.
-     One buffer (in_cap 1.8, intrinsic 16, drive 5) at mid:
-       q(mid)  = 0 - 20*(10+0) - (16 + 5*20) = -316, cap 1.8
-       q(root) = -316 - 20*(10+1.8) = -552.  *)
-  let xs = [| 0.0; 20.0; 40.0 |] and ys = [| 0.0; 0.0; 0.0 |] in
-  let tree = Rctree.Steiner.steiner ~xs ~ys in
-  let term_req i = if i = 2 then 0.0 else Float.infinity in
-  let term_cap _ = 0.0 in
-  let r =
-    Rctree.Buffering.estimate tree ~r:1.0 ~c:1.0 ~drive_res:0.0 ~term_req ~term_cap
-  in
-  check_float "unbuffered" (-800.0) r.unbuffered_q;
-  check_float "buffered" (-552.0) r.best_q;
-  Alcotest.(check int) "one buffer" 1 r.buffers_used
-
-let test_buffering_never_hurts () =
-  let rng = Util.Rng.create 9 in
-  for _ = 1 to 30 do
-    let n = 2 + Util.Rng.int rng 6 in
-    let xs = Array.init n (fun _ -> Util.Rng.float rng 80.0) in
-    let ys = Array.init n (fun _ -> Util.Rng.float rng 80.0) in
-    let tree = Rctree.Steiner.steiner ~xs ~ys in
-    let r =
-      Rctree.Buffering.estimate tree ~r:0.06 ~c:0.5 ~drive_res:8.0
-        ~term_req:(fun _ -> 0.0)
-        ~term_cap:(fun _ -> 1.5)
-    in
-    Alcotest.(check bool) "buffering >= unbuffered" true (r.best_q >= r.unbuffered_q -. 1e-9);
-    Alcotest.(check bool) "finite" true (Float.is_finite r.best_q)
-  done
-
-let test_buffering_prune () =
-  let open Rctree.Buffering in
-  let cands =
-    [
-      { cap = 1.0; q = 5.0; buffers = 0 };
-      { cap = 2.0; q = 4.0; buffers = 1 }; (* dominated: more cap, less q *)
-      { cap = 3.0; q = 9.0; buffers = 1 };
-      { cap = 4.0; q = 9.0; buffers = 2 }; (* dominated: more cap, equal q *)
-    ]
-  in
-  let kept = prune cands in
-  Alcotest.(check int) "two survivors" 2 (List.length kept);
-  Alcotest.(check bool) "caps ascend, q ascends" true
-    (match kept with
-    | [ a; b ] -> a.cap < b.cap && a.q < b.q
-    | _ -> false)
-
-let test_buffering_short_wire_needs_none () =
-  (* Tiny net: a buffer's own delay outweighs any wire saving. *)
-  let xs = [| 0.0; 2.0 |] and ys = [| 0.0; 0.0 |] in
-  let tree = Rctree.Steiner.steiner ~xs ~ys in
-  let r =
-    Rctree.Buffering.estimate tree ~r:0.06 ~c:0.5 ~drive_res:8.0
-      ~term_req:(fun _ -> 0.0)
-      ~term_cap:(fun _ -> 1.5)
-  in
-  Alcotest.(check int) "no buffers" 0 r.buffers_used;
-  check_float "equal to unbuffered" r.unbuffered_q r.best_q
-
-let suite =
-  suite
-  @ [
-      ("buffering hand computed", `Quick, test_buffering_hand_computed);
-      ("buffering never hurts", `Quick, test_buffering_never_hurts);
-      ("buffering prune", `Quick, test_buffering_prune);
-      ("buffering short wire", `Quick, test_buffering_short_wire_needs_none);
-    ]
-
-(* Exhaustive check: on a chain, the DP must match brute force over all
-   2^m buffer placements at the intermediate nodes. *)
-let test_buffering_matches_brute_force () =
-  let rng = Util.Rng.create 77 in
-  let buf = Rctree.Buffering.default_buffer in
-  for _ = 1 to 15 do
-    let m = 1 + Util.Rng.int rng 4 in
-    (* Collinear increasing points: root, m intermediates, final sink. *)
-    let pos = Array.make (m + 2) 0.0 in
-    for i = 1 to m + 1 do
-      pos.(i) <- pos.(i - 1) +. 3.0 +. Util.Rng.float rng 25.0
-    done;
-    let xs = Array.copy pos and ys = Array.make (m + 2) 0.0 in
-    let r = 0.3 and c = 0.4 in
-    let sink_cap = 1.5 in
-    let tree = Rctree.Steiner.steiner ~xs ~ys in
-    let dp =
-      Rctree.Buffering.estimate tree ~r ~c ~drive_res:0.0
-        ~term_req:(fun i -> if i = m + 1 then 0.0 else Float.infinity)
-        ~term_cap:(fun i -> if i = m + 1 then sink_cap else 0.0)
-    in
-    (* Brute force: subset of buffered intermediate nodes (indices 1..m). *)
-    let best = ref Float.neg_infinity in
-    for mask = 0 to (1 lsl m) - 1 do
-      (* Walk from the sink back to the root. *)
-      let q = ref 0.0 and cap = ref sink_cap in
-      for i = m + 1 downto 1 do
-        let len = pos.(i) -. pos.(i - 1) in
-        q := !q -. (r *. len *. ((c *. len /. 2.0) +. !cap));
-        cap := !cap +. (c *. len);
-        if i - 1 >= 1 && mask land (1 lsl (i - 2)) <> 0 then begin
-          q := !q -. (buf.Rctree.Buffering.intrinsic +. (buf.Rctree.Buffering.drive *. !cap));
-          cap := buf.Rctree.Buffering.in_cap
-        end
-      done;
-      if !q > !best then best := !q
-    done;
-    Alcotest.(check bool)
-      (Printf.sprintf "dp %.3f == brute %.3f (m=%d)" dp.best_q !best m)
-      true
-      (Float.abs (dp.best_q -. !best) < 1e-6 *. (1.0 +. Float.abs !best))
-  done
-
-let suite = suite @ [ ("buffering matches brute force", `Quick, test_buffering_matches_brute_force) ]
-
 (* The committed tie fixture (test/fixtures/steiner_trees, written by
    test/gen_steiner_fixture.ml) pins [steiner]'s exact trees — node
    order, tie-breaking and the bits of every coordinate — on terminal

@@ -74,7 +74,7 @@ let test_pads_on_boundary () =
     | Design.Logic | Design.Blockage -> ()
   done
 
-let test_fanout_long_tail () =
+let test_fanout_heavy_tail () =
   let d = Lazy.force Helpers.small_generated in
   let fanouts = Array.init (Design.num_nets d) (fun nid -> Design.net_num_sinks d nid) in
   let max_fo = Array.fold_left max 0 fanouts in
@@ -152,7 +152,7 @@ let suite =
     ("generated deterministic", `Quick, test_generated_deterministic);
     ("seed changes wiring", `Quick, test_generated_seed_changes);
     ("pads on boundary", `Quick, test_pads_on_boundary);
-    ("fanout long tail", `Quick, test_fanout_long_tail);
+    ("fanout long tail", `Quick, test_fanout_heavy_tail);
     ("clock calibration regime", `Slow, test_calibration_regime);
     ("suite entries", `Quick, test_suite_entries);
     ("suite scaling", `Quick, test_suite_scaling);
