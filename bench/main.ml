@@ -623,11 +623,11 @@ let ext c =
       Util.Tablefmt.add_row t (vname :: row))
     variants;
   print_table t;
-  (* -- B: side metrics per flow on sb1: hold, wire segments. Every flow
-     is scored on the same endpoints, vanilla's 30 worst by slack. -- *)
+  (* -- B: wire segments per flow on sb1. Every flow is scored on the
+     same endpoints, vanilla's 30 worst by slack. -- *)
   let t2 =
-    table ~title:"EXT B: side metrics on sb1 (hold THS; wire segments on vanilla's 30 worst endpoints)"
-      [ "Method"; "setup TNS"; "hold THS"; "segments"; "buf cands"; "max seg"; "mean seg" ]
+    table ~title:"EXT B: wire segments on sb1 (vanilla's 30 worst endpoints)"
+      [ "Method"; "setup TNS"; "segments"; "buf cands"; "max seg"; "mean seg" ]
   in
   let d = design c "sb1" in
   let endpoints =
@@ -638,13 +638,11 @@ let ext c =
   List.iter
     (fun meth ->
       let r = ok_flow c "sb1" meth in
-      let timer = Sta.Timer.create d in
       let ws = Evalkit.Wire_stats.of_endpoints d ~endpoints in
       Util.Tablefmt.add_row t2
         [
           r.name;
           f1 r.metrics.tns;
-          f1 (Sta.Timer.ths timer);
           string_of_int ws.Evalkit.Wire_stats.num_segments;
           string_of_int ws.Evalkit.Wire_stats.buffer_candidates;
           f1 ws.Evalkit.Wire_stats.max_length;

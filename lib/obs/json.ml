@@ -16,34 +16,187 @@ type t =
 
 (* ---- emission ---- *)
 
-(* Appends [s] to [buf] as a quoted JSON string. *)
+let hex = "0123456789abcdef"
+
+(* Appends [s] to [buf] as a quoted JSON string; each run of bytes that
+   needs no escape is copied in one call. *)
 let escape_string buf s =
   Buffer.add_char buf '"';
-  for i = 0 to String.length s - 1 do
-    match s.[i] with
-    | '"' -> Buffer.add_string buf "\\\""
-    | '\\' -> Buffer.add_string buf "\\\\"
-    | '\n' -> Buffer.add_string buf "\\n"
-    | '\r' -> Buffer.add_string buf "\\r"
-    | '\t' -> Buffer.add_string buf "\\t"
-    | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-    | c -> Buffer.add_char buf c
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || c < ' ' then begin
+      if i > !run then Buffer.add_substring buf s !run (i - !run);
+      run := i + 1;
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c ->
+          Buffer.add_string buf "\\u00";
+          Buffer.add_char buf hex.[Char.code c lsr 4];
+          Buffer.add_char buf hex.[Char.code c land 15]
+    end
   done;
+  if n > !run then Buffer.add_substring buf s !run (n - !run);
   Buffer.add_char buf '"'
 
-let float_repr f =
-  if not (Float.is_finite f) then "null"
+(* ---- numbers ----
+
+   A finite float is written as C's [%.12g] if that reads back as the
+   same float, else as [%.17g]. [add_float] produces those bytes with
+   integer and FMA arithmetic and keeps printf for the values it cannot
+   settle exactly (DESIGN.md §9). *)
+
+(* 10^0 .. 10^22: every one is an exact double. *)
+let pow10 = Array.init 23 (fun i -> float_of_string ("1e" ^ string_of_int i))
+
+let max_scale = Array.length pow10 - 1
+
+(* 10^0 .. 10^18 as ints. *)
+let ipow10 = Array.init 19 (fun i -> int_of_string ("1" ^ String.make i '0'))
+
+let no_fast = min_int
+
+(* ⌊log10 |f|⌋ for [f] <> 0, or [no_fast] outside [-11, 11]. Floats
+   are passed as the caller's boxed [f] and |f| is taken in each
+   function, so no new box is made. [e] is a guess (from [Float.log10],
+   which may be one off next to a power of ten); it is checked exactly
+   on hi + lo = |f|·10^(11-e), which must lie in [10^11, 10^12). *)
+let rec decimal_exponent f e =
+  let x = Float.abs f in
+  let p = 11 - e in
+  if p < 0 || p > max_scale then no_fast
   else begin
-    (* Shortest representation that still round-trips. *)
-    let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+    let s = Array.unsafe_get pow10 p in
+    let hi = x *. s in
+    let lo = Float.fma x s (-.hi) in
+    if hi < 1e11 || (hi = 1e11 && lo < 0.0) then decimal_exponent f (e - 1)
+    else if hi > 1e12 || (hi = 1e12 && lo >= 0.0) then decimal_exponent f (e + 1)
+    else e
+  end
+
+(* |f|·10^p rounded to the nearest integer, ties to even, for 0 <= p <= 22.
+   hi + lo is the product exactly: the FMA residual lo is representable
+   and |lo| <= ulp(hi)/2. From 2^52 up hi is an integer and lo rounds
+   alone. Below it hi's fraction is a multiple of ulp(hi), so frac - 0.5
+   is exact and lo only decides a tie. *)
+let round_scaled f p =
+  let x = Float.abs f in
+  let s = Array.unsafe_get pow10 p in
+  let hi = x *. s in
+  let lo = Float.fma x s (-.hi) in
+  if hi >= 0x1p52 then begin
+    let fl = Float.floor lo in
+    let r = lo -. fl in
+    let n = int_of_float hi + int_of_float fl in
+    if r > 0.5 || (r = 0.5 && n land 1 = 1) then n + 1 else n
+  end
+  else begin
+    let fl = Float.floor hi in
+    let d = hi -. fl -. 0.5 in
+    let n = int_of_float fl in
+    if d > 0.0 || (d = 0.0 && (lo > 0.0 || (lo = 0.0 && n land 1 = 1))) then n + 1 else n
+  end
+
+let rec trailing_zeros n = if n mod 10 = 0 then 1 + trailing_zeros (n / 10) else 0
+
+(* The [k] low digits of [n], least significant first. *)
+let rec reverse_digits n k acc =
+  if k = 0 then acc else reverse_digits (n / 10) (k - 1) ((acc * 10) + (n mod 10))
+
+(* Writes the next [k] digits of a digit-reversed [r] ('0' once it runs
+   out) and returns the rest. *)
+let rec emit buf r k =
+  if k = 0 then r
+  else begin
+    Buffer.add_char buf (Char.unsafe_chr (48 + (r mod 10)));
+    emit buf (r / 10) (k - 1)
+  end
+
+(* C's %g layout, sign excluded, of [n] (exactly [prec] digits) times
+   10^(e - prec + 1): exponent form when e < -4 or e >= prec, trailing
+   zeros stripped, a two-digit exponent (|e| <= 12 here). *)
+let add_g buf n e prec =
+  let z = trailing_zeros n in
+  let nd = prec - z in
+  let r = reverse_digits (n / Array.unsafe_get ipow10 z) nd 0 in
+  if e < -4 || e >= prec then begin
+    let r = emit buf r 1 in
+    if nd > 1 then begin
+      Buffer.add_char buf '.';
+      ignore (emit buf r (nd - 1))
+    end;
+    Buffer.add_char buf 'e';
+    Buffer.add_char buf (if e < 0 then '-' else '+');
+    Buffer.add_char buf (Char.unsafe_chr (48 + (abs e / 10)));
+    Buffer.add_char buf (Char.unsafe_chr (48 + (abs e mod 10)))
+  end
+  else if e >= 0 then begin
+    let r = emit buf r (e + 1) in
+    if nd > e + 1 then begin
+      Buffer.add_char buf '.';
+      ignore (emit buf r (nd - e - 1))
+    end
+  end
+  else begin
+    Buffer.add_string buf "0.";
+    ignore (emit buf 0 (-e - 1));
+    ignore (emit buf r nd)
+  end
+
+(* Rounds |f| > 0, of exponent [e], to [prec] significant digits and
+   writes them in %g layout; false, with nothing written, when 10^p is
+   not exact for p = prec-1-e. At 12 digits it is also false when the
+   digits do not read back as |f|: N < 2^53 and |q| <= 22, so N·10^q is
+   one correctly rounded operation, the value strtod returns for those
+   digits (Clinger's fast path). *)
+let add_rounded buf f e prec =
+  let p = prec - 1 - e in
+  p <= max_scale
+  && begin
+       let n = round_scaled f p in
+       (* Rounding up to 10^prec carries into the exponent. *)
+       let carry = n = Array.unsafe_get ipow10 prec in
+       let n = if carry then n / 10 else n in
+       let e = if carry then e + 1 else e in
+       let q = e - prec + 1 in
+       let v = float_of_int n in
+       (* 17 digits always read back. *)
+       let exact =
+         prec = 17
+         || (if q >= 0 then v *. Array.unsafe_get pow10 q else v /. Array.unsafe_get pow10 (-q))
+            = Float.abs f
+       in
+       if exact then add_g buf n e prec;
+       exact
+     end
+
+let printf_repr f =
+  let s = Printf.sprintf "%.12g" f in
+  if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+let add_float buf f =
+  if not (Float.is_finite f) then Buffer.add_string buf "null"
+  else if f = 0.0 then Buffer.add_string buf (if 1.0 /. f < 0.0 then "-0" else "0")
+  else begin
+    let e = decimal_exponent f (int_of_float (Float.floor (Float.log10 (Float.abs f)))) in
+    let pos = Buffer.length buf in
+    if f < 0.0 then Buffer.add_char buf '-';
+    if e = no_fast || not (add_rounded buf f e 12 || add_rounded buf f e 17) then begin
+      Buffer.truncate buf pos;
+      Buffer.add_string buf (printf_repr f)
+    end
   end
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> Buffer.add_string buf (float_repr f)
+  | Float f -> add_float buf f
   | String s -> escape_string buf s
   | List xs ->
       Buffer.add_char buf '[';
@@ -133,7 +286,18 @@ let parse_exn (s : string) : t =
               loop ()
           | 'u' ->
               if !pos + 4 > n then fail "bad \\u escape";
-              let code = int_of_string ("0x" ^ String.sub s !pos 4) in
+              let code = ref 0 in
+              for i = !pos to !pos + 3 do
+                let d =
+                  match s.[i] with
+                  | '0' .. '9' as c -> Char.code c - 48
+                  | 'a' .. 'f' as c -> Char.code c - 87
+                  | 'A' .. 'F' as c -> Char.code c - 55
+                  | _ -> fail "bad \\u escape"
+                in
+                code := (!code * 16) + d
+              done;
+              let code = !code in
               pos := !pos + 4;
               (* Only BMP code points below 0x80 round-trip as single
                  bytes; encode the rest as UTF-8. *)

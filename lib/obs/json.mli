@@ -10,6 +10,11 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+(** Appends the encoding of a value to a buffer. A finite float is
+    written as C's [%.12g] when that reads back as the same float, else
+    as [%.17g]. *)
+val write : Buffer.t -> t -> unit
+
 val to_string : t -> string
 
 exception Parse_error of string

@@ -143,8 +143,9 @@ let path_json (d : Netlist.Design.t) (p : Sta.Paths.path) =
       ("arrival", Obs.Json.Float p.Sta.Paths.arrival);
       ( "pins",
         Obs.Json.List
-          (Array.to_list p.Sta.Paths.pins
-          |> List.map (fun pin -> Obs.Json.String (Netlist.Design.pin_name d pin))) );
+          (Array.fold_right
+             (fun pin acc -> Obs.Json.String (Netlist.Design.pin_name d pin) :: acc)
+             p.Sta.Paths.pins []) );
     ]
 
 let op_report_timing t req =

@@ -134,3 +134,58 @@ let small_calibrated () =
   let d = Workloads.Generate.generate small_gen_params in
   ignore (Workloads.Generate.calibrate_clock d ~quantile:0.9);
   d
+
+(* A JSON writer that formats every float with printf: the reference
+   the library's encoder must match byte for byte. *)
+module Json_ref = struct
+  let float_repr f =
+    if not (Float.is_finite f) then "null"
+    else begin
+      let s = Printf.sprintf "%.12g" f in
+      if float_of_string s = f then s else Printf.sprintf "%.17g" f
+    end
+
+  let escape_string buf s =
+    Buffer.add_char buf '"';
+    String.iter
+      (function
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+
+  let rec write buf = function
+    | Obs.Json.Null -> Buffer.add_string buf "null"
+    | Obs.Json.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Obs.Json.Int i -> Buffer.add_string buf (string_of_int i)
+    | Obs.Json.Float f -> Buffer.add_string buf (float_repr f)
+    | Obs.Json.String s -> escape_string buf s
+    | Obs.Json.List xs ->
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun i x ->
+            if i > 0 then Buffer.add_char buf ',';
+            write buf x)
+          xs;
+        Buffer.add_char buf ']'
+    | Obs.Json.Obj kvs ->
+        Buffer.add_char buf '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_char buf ',';
+            escape_string buf k;
+            Buffer.add_char buf ':';
+            write buf v)
+          kvs;
+        Buffer.add_char buf '}'
+
+  let to_string v =
+    let buf = Buffer.create 256 in
+    write buf v;
+    Buffer.contents buf
+end

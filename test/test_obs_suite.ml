@@ -32,7 +32,11 @@ let test_json_roundtrip () =
   in
   Alcotest.(check string)
     "exact bytes" {|{"q\"b\\n\nt\tc\u0001":"q\"b\\n\nt\tc\u0001","f":[1.5,0.30000000000000004]}|}
-    (Obs.Json.to_string v)
+    (Obs.Json.to_string v);
+  (* Every byte value, escaped or copied, as the printf reference writes it. *)
+  let all_bytes = Obs.Json.String (String.init 256 Char.chr) in
+  Alcotest.(check string)
+    "every byte" (Helpers.Json_ref.to_string all_bytes) (Obs.Json.to_string all_bytes)
 
 let test_json_floats () =
   let j = Obs.Json.parse_exn "{\"a\": 1.5, \"b\": -2.25e2, \"c\": 3}" in
@@ -45,6 +49,73 @@ let test_json_floats () =
   Alcotest.(check bool)
     "trailing garbage rejected" true
     (match Obs.Json.parse "{} x" with Error _ -> true | Ok _ -> false)
+
+let encode_float buf f =
+  Buffer.clear buf;
+  Obs.Json.write buf (Obs.Json.Float f);
+  Buffer.contents buf
+
+(* The encoder's integer path against the printf rule it replaces, on
+   the edges of its exact range and on >= 1M seeded floats. *)
+let test_json_float_repr () =
+  let buf = Buffer.create 64 in
+  let mismatches = ref 0 and first = ref None in
+  let check f =
+    let want = Helpers.Json_ref.float_repr f and got = encode_float buf f in
+    if got <> want then begin
+      incr mismatches;
+      if !first = None then first := Some (Printf.sprintf "%h: want %s, got %s" f want got)
+    end
+  in
+  List.iter check
+    [
+      0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity; 5e-324; -5e-324;
+      Float.min_float; Float.max_float; -.Float.max_float; 1e-5; 9.99995e-5; 1e-4;
+      999999999999.5; 1e11; 1e12; 1e16; 9.9999999999999995e16; 1e17; 0.1 +. 0.2; 0.5;
+      2.5; 1.5; -1.0; 123456789012.5; 0.000123456789012;
+    ];
+  for k = -22 to 22 do
+    let p = float_of_string (Printf.sprintf "1e%d" k) in
+    List.iter (fun f -> check f; check (-.f)) [ p; Float.succ p; Float.pred p ]
+  done;
+  for k = -20 to 20 do
+    let p = float_of_string (Printf.sprintf "1e%d" k) in
+    check (p *. 0.999999999999)
+  done;
+  let st = Random.State.make [| 20261020 |] in
+  let rec pow10 k = if k = 0 then 1 else 10 * pow10 (k - 1) in
+  let decimal digits exp =
+    let m = 1 + Random.State.full_int st (pow10 digits - 1) in
+    float_of_string (Printf.sprintf "%de%d" m exp)
+  in
+  let sign f = if Random.State.bool st then f else -.f in
+  let per = 150_000 in
+  for _ = 1 to per do
+    check (Random.State.float st 2000.0 -. 1000.0);
+    check (Int64.float_of_bits (Random.State.bits64 st));
+    check (float_of_int (Random.State.int st 2_000_000 - 1_000_000) /. 100.0);
+    check (sign (decimal (1 + Random.State.int st 16) (Random.State.int st 31 - 15)));
+    let d12 = decimal 12 (Random.State.int st 31 - 15) in
+    check (sign (if Random.State.bool st then Float.succ d12 else Float.pred d12));
+    check (sign (d12 *. 3.0));
+    check (float_of_int (Random.State.bits st - (1 lsl 29)))
+  done;
+  (match !first with Some m -> Alcotest.failf "%d mismatches, first %s" !mismatches m | None -> ())
+
+(* A float the integer path settles writes into the buffer and
+   allocates nothing of its own. *)
+let test_json_float_alloc () =
+  let st = Random.State.make [| 7 |] in
+  let values =
+    Array.init 100_000 (fun _ -> Obs.Json.Float (Random.State.float st 2000.0 -. 1000.0))
+  in
+  let buf = Buffer.create (32 * Array.length values) in
+  let w0 = Gc.minor_words () in
+  Array.iter (Obs.Json.write buf) values;
+  let per_float = (Gc.minor_words () -. w0) /. float_of_int (Array.length values) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per float (want < 1)" per_float)
+    true (per_float < 1.0)
 
 (* ---------------- Spans ---------------- *)
 
@@ -594,6 +665,8 @@ let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
     Alcotest.test_case "json floats + errors" `Quick test_json_floats;
+    Alcotest.test_case "json float repr matches printf rule" `Slow test_json_float_repr;
+    Alcotest.test_case "json float encode allocation" `Quick test_json_float_alloc;
     Alcotest.test_case "span nesting + durations" `Quick test_span_nesting;
     Alcotest.test_case "span exception safety" `Quick test_span_exception_safety;
     Alcotest.test_case "span attrs" `Quick test_span_attrs;

@@ -529,6 +529,30 @@ let test_overlong_request_line () =
             (allocated < 64.0 *. 1048576.0)
       | _ -> Alcotest.failf "want 2 replies, got %d" (List.length replies))
 
+(* A hostile \u escape (not four hex digits, or cut short) is a
+   bad_request reply, and the engine goes on serving. *)
+let test_bad_unicode_escape () =
+  let engine = Engine.create () in
+  List.iter
+    (fun line ->
+      expect_error ("bad \\u escape in " ^ line) ~kind:"bad_request" (Engine.handle_line engine line))
+    [ {|{"id":"\uZZZZ","op":"ping"}|}; {|{"id":"x\u00"}|}; {|{"id":"\u+123","op":"ping"}|} ];
+  Alcotest.(check bool) "then a ping is served" true
+    (bool_member "pong" (expect_ok "ping" (Engine.handle_line engine {|{"id":"p","op":"ping"}|})))
+
+(* A 100-path report_timing reply on the generated test design encodes
+   to the same bytes as the printf reference writer. *)
+let test_reply_bytes_unchanged () =
+  let engine = Engine.create () in
+  ignore (State.add (Engine.state engine) ~name:"c" (Helpers.small_calibrated ()));
+  let reply =
+    Engine.handle_line engine {|{"id":"q","op":"report_timing","params":{"design":"c","n":50,"k":3}}|}
+  in
+  (match member "paths" (expect_ok "report_timing" reply) with
+  | Obs.Json.List paths -> Alcotest.(check int) "paths" 100 (List.length paths)
+  | j -> Alcotest.failf "no path list: %s" (json_str j));
+  Alcotest.(check string) "reply bytes" (Helpers.Json_ref.to_string reply) (json_str reply)
+
 let suite =
   [
     ("protocol parse", `Quick, test_protocol_parse);
@@ -545,4 +569,6 @@ let suite =
     ("warm replace quality and speedup", `Slow, test_warm_replace_quality);
     ("daemon stdin session", `Slow, test_daemon_stdin_session);
     ("over-long request line", `Quick, test_overlong_request_line);
+    ("bad unicode escape is a bad_request", `Quick, test_bad_unicode_escape);
+    ("json reply bytes unchanged", `Quick, test_reply_bytes_unchanged);
   ]
