@@ -43,6 +43,7 @@ type memo = {
    reuse designs. *)
 type ctx = {
   o : opts;
+  par : Util.Parallel.t; (* [--domains], no hook: every section's flows and timers *)
   designs : (string, Netlist.Design.t) Hashtbl.t;
   flows : (string * string, memo) Hashtbl.t;
 }
@@ -132,7 +133,8 @@ let run_flow ?key_label c dname meth =
       let outcome = ref None in
       let seconds, _ =
         measure (fun () ->
-            outcome := Some (try Ok (Tdp.Flow.run meth d) with Util.Errors.Error e -> Error e))
+            outcome :=
+              Some (try Ok (Tdp.Flow.run ~par:c.par meth d) with Util.Errors.Error e -> Error e))
       in
       let outcome = Option.get !outcome in
       (match outcome with
@@ -278,7 +280,7 @@ let table1 c =
   let dname = "sb1" in
   (* Coarse placement: the vanilla flow's global placement result. *)
   ignore (ok_flow c dname Tdp.Flow.Vanilla);
-  let timer = Sta.Timer.create ~topology:Sta.Delay.Steiner_tree (design c dname) in
+  let timer = Sta.Timer.create ~par:c.par ~topology:Sta.Delay.Steiner_tree (design c dname) in
   Sta.Timer.update timer;
   let n = Sta.Timer.num_failing_endpoints timer in
   Printf.printf "\nTable I workload: %s, %d failing endpoints\n" dname n;
@@ -340,7 +342,7 @@ let fig3 c =
   (* Identify the worst endpoint on the coarse (vanilla) placement; track
      the same endpoint across the loss variants. *)
   ignore (ok_flow c dname Tdp.Flow.Vanilla);
-  let coarse_timer = Sta.Timer.create d in
+  let coarse_timer = Sta.Timer.create ~par:c.par d in
   Sta.Timer.update coarse_timer;
   let target_ep =
     match Sta.Timer.critical_path coarse_timer with
@@ -352,7 +354,7 @@ let fig3 c =
       [ "Loss"; "Path slack (ps)"; "Path WL"; "Max seg"; "Mean seg"; "Seg CV"; "Segments" ]
   in
   let describe name =
-    let timer = Sta.Timer.create d in
+    let timer = Sta.Timer.create ~par:c.par d in
     Sta.Timer.update timer;
     let graph = Sta.Timer.graph timer in
     match Sta.Timer.worst_path timer ~endpoint:target_ep with
@@ -396,7 +398,7 @@ let fig3 c =
       | None -> ignore (ok_flow c dname Tdp.Flow.Vanilla)
       | Some cfg ->
           Printf.printf "[run] fig3 %-22s on %s...\n%!" name dname;
-          ignore (Tdp.Flow.run (Tdp.Flow.Efficient cfg) d));
+          ignore (Tdp.Flow.run ~par:c.par (Tdp.Flow.Efficient cfg) d));
       describe name)
     losses;
   Util.Tablefmt.print t;
@@ -500,15 +502,17 @@ let scaling c =
   let dname = "sb18" in
   let d = design c dname in
   ignore (ok_flow c dname Tdp.Flow.Vanilla);
-  let timer = Sta.Timer.create d in
-  Sta.Timer.update timer;
   let gx = Array.make (Netlist.Design.num_cells d) 0.0 in
   let gy = Array.make (Netlist.Design.num_cells d) 0.0 in
-  let grid = Gp.Densitygrid.create d ~bins_x:64 ~bins_y:64 in
-  let electro = Gp.Electro.create grid in
-  let n_ep = max 1 (min 64 (Array.length (Sta.Timer.graph timer).Sta.Graph.endpoints)) in
-  let n_failing = max 1 (Sta.Timer.num_failing_endpoints timer) in
-  let kernels =
+  (* The kernels' state at one domain count: an owner keeps the value it
+     was created with, so each count gets its own timer and grid. *)
+  let kernels par =
+    let timer = Sta.Timer.create ~par d in
+    Sta.Timer.update timer;
+    let grid = Gp.Densitygrid.create ~par d ~bins_x:64 ~bins_y:64 in
+    let electro = Gp.Electro.create grid in
+    let n_ep = max 1 (min 64 (Array.length (Sta.Timer.graph timer).Sta.Graph.endpoints)) in
+    let n_failing = max 1 (Sta.Timer.num_failing_endpoints timer) in
     [
       ("density.update", Netlist.Design.num_cells d, fun () -> Gp.Densitygrid.update grid d);
       ( "electro.solve",
@@ -521,7 +525,7 @@ let scaling c =
         fun () ->
           Array.fill gx 0 (Array.length gx) 0.0;
           Array.fill gy 0 (Array.length gy) 0.0;
-          ignore (Gp.Wirelength.wa_wirelength_grad d ~gamma:2.0 ~gx ~gy) );
+          ignore (Gp.Wirelength.wa_wirelength_grad ~par d ~gamma:2.0 ~gx ~gy) );
       ( "sta.update",
         Sta.Graph.num_pins (Sta.Timer.graph timer),
         fun () ->
@@ -545,47 +549,50 @@ let scaling c =
     table ~title:"domain scaling of the parallel hot kernels (speedup vs 1 domain)"
       [ "Kernel"; "n"; "Domains"; "ns/op"; "Speedup" ]
   in
-  let entries =
-    List.concat_map
-      (fun (kname, n, f) ->
-        (* The first call warms up and sizes the run to ~0.3 s of calls. *)
-        let runs =
-          List.map
-            (fun dn ->
-              Util.Parallel.set_num_domains dn;
-              let once, _ = measure f in
-              let reps = max 1 (int_of_float (0.3 /. Float.max 1e-9 once)) in
-              let s, w = measure ~reps f in
-              (dn, reps, s, w, s /. float_of_int reps *. 1e9))
-            [ 1; 2; 4 ]
-        in
-        let base = match runs with (_, _, _, _, ns) :: _ -> ns | [] -> Float.nan in
-        List.map
-          (fun (dn, reps, s, w, ns) ->
-            let speedup = base /. Float.max 1e-9 ns in
-            Util.Tablefmt.add_row t
-              [
-                kname;
-                string_of_int n;
-                string_of_int dn;
-                Printf.sprintf "%.0f" ns;
-                Printf.sprintf "%.2fx" speedup;
-              ];
-            entry ~design:dname ~label:(Printf.sprintf "%s@%d" kname dn) ~runtime:s ~reps
-              ~resource:
-                [
-                  ("n", float_of_int n);
-                  ("domains", float_of_int dn);
-                  ("host_cores", float_of_int host_cores);
-                  ("ns_per_op", ns);
-                  ("speedup", speedup);
-                  ("minor_words", w);
-                ]
-              ())
-          runs)
-      kernels
+  let states =
+    List.map (fun dn -> (dn, Array.of_list (kernels (Util.Parallel.create dn)))) [ 1; 2; 4 ]
   in
-  Util.Parallel.set_num_domains c.o.domains;
+  let entries =
+    List.concat
+      (List.mapi
+         (fun i (kname, n, _) ->
+           (* The first call warms up and sizes the run to ~0.3 s of calls. *)
+           let runs =
+             List.map
+               (fun (dn, ks) ->
+                 let _, _, f = ks.(i) in
+                 let once, _ = measure f in
+                 let reps = max 1 (int_of_float (0.3 /. Float.max 1e-9 once)) in
+                 let s, w = measure ~reps f in
+                 (dn, reps, s, w, s /. float_of_int reps *. 1e9))
+               states
+           in
+           let base = match runs with (_, _, _, _, ns) :: _ -> ns | [] -> Float.nan in
+           List.map
+             (fun (dn, reps, s, w, ns) ->
+               let speedup = base /. Float.max 1e-9 ns in
+               Util.Tablefmt.add_row t
+                 [
+                   kname;
+                   string_of_int n;
+                   string_of_int dn;
+                   Printf.sprintf "%.0f" ns;
+                   Printf.sprintf "%.2fx" speedup;
+                 ];
+               entry ~design:dname ~label:(Printf.sprintf "%s@%d" kname dn) ~runtime:s ~reps
+                 ~resource:
+                   [
+                     ("n", float_of_int n);
+                     ("domains", float_of_int dn);
+                     ("host_cores", float_of_int host_cores);
+                     ("ns_per_op", ns);
+                     ("speedup", speedup);
+                     ("minor_words", w);
+                   ]
+                 ())
+             runs)
+         (Array.to_list (snd (List.hd states))))
+  in
   print_table t;
   entries
 
@@ -616,7 +623,7 @@ let ext c =
         List.concat_map
           (fun dn ->
             Printf.printf "[run] ext %-26s on %s...\n%!" vname dn;
-            let r = Tdp.Flow.run ~topology (Tdp.Flow.Efficient cfg) (design c dn) in
+            let r = Tdp.Flow.run ~par:c.par ~topology (Tdp.Flow.Efficient cfg) (design c dn) in
             [ f2 (r.metrics.tns /. 1e3); f2 (r.metrics.wns /. 1e3); f1 (r.metrics.hpwl /. 1e3) ])
           dnames
       in
@@ -632,7 +639,7 @@ let ext c =
   let d = design c "sb1" in
   let endpoints =
     ignore (ok_flow c "sb1" Tdp.Flow.Vanilla);
-    Sta.Timer.report_timing_endpoint ~failing_only:false (Sta.Timer.create d) ~n:30 ~k:1
+    Sta.Timer.report_timing_endpoint ~failing_only:false (Sta.Timer.create ~par:c.par d) ~n:30 ~k:1
     |> List.map (fun (p : Sta.Paths.path) -> p.endpoint)
   in
   List.iter
@@ -701,7 +708,7 @@ let stats c =
                  (fun seed ->
                    Printf.printf "[run] stats %-18s on %s seed %d...\n%!" (Tdp.Flow.method_name m)
                      dn seed;
-                   (Tdp.Flow.run ~seed m d).metrics.tns)
+                   (Tdp.Flow.run ~par:c.par ~seed m d).metrics.tns)
                  seeds))
           methods
       in
@@ -749,7 +756,7 @@ let spectral c =
       (fun (rows, cols) ->
         let n = rows * cols in
         Printf.printf "[run] spectral %dx%d...\n%!" rows cols;
-        let p = Numerics.Poisson.create ~rows ~cols in
+        let p = Numerics.Poisson.create ~par:c.par ~rows ~cols in
         let rho = Array.init n (fun _ -> Util.Rng.float_range rng (-1.0) 1.0) in
         let psi = Array.make n 0.0 in
         let ex = Array.make n 0.0 and ey = Array.make n 0.0 in
@@ -812,14 +819,14 @@ let scale_section c =
     let fr = float_of_int reps in
     (* Kernels exactly as the Nesterov loop drives them, best of [reps]
        after a warm-up (scratch growth, first touch). *)
-    let ws = Gp.Wirelength.make_ws d in
+    let ws = Gp.Wirelength.make_ws ~par:c.par d in
     let gx = Array.make nc 0.0 and gy = Array.make nc 0.0 in
     let nmov = Netlist.Design.num_movable d in
     let bins =
       let rec pow2 v = if v >= 256 || v * v >= nmov then v else pow2 (2 * v) in
       max 16 (pow2 16)
     in
-    let grid = Gp.Densitygrid.create d ~bins_x:bins ~bins_y:bins in
+    let grid = Gp.Densitygrid.create ~par:c.par d ~bins_x:bins ~bins_y:bins in
     let kernel f =
       let s, w = measure ~warmup:1 ~best:true ~reps f in
       (s, w /. fr)
@@ -871,7 +878,7 @@ let scale_section c =
       let agg = Obs.Agg.create () in
       let obs = Obs.Ctx.create ~sinks:[ Obs.Agg.sink agg ] () in
       let r = ref None in
-      let gp_s, words = measure (fun () -> r := Some (Gp.Globalplace.run ~obs d)) in
+      let gp_s, words = measure (fun () -> r := Some (Gp.Globalplace.run ~par:c.par ~obs d)) in
       let r = Option.get !r in
       let rss = float_of_int (Obs.Resource.peak_rss_bytes ()) in
       Obs.Ctx.close obs;
@@ -1019,7 +1026,7 @@ let smoke c =
 
 let service_section c =
   let dname = "sb1" in
-  let engine = Service.Engine.create () in
+  let engine = Service.Engine.create ~par:c.par () in
   let timed what params =
     let r = { Service.Protocol.id = "bench"; op = what; params = Obs.Json.Obj params } in
     fst
@@ -1151,9 +1158,9 @@ let () =
         (String.concat " " (List.map fst sections));
       exit 2
   in
-  let c = { o; designs = Hashtbl.create 8; flows = Hashtbl.create 64 } in
-  Util.Parallel.set_num_domains o.domains;
-  Obs.Log.info "parallel: %d domain(s)" !Util.Parallel.num_domains;
+  let par = Util.Parallel.create o.domains in
+  let c = { o; par; designs = Hashtbl.create 8; flows = Hashtbl.create 64 } in
+  Obs.Log.info "parallel: %d domain(s)" (Util.Parallel.domains par);
   Printf.printf "Efficient-TDP benchmark harness (scale %.2f)\n" o.scale;
   Printf.printf "sections: %s\n\n%!" (String.concat " " names);
   let wall, _ =

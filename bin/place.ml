@@ -62,11 +62,14 @@ let write_error_report path ctx e =
 let run design file lef wire_rc clock scale flow loss k domains fault_inject outs curve
     trace_out report_json heartbeat_out heartbeat_every log_level =
   (match log_level with Some l -> Obs.Log.set_level l | None -> ());
-  Util.Parallel.set_num_domains domains;
-  Obs.Log.info "parallel: %d domain(s)" !Util.Parallel.num_domains;
   let sinks = match trace_out with Some path -> [ Obs.Sink.jsonl path ] | None -> [] in
   let ctx = Obs.Ctx.create ~sinks () in
-  Obs.Resource.install_parallel ctx;
+  (* Only the trace and the report read the par.* metrics. *)
+  let instrument =
+    if trace_out = None && report_json = None then None else Some (Obs.Resource.parallel_hook ctx)
+  in
+  let par = Util.Parallel.create ?instrument domains in
+  Obs.Log.info "parallel: %d domain(s)" (Util.Parallel.domains par);
   let heartbeat, heartbeat_close =
     match heartbeat_out with
     | Some path ->
@@ -124,7 +127,7 @@ let run design file lef wire_rc clock scale flow loss k domains fault_inject out
     (Netlist.Design.num_cells d) (Netlist.Design.num_nets d) d.clock_period;
   let meth = make_method flow loss k in
   Obs.Log.info "flow: %s" (Tdp.Flow.method_name meth);
-  let r = Tdp.Flow.run ~obs:ctx ?heartbeat ~fault meth d in
+  let r = Tdp.Flow.run ~par ~obs:ctx ?heartbeat ~fault meth d in
   Obs.Log.info "global placement  : %s" (Format.asprintf "%a" Evalkit.Metrics.pp r.metrics_gp);
   Obs.Log.info "after legalization: %s" (Format.asprintf "%a" Evalkit.Metrics.pp r.metrics);
   Obs.Log.info "runtime: %.2f s" r.runtime;

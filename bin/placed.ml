@@ -56,11 +56,12 @@ let run socket domains trace_out heartbeat_out heartbeat_every log_level =
   (* A client hanging up mid-reply must not kill a daemon holding warm
      state for other sessions. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  Util.Parallel.set_num_domains domains;
-  Obs.Log.info "parallel: %d domain(s)" !Util.Parallel.num_domains;
   let sinks = match trace_out with Some path -> [ Obs.Sink.jsonl path ] | None -> [] in
   let ctx = Obs.Ctx.create ~sinks () in
-  Obs.Resource.install_parallel ctx;
+  (* Only the trace reads the par.* metrics. *)
+  let instrument = Option.map (fun _ -> Obs.Resource.parallel_hook ctx) trace_out in
+  let par = Util.Parallel.create ?instrument domains in
+  Obs.Log.info "parallel: %d domain(s)" (Util.Parallel.domains par);
   let heartbeat, heartbeat_close =
     match heartbeat_out with
     | Some path ->
@@ -68,7 +69,7 @@ let run socket domains trace_out heartbeat_out heartbeat_every log_level =
         (Some (Obs.Heartbeat.create ~every_iters:heartbeat_every ~emit ctx), close)
     | None -> (None, fun () -> ())
   in
-  let engine = Service.Engine.create ~obs:ctx ?heartbeat () in
+  let engine = Service.Engine.create ~par ~obs:ctx ?heartbeat () in
   Fun.protect
     ~finally:(fun () ->
       heartbeat_close ();

@@ -12,8 +12,8 @@ type t = {
 }
 
 (** Evaluate the design's current placement. *)
-let evaluate (d : Netlist.Design.t) =
-  let timer = Sta.Timer.create ~topology:Sta.Delay.Steiner_tree d in
+let evaluate ?par (d : Netlist.Design.t) =
+  let timer = Sta.Timer.create ?par ~topology:Sta.Delay.Steiner_tree d in
   Sta.Timer.update timer;
   {
     hpwl = Netlist.Design.total_hpwl d;

@@ -10,8 +10,9 @@ type t = {
   num_endpoints : int;
 }
 
-(** Evaluate the design's current placement. *)
-val evaluate : Netlist.Design.t -> t
+(** Evaluate the design's current placement; the timer runs on [par]
+    (default {!Util.Parallel.default}). *)
+val evaluate : ?par:Util.Parallel.t -> Netlist.Design.t -> t
 
 val pp : Format.formatter -> t -> unit
 

@@ -22,12 +22,13 @@ type t = {
   eff_w : float array;
   eff_h : float array;
   eff_scale : float array;
-  mutable xover : float array array;
+  par : Util.Parallel.t;
+  xover : float array array;
       (* per-chunk x-overlap rows (length [bins_x]) for the multi-bin
-         deposit, grown on demand *)
+         deposit, one per domain of [par] *)
 }
 
-let create (d : Design.t) ~bins_x ~bins_y =
+let create ~par (d : Design.t) ~bins_x ~bins_y =
   let die = d.die in
   let bin_w = Geom.Rect.width die /. float_of_int bins_x in
   let bin_h = Geom.Rect.height die /. float_of_int bins_y in
@@ -57,7 +58,8 @@ let create (d : Design.t) ~bins_x ~bins_y =
       eff_w;
       eff_h;
       eff_scale;
-      xover = [| Array.make bins_x 0.0 |];
+      par;
+      xover = Array.init (Util.Parallel.domains par) (fun _ -> Array.make bins_x 0.0);
     }
   in
   (* Fixed density from blockages and fixed logic (pads are on the
@@ -195,11 +197,8 @@ let[@inline] deposit t (d : Design.t) (acc : float array) (xo : float array) ~rl
     in index order at every domain count. *)
 let update t (d : Design.t) =
   Array.fill t.density 0 (Array.length t.density) 0.0;
-  let nchunks = Util.Parallel.chunk_count ~n:t.bins_y in
-  if Array.length t.xover < nchunks then
-    t.xover <- Array.init nchunks (fun _ -> Array.make t.bins_x 0.0);
   let ncells = Design.num_cells d in
-  Util.Parallel.for_chunks ~grain:8 ~name:"density.bins" ~n:t.bins_y (fun ~chunk ~lo ~hi ->
+  Util.Parallel.for_chunks t.par ~grain:8 ~name:"density.bins" ~n:t.bins_y (fun ~chunk ~lo ~hi ->
       let xo = t.xover.(chunk) in
       for i = 0 to ncells - 1 do
         if Design.is_movable d i then deposit t d t.density xo ~rlo:lo ~rhi:hi i

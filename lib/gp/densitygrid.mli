@@ -15,11 +15,12 @@ type t = {
   eff_w : float array; (* per-cell inflated extents / density scale, *)
   eff_h : float array; (* precomputed once (cell sizes are static) *)
   eff_scale : float array;
-  mutable xover : float array array; (* per-chunk x-overlap rows, length [bins_x] *)
+  par : Util.Parallel.t; (* the grid's kernels and [Electro]'s run on it *)
+  xover : float array array; (* per-chunk x-overlap rows, length [bins_x] *)
 }
 
 (** Precomputes the fixed-density layer from non-movable cells. *)
-val create : Netlist.Design.t -> bins_x:int -> bins_y:int -> t
+val create : par:Util.Parallel.t -> Netlist.Design.t -> bins_x:int -> bins_y:int -> t
 
 val bin_area : t -> float
 

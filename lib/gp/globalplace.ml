@@ -99,10 +99,11 @@ type result = {
   final_overflow : float;
 }
 
-let run ?(params = default_params) ?hooks ?(obs = Obs.Ctx.null) ?heartbeat ?fault (d : Design.t) =
+let run ?(par = Util.Parallel.default ()) ?(params = default_params) ?hooks ?(obs = Obs.Ctx.null)
+    ?heartbeat ?fault (d : Design.t) =
   let tick name f = Obs.Ctx.span obs name f in
   let bins = auto_bins d in
-  let grid = Densitygrid.create d ~bins_x:bins ~bins_y:bins in
+  let grid = Densitygrid.create ~par d ~bins_x:bins ~bins_y:bins in
   let electro = Electro.create ~obs grid in
   let movable = Array.of_list (Design.movable_ids d) in
   let nm = Array.length movable in
@@ -130,7 +131,7 @@ let run ?(params = default_params) ?hooks ?(obs = Obs.Ctx.null) ?heartbeat ?faul
      iteration: the steady-state loop never allocates per-cell arrays. *)
   let dgx = Array.make (Design.num_cells d) 0.0 in
   let dgy = Array.make (Design.num_cells d) 0.0 in
-  let wl_ws = Wirelength.make_ws d in
+  let wl_ws = Wirelength.make_ws ~par d in
   let gvec = Array.make (2 * nm) 0.0 in
   (* Single-slot accumulator for the per-iteration norm reductions: a
      float [ref] would box one float per element summed. *)

@@ -55,6 +55,7 @@ type result = {
     iteration computes it) with [density] / [wl_grad] / [optimizer] child
     spans, iteration counters, and final hpwl/overflow gauges.
     Observation-only: results are identical with or without a context.
+    The GP kernels run on [par] (default {!Util.Parallel.default}).
 
     Divergence guard: every iteration the gradient is checked finite (and
     the fresh iterate sample-probed); on detection the run counts
@@ -66,6 +67,7 @@ type result = {
     when the design has no movable cells. [fault] (robustness tests) is
     applied to each movable cell's x then y WA gradient component. *)
 val run :
+  ?par:Util.Parallel.t ->
   ?params:params ->
   ?hooks:hooks ->
   ?obs:Obs.Ctx.t ->

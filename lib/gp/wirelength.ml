@@ -48,7 +48,8 @@ type lane = {
     count. *)
 type ws = {
   max_deg : int;
-  mutable lanes : lane array; (* one per chunk, grown on demand *)
+  par : Util.Parallel.t;
+  lanes : lane array; (* one per chunk *)
   pin_grad : float array; (* [2p], [2p+1]: x/y gradient of net-CSR position p *)
   net_val : float array; (* [2n], [2n+1]: weighted x/y smooth extent of net n *)
   cell_pos_off : int array; (* CSR cell -> [pin_grad] x slots, length n_cells+1 *)
@@ -67,7 +68,7 @@ let make_lane max_deg =
 (* Nets with fewer than two pins have no gradient and no value; leaving
    them out of the cell rows keeps a cell's sum free of [+0.0] terms,
    which would turn a [-0.0] gradient into [+0.0]. *)
-let make_ws (d : Design.t) =
+let make_ws ~par (d : Design.t) =
   let nnets = Design.num_nets d and ncells = Design.num_cells d in
   let off = d.net_pin_off and ids = d.net_pin_ids and owner = d.pin_owner in
   let max_deg = ref 1 in
@@ -98,7 +99,8 @@ let make_ws (d : Design.t) =
   done;
   {
     max_deg = !max_deg;
-    lanes = [| make_lane !max_deg |];
+    par;
+    lanes = Array.init (Util.Parallel.domains par) (fun _ -> make_lane !max_deg);
     pin_grad = Array.make (2 * off.(nnets)) 0.0;
     net_val = Array.make (2 * nnets) 0.0;
     cell_pos_off;
@@ -223,10 +225,8 @@ let wa_net (d : Design.t) ln ~net ~gamma ~pg ~nv =
     net order. Neither depends on the domain count. *)
 let wa_wirelength_grad_ws ws (d : Design.t) ~gamma ~gx ~gy =
   let nnets = Design.num_nets d in
-  let nchunks = Util.Parallel.chunk_count ~n:nnets in
-  if Array.length ws.lanes < nchunks then ws.lanes <- Array.init nchunks (fun _ -> make_lane ws.max_deg);
   let pg = ws.pin_grad and nv = ws.net_val in
-  Util.Parallel.for_chunks ~grain:64 ~name:"wl.grad" ~n:nnets (fun ~chunk ~lo ~hi ->
+  Util.Parallel.for_chunks ws.par ~grain:64 ~name:"wl.grad" ~n:nnets (fun ~chunk ~lo ~hi ->
       let ln = ws.lanes.(chunk) in
       for net = lo to hi - 1 do
         wa_net d ln ~net ~gamma ~pg ~nv
@@ -235,7 +235,7 @@ let wa_wirelength_grad_ws ws (d : Design.t) ~gamma ~gx ~gy =
      entries are below [Array.length pg - 1], so the row loop reads
      unchecked. *)
   let off = ws.cell_pos_off and pos = ws.cell_pos in
-  Util.Parallel.for_chunks ~grain:1024 ~name:"wl.grad.cells" ~n:(Design.num_cells d)
+  Util.Parallel.for_chunks ws.par ~grain:1024 ~name:"wl.grad.cells" ~n:(Design.num_cells d)
     (fun ~chunk:_ ~lo ~hi ->
       for c = lo to hi - 1 do
         let ax = ref gx.(c) and ay = ref gy.(c) in
@@ -257,5 +257,5 @@ let wa_wirelength_grad_ws ws (d : Design.t) ~gamma ~gx ~gy =
 
 (** One-shot variant: builds a fresh workspace per call. Cold paths and
     tests; the optimizer loop holds a {!ws} instead. *)
-let wa_wirelength_grad (d : Design.t) ~gamma ~gx ~gy =
-  wa_wirelength_grad_ws (make_ws d) d ~gamma ~gx ~gy
+let wa_wirelength_grad ~par (d : Design.t) ~gamma ~gx ~gy =
+  wa_wirelength_grad_ws (make_ws ~par d) d ~gamma ~gx ~gy

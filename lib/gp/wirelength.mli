@@ -11,7 +11,8 @@ val weighted_hpwl : Netlist.Design.t -> float
     kernel then runs allocation-free in steady state. *)
 type ws
 
-val make_ws : Netlist.Design.t -> ws
+(** The workspace keeps [par] and sizes one scratch lane per domain. *)
+val make_ws : par:Util.Parallel.t -> Netlist.Design.t -> ws
 
 (** Smooth weighted wirelength of the whole design; adds its gradient
     w.r.t. cell centres into [gx]/[gy] (cell-indexed; fixed cells receive
@@ -24,4 +25,5 @@ val wa_wirelength_grad_ws :
 (** One-shot variant of {!wa_wirelength_grad_ws} building a fresh
     workspace per call — cold paths and tests. *)
 val wa_wirelength_grad :
-  Netlist.Design.t -> gamma:float -> gx:float array -> gy:float array -> float
+  par:Util.Parallel.t -> Netlist.Design.t -> gamma:float -> gx:float array -> gy:float array ->
+  float

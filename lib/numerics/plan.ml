@@ -21,11 +21,11 @@
     one-2N-FFT-per-line scheme before counting the removed trig calls and
     allocations.
 
-    Steady-state calls perform zero minor-heap allocation: with one
-    domain and no parallel instrumentation installed the passes run as
-    direct static calls (not even a closure is built); with more domains
-    the only per-call allocation is the dispatch closures handed to
-    [Util.Parallel].
+    Steady-state calls perform zero minor-heap allocation with one
+    domain and no stats hook: the chunk bodies are built once per plan
+    (the operands travel in mutable plan fields) and each pass calls its
+    body directly. With more domains, or a hook, the only per-call
+    allocation is [Util.Parallel]'s own dispatch wrapper.
 
     Numerical note: the [Oracle.Ref_numerics] differential gates bound
     every transform against direct O(n^2) summation. *)
@@ -297,113 +297,68 @@ type scratch = {
   xb : float array; (* also the discard sink for odd-count tails *)
 }
 
+(* A chunk body over line pairs [lo, hi). *)
+type body = chunk:int -> lo:int -> hi:int -> unit
+
 type t = {
   rows : int;
   cols : int;
   row_line : line; (* lines of length [cols] *)
   col_line : line; (* lines of length [rows] *)
   zero : float array; (* read-only zero line, length max(rows, cols) *)
-  mutable scratch : scratch array; (* one per parallel chunk, grown on demand *)
+  par : Util.Parallel.t;
+  scratch : scratch array; (* one per parallel chunk *)
+  (* Operands of the pass in flight, read by the chunk bodies. *)
+  mutable src : float array;
+  mutable dst : float array;
+  mutable scale : float array;
+  (* Chunk bodies, built once in [create]: without flambda a closure
+     built at each call site would allocate on every pass. *)
+  row_fwd : body;
+  row_inv : body;
+  col_fwd : body;
+  col_inv : body;
+  col_filter : body;
 }
-
-let rows t = t.rows
-
-let cols t = t.cols
 
 let make_scratch m = { zre = Array.make m 0.0; zim = Array.make m 0.0; xa = Array.make m 0.0; xb = Array.make m 0.0 }
 
-let create ~rows ~cols =
-  check_size rows;
-  check_size cols;
-  let m = max rows cols in
-  {
-    rows;
-    cols;
-    row_line = make_line cols;
-    col_line = make_line rows;
-    zero = Array.make m 0.0;
-    scratch = [| make_scratch m |];
-  }
+(* ---- line-pair passes ----
 
-(* Grow the per-chunk scratch set to the current chunk count. Allocates
-   only when the domain count increased since the last call. *)
-let ensure_scratch t k =
-  if Array.length t.scratch < k then begin
-    let m = max t.rows t.cols in
-    let old = t.scratch in
-    t.scratch <- Array.init k (fun i -> if i < Array.length old then old.(i) else make_scratch m)
-  end;
-  t.scratch
+   A pass runs over pairs of adjacent lines of one direction: line l of
+   [nlines] starts at [l * lstep] and steps by [estride] — rows are
+   (lstep = cols, estride = 1), columns (lstep = 1, estride = cols). An
+   odd last line runs alone, its B lane discarded into scratch. *)
 
-(* ---- row passes: pairs of adjacent rows, contiguous lines ---- *)
-
-let row_fwd_seg t (src : float array) (dst : float array) lo hi (sc : scratch) =
-  let ln = t.row_line in
-  let cols = t.cols in
+let fwd_seg (ln : line) ~nlines ~lstep ~estride (src : float array) (dst : float array) lo hi
+    (sc : scratch) =
   for p = lo to hi - 1 do
-    let r0 = 2 * p in
-    if r0 + 1 < t.rows then begin
-      load_packed ln sc.zre sc.zim src (r0 * cols) 1 src ((r0 + 1) * cols) 1;
+    let a = 2 * p * lstep in
+    if (2 * p) + 1 < nlines then begin
+      load_packed ln sc.zre sc.zim src a estride src (a + lstep) estride;
       fft_core ln sc.zre sc.zim ~wsign:1.0;
-      dct_post ln sc.zre sc.zim dst (r0 * cols) 1 dst ((r0 + 1) * cols) 1
+      dct_post ln sc.zre sc.zim dst a estride dst (a + lstep) estride
     end
     else begin
-      load_single ln sc.zre sc.zim src (r0 * cols) 1;
+      load_single ln sc.zre sc.zim src a estride;
       fft_core ln sc.zre sc.zim ~wsign:1.0;
-      dct_post ln sc.zre sc.zim dst (r0 * cols) 1 sc.xb 0 1
+      dct_post ln sc.zre sc.zim dst a estride sc.xb 0 1
     end
   done
 
-let row_inv_seg t (src : float array) (dst : float array) lo hi (sc : scratch) =
-  let ln = t.row_line in
-  let cols = t.cols in
+let inv_seg (ln : line) ~nlines ~lstep ~estride ~zero (src : float array) (dst : float array) lo
+    hi (sc : scratch) =
   for p = lo to hi - 1 do
-    let r0 = 2 * p in
-    if r0 + 1 < t.rows then begin
-      idct_pre ln sc.zre sc.zim src (r0 * cols) 1 src ((r0 + 1) * cols) 1;
+    let a = 2 * p * lstep in
+    if (2 * p) + 1 < nlines then begin
+      idct_pre ln sc.zre sc.zim src a estride src (a + lstep) estride;
       fft_core ln sc.zre sc.zim ~wsign:(-1.0);
-      store_packed ln sc.zre sc.zim dst (r0 * cols) 1 dst ((r0 + 1) * cols) 1
+      store_packed ln sc.zre sc.zim dst a estride dst (a + lstep) estride
     end
     else begin
-      idct_pre ln sc.zre sc.zim src (r0 * cols) 1 t.zero 0 0;
+      idct_pre ln sc.zre sc.zim src a estride zero 0 0;
       fft_core ln sc.zre sc.zim ~wsign:(-1.0);
-      store_single ln sc.zre dst (r0 * cols) 1
-    end
-  done
-
-(* ---- column passes: pairs of adjacent columns, stride = cols ---- *)
-
-let col_fwd_seg t (buf : float array) lo hi (sc : scratch) =
-  let ln = t.col_line in
-  let cols = t.cols in
-  for p = lo to hi - 1 do
-    let c0 = 2 * p in
-    if c0 + 1 < cols then begin
-      load_packed ln sc.zre sc.zim buf c0 cols buf (c0 + 1) cols;
-      fft_core ln sc.zre sc.zim ~wsign:1.0;
-      dct_post ln sc.zre sc.zim buf c0 cols buf (c0 + 1) cols
-    end
-    else begin
-      load_single ln sc.zre sc.zim buf c0 cols;
-      fft_core ln sc.zre sc.zim ~wsign:1.0;
-      dct_post ln sc.zre sc.zim buf c0 cols sc.xb 0 1
-    end
-  done
-
-let col_inv_seg t (buf : float array) lo hi (sc : scratch) =
-  let ln = t.col_line in
-  let cols = t.cols in
-  for p = lo to hi - 1 do
-    let c0 = 2 * p in
-    if c0 + 1 < cols then begin
-      idct_pre ln sc.zre sc.zim buf c0 cols buf (c0 + 1) cols;
-      fft_core ln sc.zre sc.zim ~wsign:(-1.0);
-      store_packed ln sc.zre sc.zim buf c0 cols buf (c0 + 1) cols
-    end
-    else begin
-      idct_pre ln sc.zre sc.zim buf c0 cols t.zero 0 0;
-      fft_core ln sc.zre sc.zim ~wsign:(-1.0);
-      store_single ln sc.zre buf c0 cols
+      store_single ln sc.zre dst a estride
     end
   done
 
@@ -436,13 +391,47 @@ let col_filter_seg t (scale : float array) (buf : float array) lo hi (sc : scrat
   done
 
 (* ------------------------------------------------------------------ *)
-(* Pass drivers. The sequential un-instrumented case calls the segment
-   functions directly — no closure is built, so a steady-state transform
-   performs zero minor-heap allocation. Otherwise line pairs are batched
-   through [Util.Parallel.for_chunks] with per-chunk scratch (the
-   dispatch closures are the only per-call allocation). *)
+(* Plans and pass drivers. Line pairs are batched through
+   [Util.Parallel.for_chunks] with per-chunk scratch; with one domain
+   and no hook each pass is a direct call of its body, so a
+   steady-state transform performs zero minor-heap allocation. *)
 
-let sequential () = !Util.Parallel.num_domains <= 1 && not (Util.Parallel.instrumented ())
+let create ~par ~rows ~cols =
+  check_size rows;
+  check_size cols;
+  let m = max rows cols in
+  let row_line = make_line cols and col_line = make_line rows and zero = Array.make m 0.0 in
+  let scratch = Array.init (Util.Parallel.domains par) (fun _ -> make_scratch m) in
+  let rec t =
+    {
+      rows;
+      cols;
+      row_line;
+      col_line;
+      zero;
+      par;
+      scratch;
+      src = [||];
+      dst = [||];
+      scale = [||];
+      row_fwd =
+        (fun ~chunk ~lo ~hi ->
+          fwd_seg row_line ~nlines:rows ~lstep:cols ~estride:1 t.src t.dst lo hi scratch.(chunk));
+      row_inv =
+        (fun ~chunk ~lo ~hi ->
+          inv_seg row_line ~nlines:rows ~lstep:cols ~estride:1 ~zero t.dst t.dst lo hi
+            scratch.(chunk));
+      col_fwd =
+        (fun ~chunk ~lo ~hi ->
+          fwd_seg col_line ~nlines:cols ~lstep:1 ~estride:cols t.dst t.dst lo hi scratch.(chunk));
+      col_inv =
+        (fun ~chunk ~lo ~hi ->
+          inv_seg col_line ~nlines:cols ~lstep:1 ~estride:cols ~zero t.dst t.dst lo hi
+            scratch.(chunk));
+      col_filter = (fun ~chunk ~lo ~hi -> col_filter_seg t t.scale t.dst lo hi scratch.(chunk));
+    }
+  in
+  t
 
 let row_pairs t = (t.rows + 1) / 2
 
@@ -454,54 +443,28 @@ let check_dims t src dst =
 
 let dct2_2d t ~src ~dst =
   check_dims t src dst;
-  if sequential () then begin
-    let sc = t.scratch.(0) in
-    row_fwd_seg t src dst 0 (row_pairs t) sc;
-    col_fwd_seg t dst 0 (col_pairs t) sc
-  end
-  else begin
-    let scr = ensure_scratch t (Util.Parallel.chunk_count ~n:(row_pairs t)) in
-    Util.Parallel.for_chunks ~grain:4 ~name:"dct.rows" ~n:(row_pairs t)
-      (fun ~chunk ~lo ~hi -> row_fwd_seg t src dst lo hi scr.(chunk));
-    Util.Parallel.for_chunks ~grain:4 ~name:"dct.cols" ~n:(col_pairs t)
-      (fun ~chunk ~lo ~hi -> col_fwd_seg t dst lo hi scr.(chunk))
-  end
+  t.src <- src;
+  t.dst <- dst;
+  Util.Parallel.for_chunks t.par ~grain:4 ~name:"dct.rows" ~n:(row_pairs t) t.row_fwd;
+  Util.Parallel.for_chunks t.par ~grain:4 ~name:"dct.cols" ~n:(col_pairs t) t.col_fwd
 
 let idct2_2d t ~src ~dst =
   check_dims t src dst;
   if src != dst then Array.blit src 0 dst 0 (t.rows * t.cols);
-  if sequential () then begin
-    let sc = t.scratch.(0) in
-    col_inv_seg t dst 0 (col_pairs t) sc;
-    row_inv_seg t dst dst 0 (row_pairs t) sc
-  end
-  else begin
-    let scr = ensure_scratch t (Util.Parallel.chunk_count ~n:(row_pairs t)) in
-    Util.Parallel.for_chunks ~grain:4 ~name:"dct.cols" ~n:(col_pairs t)
-      (fun ~chunk ~lo ~hi -> col_inv_seg t dst lo hi scr.(chunk));
-    Util.Parallel.for_chunks ~grain:4 ~name:"dct.rows" ~n:(row_pairs t)
-      (fun ~chunk ~lo ~hi -> row_inv_seg t dst dst lo hi scr.(chunk))
-  end
+  t.dst <- dst;
+  Util.Parallel.for_chunks t.par ~grain:4 ~name:"dct.cols" ~n:(col_pairs t) t.col_inv;
+  Util.Parallel.for_chunks t.par ~grain:4 ~name:"dct.rows" ~n:(row_pairs t) t.row_inv
 
 let apply_filter t ~scale ~src ~dst =
   check_dims t src dst;
   if Array.length scale <> t.rows * t.cols then
     invalid_arg "Numerics.Plan: scale length does not match the planned grid";
-  if sequential () then begin
-    let sc = t.scratch.(0) in
-    row_fwd_seg t src dst 0 (row_pairs t) sc;
-    col_filter_seg t scale dst 0 (col_pairs t) sc;
-    row_inv_seg t dst dst 0 (row_pairs t) sc
-  end
-  else begin
-    let scr = ensure_scratch t (Util.Parallel.chunk_count ~n:(row_pairs t)) in
-    Util.Parallel.for_chunks ~grain:4 ~name:"dct.rows" ~n:(row_pairs t)
-      (fun ~chunk ~lo ~hi -> row_fwd_seg t src dst lo hi scr.(chunk));
-    Util.Parallel.for_chunks ~grain:4 ~name:"poisson.filter" ~n:(col_pairs t)
-      (fun ~chunk ~lo ~hi -> col_filter_seg t scale dst lo hi scr.(chunk));
-    Util.Parallel.for_chunks ~grain:4 ~name:"dct.rows" ~n:(row_pairs t)
-      (fun ~chunk ~lo ~hi -> row_inv_seg t dst dst lo hi scr.(chunk))
-  end
+  t.src <- src;
+  t.dst <- dst;
+  t.scale <- scale;
+  Util.Parallel.for_chunks t.par ~grain:4 ~name:"dct.rows" ~n:(row_pairs t) t.row_fwd;
+  Util.Parallel.for_chunks t.par ~grain:4 ~name:"poisson.filter" ~n:(col_pairs t) t.col_filter;
+  Util.Parallel.for_chunks t.par ~grain:4 ~name:"dct.rows" ~n:(row_pairs t) t.row_inv
 
 (* ---- 1D pair entry points (tests and benches exercise the packing
    directly; lines have length [cols t]) ---- *)

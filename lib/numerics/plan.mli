@@ -9,12 +9,14 @@
     *pair* of lines instead of one 2N-point FFT per
     line.
 
-    Steady-state transforms over an existing plan perform zero
-    minor-heap allocation when running on a single domain without
-    parallel instrumentation; under multiple domains the only per-call
-    allocation is the dispatch closures handed to [Util.Parallel]
-    (named [dct.rows] / [dct.cols] / [poisson.filter], so [par.*]
-    metrics stay alive).
+    A plan keeps the [Util.Parallel.t] it was created with: its
+    per-chunk scratch is sized from it once, and its chunk bodies are
+    built once, so every transform runs one code path. Steady-state
+    transforms over an existing plan perform zero minor-heap allocation
+    on a single domain without a stats hook; otherwise the only
+    per-call allocation is [Util.Parallel]'s dispatch wrapper (the
+    passes are named [dct.rows] / [dct.cols] / [poisson.filter], so
+    [par.*] metrics stay alive).
 
     The [Oracle.Ref_numerics] differential gates bound every transform
     against direct summation. *)
@@ -27,14 +29,11 @@ val is_power_of_two : int -> bool
     message names the offending size. *)
 val check_size : int -> unit
 
-(** [create ~rows ~cols] builds a plan for row-major [rows*cols] grids.
-    Both dimensions must be powers of two (raises [Invalid_argument]
-    otherwise, naming the offending size). *)
-val create : rows:int -> cols:int -> t
-
-val rows : t -> int
-
-val cols : t -> int
+(** [create ~par ~rows ~cols] builds a plan for row-major [rows*cols]
+    grids whose 2D passes fan out over [par]. Both dimensions must be
+    powers of two (raises [Invalid_argument] otherwise, naming the
+    offending size). *)
+val create : par:Util.Parallel.t -> rows:int -> cols:int -> t
 
 (** 2D DCT-II of [src] into [dst] (both row-major [rows*cols]; [src] is
     not modified unless [src == dst], which is allowed). *)

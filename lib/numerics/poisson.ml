@@ -9,7 +9,8 @@
     The transform work runs on a per-solver [Plan]: real-even packed
     transforms with the mode scale fused into the column pass, over
     plan-owned scratch — [solve_into]/[field_into] perform zero
-    minor-heap allocation in steady state. *)
+    minor-heap allocation in steady state on one domain without a stats
+    hook. *)
 
 type t = {
   rows : int;
@@ -17,61 +18,16 @@ type t = {
   (* Precomputed 1 / (wu^2 + wv^2), DC term 0. *)
   inv_freq_sq : float array;
   plan : Plan.t;
+  par : Util.Parallel.t;
+  (* Operands of the field pass in flight, and its chunk body, built
+     once in [create] so a steady-state pass allocates nothing. *)
+  mutable psi : float array;
+  mutable ex : float array;
+  mutable ey : float array;
+  field_body : chunk:int -> lo:int -> hi:int -> unit;
 }
 
-let create ~rows ~cols =
-  if not (Plan.is_power_of_two rows && Plan.is_power_of_two cols) then
-    Util.Errors.config_error ~what:"poisson.grid"
-      (Printf.sprintf "grid dimensions must be powers of two, got %dx%d" rows cols);
-  let inv = Array.make (rows * cols) 0.0 in
-  (* Eigenvalues of the discrete 5-point Laplacian with Neumann BC for
-     cosine modes: -(2 - 2 cos wu) - (2 - 2 cos wv). Using the discrete
-     spectrum (rather than wu^2 + wv^2) makes [solve] the exact inverse of
-     the finite-difference Laplacian, which the tests verify. *)
-  for u = 0 to rows - 1 do
-    let wu = Float.pi *. float_of_int u /. float_of_int rows in
-    for v = 0 to cols - 1 do
-      let wv = Float.pi *. float_of_int v /. float_of_int cols in
-      let s = (2.0 -. (2.0 *. cos wu)) +. (2.0 -. (2.0 *. cos wv)) in
-      inv.((u * cols) + v) <- (if s = 0.0 then 0.0 else 1.0 /. s)
-    done
-  done;
-  { rows; cols; inv_freq_sq = inv; plan = Plan.create ~rows ~cols }
-
-let rows t = t.rows
-
-let cols t = t.cols
-
-(* In-kernel finiteness probe (sampled, so O(1)-ish per solve): a NaN
-   entering through the density field or produced inside the DCT pair
-   should be attributed to *this* kernel, not discovered iterations later
-   by the gradient-level guard in Globalplace. Observation-only — the
-   guard there still owns recovery. *)
-let probe obs ~what a =
-  if Obs.Ctx.enabled obs && not (Util.Guard.sampled_finite a) then begin
-    Obs.Ctx.count obs ("guard.numerics." ^ what ^ "_nonfinite");
-    Obs.Log.warn "[poisson] non-finite %s detected in spectral solve" what
-  end
-
-(** Potential psi from charge density rho (row-major [rows*cols]) into a
-    caller-owned buffer. [rho == psi] is allowed. The plan fuses forward
-    transform, mode scale and inverse transform; it allocates nothing in
-    steady state on a single domain. *)
-let solve_into ?(obs = Obs.Ctx.null) t ~rho ~psi =
-  assert (Array.length rho = t.rows * t.cols);
-  assert (Array.length psi = t.rows * t.cols);
-  probe obs ~what:"density" rho;
-  Plan.apply_filter t.plan ~scale:t.inv_freq_sq ~src:rho ~dst:psi;
-  probe obs ~what:"psi" psi
-
-(** Allocating wrapper over {!solve_into}. *)
-let solve ?obs t rho =
-  let psi = Array.make (t.rows * t.cols) 0.0 in
-  solve_into ?obs t ~rho ~psi;
-  psi
-
-(* Field rows [lo, hi): closure-free central differences so the
-   sequential path stays allocation-free. *)
+(* Field rows [lo, hi): central differences. *)
 let field_seg rows cols (psi : float array) (ex : float array) (ey : float array) lo hi =
   for r = lo to hi - 1 do
     let base = r * cols in
@@ -90,6 +46,66 @@ let field_seg rows cols (psi : float array) (ex : float array) (ey : float array
     done
   done
 
+let create ~par ~rows ~cols =
+  if not (Plan.is_power_of_two rows && Plan.is_power_of_two cols) then
+    Util.Errors.config_error ~what:"poisson.grid"
+      (Printf.sprintf "grid dimensions must be powers of two, got %dx%d" rows cols);
+  let inv = Array.make (rows * cols) 0.0 in
+  (* Eigenvalues of the discrete 5-point Laplacian with Neumann BC for
+     cosine modes: -(2 - 2 cos wu) - (2 - 2 cos wv). Using the discrete
+     spectrum (rather than wu^2 + wv^2) makes [solve] the exact inverse of
+     the finite-difference Laplacian, which the tests verify. *)
+  for u = 0 to rows - 1 do
+    let wu = Float.pi *. float_of_int u /. float_of_int rows in
+    for v = 0 to cols - 1 do
+      let wv = Float.pi *. float_of_int v /. float_of_int cols in
+      let s = (2.0 -. (2.0 *. cos wu)) +. (2.0 -. (2.0 *. cos wv)) in
+      inv.((u * cols) + v) <- (if s = 0.0 then 0.0 else 1.0 /. s)
+    done
+  done;
+  let plan = Plan.create ~par ~rows ~cols in
+  let rec t =
+    {
+      rows;
+      cols;
+      inv_freq_sq = inv;
+      plan;
+      par;
+      psi = [||];
+      ex = [||];
+      ey = [||];
+      field_body = (fun ~chunk:_ ~lo ~hi -> field_seg rows cols t.psi t.ex t.ey lo hi);
+    }
+  in
+  t
+
+(* In-kernel finiteness probe (sampled, so O(1)-ish per solve): a NaN
+   entering through the density field or produced inside the DCT pair
+   should be attributed to *this* kernel, not discovered iterations later
+   by the gradient-level guard in Globalplace. Observation-only — the
+   guard there still owns recovery. *)
+let probe obs ~what a =
+  if Obs.Ctx.enabled obs && not (Util.Guard.sampled_finite a) then begin
+    Obs.Ctx.count obs ("guard.numerics." ^ what ^ "_nonfinite");
+    Obs.Log.warn "[poisson] non-finite %s detected in spectral solve" what
+  end
+
+(** Potential psi from charge density rho (row-major [rows*cols]) into a
+    caller-owned buffer. [rho == psi] is allowed. The plan fuses forward
+    transform, mode scale and inverse transform. *)
+let solve_into ?(obs = Obs.Ctx.null) t ~rho ~psi =
+  assert (Array.length rho = t.rows * t.cols);
+  assert (Array.length psi = t.rows * t.cols);
+  probe obs ~what:"density" rho;
+  Plan.apply_filter t.plan ~scale:t.inv_freq_sq ~src:rho ~dst:psi;
+  probe obs ~what:"psi" psi
+
+(** Allocating wrapper over {!solve_into}. *)
+let solve ?obs t rho =
+  let psi = Array.make (t.rows * t.cols) 0.0 in
+  solve_into ?obs t ~rho ~psi;
+  psi
+
 (** Electric field (ex, ey) = -grad(psi) into caller-owned buffers,
     central differences in grid units, one-sided at the boundary. [ex]
     varies along columns (x), [ey] along rows (y). *)
@@ -97,11 +113,10 @@ let field_into t ~psi ~ex ~ey =
   let rows = t.rows and cols = t.cols in
   assert (Array.length psi = rows * cols);
   assert (Array.length ex = rows * cols && Array.length ey = rows * cols);
-  if !Util.Parallel.num_domains <= 1 && not (Util.Parallel.instrumented ()) then
-    field_seg rows cols psi ex ey 0 rows
-  else
-    Util.Parallel.for_chunks ~grain:16 ~name:"poisson.field" ~n:rows (fun ~chunk:_ ~lo ~hi ->
-        field_seg rows cols psi ex ey lo hi)
+  t.psi <- psi;
+  t.ex <- ex;
+  t.ey <- ey;
+  Util.Parallel.for_chunks t.par ~grain:16 ~name:"poisson.field" ~n:rows t.field_body
 
 (** Allocating wrapper over {!field_into}. *)
 let field t psi =

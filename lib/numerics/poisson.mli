@@ -8,18 +8,15 @@
     Transforms run on a per-solver real-even [Plan] with the mode scale
     fused into the column pass; the [_into] entry points write to
     caller-owned buffers and perform zero minor-heap allocation in
-    steady state (single domain, no parallel instrumentation). *)
+    steady state (single domain, no stats hook). The solver keeps the
+    [Util.Parallel.t] it was created with. *)
 
 type t
 
 (** Grid dimensions must be powers of two; raises
     [Util.Errors.Error (Config_error _)] (what = ["poisson.grid"])
     otherwise. *)
-val create : rows:int -> cols:int -> t
-
-val rows : t -> int
-
-val cols : t -> int
+val create : par:Util.Parallel.t -> rows:int -> cols:int -> t
 
 (** Potential from the (row-major) charge grid into a caller-owned
     buffer ([rho == psi] allowed). A sampled in-kernel finiteness probe

@@ -2,7 +2,7 @@
 
     Passed explicitly, never ambient: libraries take [?obs] defaulting to
     [null]; binaries create one and hand it down. [null] is permanently
-    disabled so every instrumented call is a cheap branch — observability
+    disabled so every observation call is a cheap branch — observability
     is strictly observation-only and must never perturb placement results.
 
     Spans are well-nested (single-threaded discipline): [span] pushes on

@@ -1,7 +1,7 @@
 (** The observability context threaded through the pipeline.
 
     Passed explicitly, never ambient: libraries take [?obs] defaulting
-    to {!null}, which is permanently disabled — every instrumented call
+    to {!null}, which is permanently disabled — every observation call
     is then a cheap branch, and observability can never perturb results. *)
 
 type t

@@ -252,6 +252,23 @@ let parse_exn (s : string) : t =
     end
     else fail ("expected " ^ word)
   in
+  (* The four hex digits of a \u escape, as a code unit. *)
+  let hex4 () =
+    if !pos + 4 > n then fail "bad \\u escape";
+    let code = ref 0 in
+    for i = !pos to !pos + 3 do
+      let d =
+        match s.[i] with
+        | '0' .. '9' as c -> Char.code c - 48
+        | 'a' .. 'f' as c -> Char.code c - 87
+        | 'A' .. 'F' as c -> Char.code c - 55
+        | _ -> fail "bad \\u escape"
+      in
+      code := (!code * 16) + d
+    done;
+    pos := !pos + 4;
+    !code
+  in
   let parse_string () =
     expect '"';
     let buf = Buffer.create 16 in
@@ -285,32 +302,22 @@ let parse_exn (s : string) : t =
               Buffer.add_char buf '\012';
               loop ()
           | 'u' ->
-              if !pos + 4 > n then fail "bad \\u escape";
-              let code = ref 0 in
-              for i = !pos to !pos + 3 do
-                let d =
-                  match s.[i] with
-                  | '0' .. '9' as c -> Char.code c - 48
-                  | 'a' .. 'f' as c -> Char.code c - 87
-                  | 'A' .. 'F' as c -> Char.code c - 55
-                  | _ -> fail "bad \\u escape"
-                in
-                code := (!code * 16) + d
-              done;
-              let code = !code in
-              pos := !pos + 4;
-              (* Only BMP code points below 0x80 round-trip as single
-                 bytes; encode the rest as UTF-8. *)
-              if code < 0x80 then Buffer.add_char buf (Char.chr code)
-              else if code < 0x800 then begin
-                Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-              end
-              else begin
-                Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-              end;
+              let code = hex4 () in
+              let code =
+                if code >= 0xD800 && code <= 0xDBFF then begin
+                  (* A high surrogate must be followed by an escaped low
+                     one; the pair is one code point above the BMP. *)
+                  if not (!pos + 2 <= n && s.[!pos] = '\\' && s.[!pos + 1] = 'u') then
+                    fail "lone surrogate in \\u escape";
+                  pos := !pos + 2;
+                  let lo = hex4 () in
+                  if lo < 0xDC00 || lo > 0xDFFF then fail "lone surrogate in \\u escape";
+                  0x10000 + ((code - 0xD800) lsl 10) + (lo - 0xDC00)
+                end
+                else if code >= 0xDC00 && code <= 0xDFFF then fail "lone surrogate in \\u escape"
+                else code
+              in
+              Buffer.add_utf_8_uchar buf (Uchar.of_int code);
               loop ()
           | _ -> fail "unknown escape")
       | c ->

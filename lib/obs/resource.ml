@@ -164,34 +164,32 @@ let update_gauges ctx =
 (* Millisecond-ish bounds for kernel wall times: 1 µs .. ~1 min. *)
 let ms_bounds = Array.init 26 (fun i -> 1e-3 *. (2.0 ** float_of_int i))
 
-(** Feed [Util.Parallel]'s instrumentation hook into [ctx]:
+(** A [Util.Parallel] stats hook recording into [ctx]:
 
     - [par.<kernel>.ms]          histogram of per-call wall time;
+    - [par.dispatches]           counter of named calls;
     - [par.<kernel>.imbalance]   histogram of max/mean chunk time;
     - [par.<kernel>.utilization] histogram of busy fraction
                                  (sum chunk_s / (chunks * wall));
     - [par.pool.utilization]     gauge, last utilization seen over any
-                                 multi-chunk kernel — the live signal an
-                                 adaptive controller can poll;
-    - [par.dispatches]           counter of instrumented calls.
+                                 pool dispatch — the live signal an
+                                 adaptive controller can poll.
 
-    Replaces any previously installed hook (one observer at a time, by
-    [Util.Parallel.set_instrument]'s contract). *)
-let install_parallel ctx =
-  Util.Parallel.set_instrument
-    (Some
-       (fun (s : Util.Parallel.stats) ->
-         Ctx.count ctx "par.dispatches";
-         Ctx.observe ctx ~bounds:ms_bounds ("par." ^ s.kernel ^ ".ms") (s.total_s *. 1e3);
-         if s.chunks > 1 then begin
-           let busy = Array.fold_left ( +. ) 0.0 s.chunk_s in
-           let mx = Array.fold_left Float.max 0.0 s.chunk_s in
-           let mean = busy /. float_of_int s.chunks in
-           let util = busy /. Float.max 1e-9 (float_of_int s.chunks *. s.total_s) in
-           Ctx.observe ctx ("par." ^ s.kernel ^ ".imbalance") (mx /. Float.max 1e-9 mean);
-           Ctx.observe ctx
-             ~bounds:[| 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 1.0 |]
-             ("par." ^ s.kernel ^ ".utilization")
-             (Float.min 1.0 util);
-           Ctx.gauge ctx "par.pool.utilization" (Float.min 1.0 util)
-         end))
+    The last three describe the pool, so they are recorded only for
+    calls that reached it: a call below its grain runs its chunks
+    inline, one after another, and would read as ~1/chunks busy. *)
+let parallel_hook ctx (s : Util.Parallel.stats) =
+  Ctx.count ctx "par.dispatches";
+  Ctx.observe ctx ~bounds:ms_bounds ("par." ^ s.kernel ^ ".ms") (s.total_s *. 1e3);
+  if s.dispatched && s.chunks > 1 then begin
+    let busy = Array.fold_left ( +. ) 0.0 s.chunk_s in
+    let mx = Array.fold_left Float.max 0.0 s.chunk_s in
+    let mean = busy /. float_of_int s.chunks in
+    let util = busy /. Float.max 1e-9 (float_of_int s.chunks *. s.total_s) in
+    Ctx.observe ctx ("par." ^ s.kernel ^ ".imbalance") (mx /. Float.max 1e-9 mean);
+    Ctx.observe ctx
+      ~bounds:[| 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 1.0 |]
+      ("par." ^ s.kernel ^ ".utilization")
+      (Float.min 1.0 util);
+    Ctx.gauge ctx "par.pool.utilization" (Float.min 1.0 util)
+  end

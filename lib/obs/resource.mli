@@ -46,7 +46,9 @@ val delta_of_json : Json.t -> delta option
 (** Publish current RSS/GC state as [res.*] gauges on the context. *)
 val update_gauges : Ctx.t -> unit
 
-(** Route [Util.Parallel]'s instrumentation hook into the context as
-    [par.<kernel>.ms] / [.imbalance] / [.utilization] histograms, the
-    [par.pool.utilization] gauge and the [par.dispatches] counter. *)
-val install_parallel : Ctx.t -> unit
+(** A [Util.Parallel] stats hook recording into the context: the
+    [par.<kernel>.ms] histogram and the [par.dispatches] counter for
+    every named call, and, for calls that reached the pool only, the
+    [par.<kernel>.imbalance] / [.utilization] histograms and the
+    [par.pool.utilization] gauge. Pass it to [Util.Parallel.create]. *)
+val parallel_hook : Ctx.t -> Util.Parallel.stats -> unit

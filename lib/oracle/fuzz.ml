@@ -189,7 +189,7 @@ let prop_density =
     name = "density-direct";
     check =
       (fun d ->
-        let grid = Gp.Densitygrid.create d ~bins_x:16 ~bins_y:16 in
+        let grid = Gp.Densitygrid.create ~par:(Util.Parallel.default ()) d ~bins_x:16 ~bins_y:16 in
         Gp.Densitygrid.update grid d;
         let* () =
           check_array ~rtol:1e-9 ~atol:1e-9 ~what:"density grid"

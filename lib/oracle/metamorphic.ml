@@ -52,8 +52,8 @@ let transpose_consistent ?(rtol = 1e-9) (d : Design.t) ~gamma ~bins =
     check_float ~rtol ~what:"transposed wa" (Ref_place.wa_value dt ~gamma)
       (Ref_place.wa_value d ~gamma)
   in
-  let g = Gp.Densitygrid.create d ~bins_x:bins ~bins_y:bins in
-  let gt = Gp.Densitygrid.create dt ~bins_x:bins ~bins_y:bins in
+  let g = Gp.Densitygrid.create ~par:(Util.Parallel.default ()) d ~bins_x:bins ~bins_y:bins in
+  let gt = Gp.Densitygrid.create ~par:(Util.Parallel.default ()) dt ~bins_x:bins ~bins_y:bins in
   Gp.Densitygrid.update g d;
   Gp.Densitygrid.update gt dt;
   let transposed =

@@ -131,7 +131,7 @@ let check_poisson_residual ?(atol = 1e-8) ~rho ~psi ~rows ~cols () =
    cancellation, so an absolute floor is required. *)
 
 let check_dct2_2d ?(rtol = 1e-9) ?(atol = 1e-7) grid ~rows ~cols =
-  let plan = Numerics.Plan.create ~rows ~cols in
+  let plan = Numerics.Plan.create ~par:(Util.Parallel.default ()) ~rows ~cols in
   let got = Array.make (rows * cols) 0.0 in
   Numerics.Plan.dct2_2d plan ~src:grid ~dst:got;
   Compare.check_array ~rtol ~atol
@@ -140,7 +140,7 @@ let check_dct2_2d ?(rtol = 1e-9) ?(atol = 1e-7) grid ~rows ~cols =
     (dct2_2d_direct grid ~rows ~cols)
 
 let check_idct2_2d ?(rtol = 1e-9) ?(atol = 1e-7) grid ~rows ~cols =
-  let plan = Numerics.Plan.create ~rows ~cols in
+  let plan = Numerics.Plan.create ~par:(Util.Parallel.default ()) ~rows ~cols in
   let got = Array.make (rows * cols) 0.0 in
   Numerics.Plan.idct2_2d plan ~src:grid ~dst:got;
   Compare.check_array ~rtol ~atol
@@ -149,7 +149,7 @@ let check_idct2_2d ?(rtol = 1e-9) ?(atol = 1e-7) grid ~rows ~cols =
     (idct2_2d_direct grid ~rows ~cols)
 
 let check_poisson_solve ?(rtol = 1e-9) ?(atol = 1e-7) rho ~rows ~cols =
-  let p = Numerics.Poisson.create ~rows ~cols in
+  let p = Numerics.Poisson.create ~par:(Util.Parallel.default ()) ~rows ~cols in
   let psi = Numerics.Poisson.solve p rho in
   Compare.all
     [

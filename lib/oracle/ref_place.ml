@@ -111,7 +111,7 @@ let fd_check_cells ?(h = 0.05) ?(rtol = 1e-4) (d : Design.t) ~cells ~value ~gx ~
 let wa_fd_check ?h ?rtol (d : Design.t) ~gamma ~cells =
   let nc = Design.num_cells d in
   let gx = Array.make nc 0.0 and gy = Array.make nc 0.0 in
-  ignore (Gp.Wirelength.wa_wirelength_grad d ~gamma ~gx ~gy);
+  ignore (Gp.Wirelength.wa_wirelength_grad ~par:(Util.Parallel.default ()) d ~gamma ~gx ~gy);
   fd_check_cells ?h ?rtol d ~cells ~value:(fun () -> wa_value d ~gamma) ~gx ~gy ~what:"wa"
 
 let pin_attract_fd_check ?(h = 0.25) ?(rtol = 1e-4) (d : Design.t) attract ~cells =

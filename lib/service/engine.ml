@@ -4,12 +4,13 @@ type t = {
   state : State.t;
   jobs : Jobs.t;
   obs : Obs.Ctx.t;
+  par : Util.Parallel.t; (* every job's flow and every warm timer run on it *)
   heartbeat : Obs.Heartbeat.t option;
   mutable shutdown : bool;
 }
 
-let create ?(obs = Obs.Ctx.null) ?heartbeat () =
-  { state = State.create (); jobs = Jobs.create (); obs; heartbeat; shutdown = false }
+let create ?(par = Util.Parallel.default ()) ?(obs = Obs.Ctx.null) ?heartbeat () =
+  { state = State.create (); jobs = Jobs.create (); obs; par; heartbeat; shutdown = false }
 
 let state t = t.state
 
@@ -94,7 +95,7 @@ let run_flow t req ~fault ~warm (entry : State.entry) =
   let seed = Option.value ~default:1 (Protocol.param_int req "seed") in
   let legalize = Option.value ~default:true (Protocol.param_bool req "legalize") in
   let result =
-    Tdp.Flow.run ~seed ~warm ~legalize ~obs:t.obs ?heartbeat:t.heartbeat ~fault meth
+    Tdp.Flow.run ~par:t.par ~seed ~warm ~legalize ~obs:t.obs ?heartbeat:t.heartbeat ~fault meth
       entry.State.design
   in
   entry.State.placed <- true;
@@ -155,7 +156,7 @@ let op_report_timing t req =
   let failing_only = Option.value ~default:false (Protocol.param_bool req "failing_only") in
   if n <= 0 || k <= 0 then
     Util.Errors.config_error ~what:"params" "report_timing needs n > 0 and k > 0";
-  let timer = State.timer ~obs:t.obs entry in
+  let timer = State.timer ~obs:t.obs ~par:t.par entry in
   let paths = Sta.Timer.report_timing_endpoint ~failing_only timer ~n ~k in
   Obs.Json.Obj
     [

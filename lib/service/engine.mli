@@ -21,7 +21,10 @@
 
 type t
 
-val create : ?obs:Obs.Ctx.t -> ?heartbeat:Obs.Heartbeat.t -> unit -> t
+(** Every job's flow and warm timer run on [par] (default
+    {!Util.Parallel.default}). *)
+val create :
+  ?par:Util.Parallel.t -> ?obs:Obs.Ctx.t -> ?heartbeat:Obs.Heartbeat.t -> unit -> t
 
 val state : t -> State.t
 

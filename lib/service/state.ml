@@ -34,11 +34,11 @@ let unload t name =
   if existed then t.order <- List.filter (fun n -> n <> name) t.order;
   existed
 
-let timer ?(obs = Obs.Ctx.null) entry =
+let timer ?(obs = Obs.Ctx.null) ~par entry =
   match entry.timer with
   | Some tm -> tm
   | None ->
-      let tm = Sta.Timer.create ~obs entry.design in
+      let tm = Sta.Timer.create ~par ~obs entry.design in
       Sta.Timer.update tm;
       entry.timer <- Some tm;
       tm

@@ -36,8 +36,9 @@ val unload : t -> string -> bool
 (** Loaded names, load order. *)
 val names : t -> string list
 
-(** The entry's warm timer, built (and fully timed) on first demand. *)
-val timer : ?obs:Obs.Ctx.t -> entry -> Sta.Timer.t
+(** The entry's warm timer, built on [par] (and fully timed) on first
+    demand. *)
+val timer : ?obs:Obs.Ctx.t -> par:Util.Parallel.t -> entry -> Sta.Timer.t
 
 (** Apply the warm-cache invalidation rules for an applied ECO delta:
     moves -> incremental re-time, RC -> invalidate, clock ->

@@ -44,7 +44,8 @@ type t = {
   net_cap : float array; (* per net: total load seen by the driver *)
   net_wirelen : float array; (* per net: routed (tree) wirelength *)
   net_first_arc : int array;
-  mutable workspaces : Rctree.Workspace.t array;
+  par : Util.Parallel.t;
+  workspaces : Rctree.Workspace.t array; (* one per chunk; [update_moved] uses the first *)
   dirty_stamp : int array;
   mutable epoch : int;
   fault : (float -> float) option;
@@ -62,7 +63,7 @@ let net_first_arc (d : Design.t) =
   done;
   firsts
 
-let create ?fault graph ~topology =
+let create ?fault ~par graph ~topology =
   let d = graph.Graph.design in
   {
     graph;
@@ -71,18 +72,12 @@ let create ?fault graph ~topology =
     net_cap = Array.make (Design.num_nets d) 0.0;
     net_wirelen = Array.make (Design.num_nets d) 0.0;
     net_first_arc = net_first_arc d;
-    workspaces = [||];
+    par;
+    workspaces = Array.init (Util.Parallel.domains par) (fun _ -> Rctree.Workspace.create ());
     dirty_stamp = Array.make (Design.num_nets d) 0;
     epoch = 0;
     fault;
   }
-
-(* One tree workspace per chunk of the net pass, grown on demand. *)
-let ensure_workspaces t k =
-  let have = Array.length t.workspaces in
-  if have < k then
-    t.workspaces <-
-      Array.init k (fun i -> if i < have then t.workspaces.(i) else Rctree.Workspace.create ())
 
 (* Write a net's arcs and slews from the Elmore pass in [ws]. The driver
    parameters arrive boxed (library record fields or the pad constants),
@@ -160,13 +155,12 @@ let update t =
   let graph = t.graph in
   let d = graph.Graph.design in
   let nnets = Design.num_nets d in
-  ensure_workspaces t (Util.Parallel.chunk_count ~n:nnets);
   (* Pass 1: nets — topology, Elmore, net arc delays, slews. Each net
      writes only its own arcs, caps and pin slews (driver + sinks are
      unique to a net), so the loop is safely data-parallel — this is the
      paper's GPU-accelerated timing kernel on CPU domains. Each chunk
      owns one tree workspace; a net's result does not depend on which. *)
-  Util.Parallel.for_chunks ~grain:128 ~name:"sta.delay.nets" ~n:nnets (fun ~chunk ~lo ~hi ->
+  Util.Parallel.for_chunks t.par ~grain:128 ~name:"sta.delay.nets" ~n:nnets (fun ~chunk ~lo ~hi ->
       let ws = t.workspaces.(chunk) in
       for nid = lo to hi - 1 do
         update_net t ws nid
@@ -195,7 +189,6 @@ let update t =
     touch) does not matter. *)
 let update_moved t ~cells =
   let d = t.graph.Graph.design in
-  ensure_workspaces t 1;
   let ws = t.workspaces.(0) in
   t.epoch <- t.epoch + 1;
   let epoch = t.epoch in

@@ -19,13 +19,14 @@ type t = {
   net_cap : float array; (* per net: total load seen by the driver *)
   net_wirelen : float array; (* per net: routed (tree) wirelength *)
   net_first_arc : int array; (* per net: id of its first (contiguous) net arc *)
-  mutable workspaces : Rctree.Workspace.t array; (* one per chunk of the net pass *)
+  par : Util.Parallel.t; (* the net pass fans out on it *)
+  workspaces : Rctree.Workspace.t array; (* one per domain; [update_moved] uses the first *)
   dirty_stamp : int array; (* per net: last [update_moved] epoch that re-timed it *)
   mutable epoch : int;
   fault : (float -> float) option; (* robustness tests: applied to every Elmore node delay *)
 }
 
-val create : ?fault:(float -> float) -> Graph.t -> topology:topology -> t
+val create : ?fault:(float -> float) -> par:Util.Parallel.t -> Graph.t -> topology:topology -> t
 
 (** Full refresh of every net and cell arc. Allocation-free per net once
     the per-chunk tree workspaces have grown to the largest net. *)

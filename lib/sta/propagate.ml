@@ -12,6 +12,7 @@
     so parallel results are bitwise equal to sequential ones. *)
 
 type t = {
+  par : Util.Parallel.t;
   arr : float array;
   req : float array;
   slack : float array;
@@ -44,9 +45,10 @@ let build_levels (graph : Graph.t) =
   done;
   levels
 
-let create graph =
+let create ~par graph =
   let np = Graph.num_pins graph in
   {
+    par;
     arr = Array.make np 0.0;
     req = Array.make np 0.0;
     slack = Array.make np 0.0;
@@ -66,40 +68,48 @@ let update ?(obs = Obs.Ctx.null) t (graph : Graph.t) =
   Obs.Ctx.span obs "sta.arrival" (fun () ->
       for l = 0 to nlevels - 1 do
         let level = t.levels.(l) in
-        Util.Parallel.for_ ~grain:64 ~name:"sta.arrival.level" (Array.length level) (fun i ->
-            let p = level.(i) in
-            let a =
-              ref
-                (if graph.is_startpoint.(p) then graph.start_arrival.(p)
-                 else Float.neg_infinity)
-            in
-            for j = graph.in_start.(p) to graph.in_start.(p + 1) - 1 do
-              let arc = graph.in_arc.(j) in
-              let cand = arr.(graph.arc_from.(arc)) +. graph.arc_delay.(arc) in
-              if cand > !a then a := cand
-            done;
-            arr.(p) <- !a)
+        Util.Parallel.for_chunks t.par ~grain:64 ~name:"sta.arrival.level" ~n:(Array.length level)
+          (fun ~chunk:_ ~lo ~hi ->
+            for i = lo to hi - 1 do
+              let p = level.(i) in
+              let a =
+                ref
+                  (if graph.is_startpoint.(p) then graph.start_arrival.(p)
+                   else Float.neg_infinity)
+              in
+              for j = graph.in_start.(p) to graph.in_start.(p + 1) - 1 do
+                let arc = graph.in_arc.(j) in
+                let cand = arr.(graph.arc_from.(arc)) +. graph.arc_delay.(arc) in
+                if cand > !a then a := cand
+              done;
+              arr.(p) <- !a
+            done)
       done);
   (* Backward: required times from the deepest level up, then slacks. *)
   Obs.Ctx.span obs "sta.required" (fun () ->
       for l = nlevels - 1 downto 0 do
         let level = t.levels.(l) in
-        Util.Parallel.for_ ~grain:64 ~name:"sta.required.level" (Array.length level) (fun i ->
-            let p = level.(i) in
-            let r =
-              ref (if graph.is_endpoint.(p) then graph.end_required.(p) else Float.infinity)
-            in
-            for j = graph.out_start.(p) to graph.out_start.(p + 1) - 1 do
-              let arc = graph.out_arc.(j) in
-              let cand = req.(graph.arc_to.(arc)) -. graph.arc_delay.(arc) in
-              if cand < !r then r := cand
-            done;
-            req.(p) <- !r)
+        Util.Parallel.for_chunks t.par ~grain:64 ~name:"sta.required.level" ~n:(Array.length level)
+          (fun ~chunk:_ ~lo ~hi ->
+            for i = lo to hi - 1 do
+              let p = level.(i) in
+              let r =
+                ref (if graph.is_endpoint.(p) then graph.end_required.(p) else Float.infinity)
+              in
+              for j = graph.out_start.(p) to graph.out_start.(p + 1) - 1 do
+                let arc = graph.out_arc.(j) in
+                let cand = req.(graph.arc_to.(arc)) -. graph.arc_delay.(arc) in
+                if cand < !r then r := cand
+              done;
+              req.(p) <- !r
+            done)
       done;
-      Util.Parallel.for_ ~name:"sta.slack" np (fun p ->
-          t.slack.(p) <-
-            (if Float.is_finite arr.(p) && Float.is_finite req.(p) then req.(p) -. arr.(p)
-             else Float.infinity)))
+      Util.Parallel.for_chunks t.par ~grain:1024 ~name:"sta.slack" ~n:np (fun ~chunk:_ ~lo ~hi ->
+          for p = lo to hi - 1 do
+            t.slack.(p) <-
+              (if Float.is_finite arr.(p) && Float.is_finite req.(p) then req.(p) -. arr.(p)
+               else Float.infinity)
+          done))
 
 (** Slack at an endpoint pin (infinite when the endpoint is unreachable). *)
 let endpoint_slack t (graph : Graph.t) p =

@@ -3,6 +3,7 @@
     unreachable from startpoints keep arrival -inf and never violate. *)
 
 type t = {
+  par : Util.Parallel.t; (* the level sweeps fan out on it *)
   arr : float array;
   req : float array;
   slack : float array;
@@ -12,11 +13,11 @@ type t = {
   mutable ranked_tail : bool; (* whether the rest is sorted too *)
 }
 
-val create : Graph.t -> t
+val create : par:Util.Parallel.t -> Graph.t -> t
 
 (** Forward arrivals, backward required times, slacks; call after the arc
     delays were refreshed. Levelized: each depth level fans out across
-    [Util.Parallel] domains (max/min are exact, so results are bitwise
+    the domains of [t.par] (max/min are exact, so results are bitwise
     equal to the sequential sweep). [obs] wraps the sweeps in
     [sta.arrival] / [sta.required] spans. Drops the cached {!ranking},
     which the next ranking query rebuilds (never [update] itself). *)

@@ -87,7 +87,8 @@ let report_timing_endpoint ?(failing_only = true) wss (prop : Propagate.t) (grap
   let m = num_investigated prop graph ~n ~failing_only in
   let ranked = Propagate.ranking prop graph ~n:m in
   let per_ep = Array.make m [] in
-  Util.Parallel.for_chunks ~grain:2 ~name:"extract.endpoints" ~n:m (fun ~chunk ~lo ~hi ->
+  Util.Parallel.for_chunks prop.Propagate.par ~grain:2 ~name:"extract.endpoints" ~n:m
+    (fun ~chunk ~lo ~hi ->
       let ws = wss.(chunk) in
       for i = lo to hi - 1 do
         per_ep.(i) <- Paths.k_worst ws graph prop.Propagate.arr ~endpoint:ranked.(i) ~k

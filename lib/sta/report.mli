@@ -20,8 +20,8 @@ val stats_of : Graph.t -> Paths.path list -> elapsed:float -> stats
 (** [failing_only] (default true) restricts to violated endpoints; [cap]
     bounds the candidate pool of the O(n^2) command. Both commands take
     the endpoints from {!Propagate.ranking} and search in [wss], one
-    {!Paths.workspace} per [Util.Parallel] chunk
-    ([Util.Parallel.chunk_count] of them). *)
+    {!Paths.workspace} per domain of the propagation's [par], which the
+    endpoint fan-out of [report_timing_endpoint] runs on. *)
 val report_timing :
   ?failing_only:bool ->
   ?cap:int ->

@@ -15,27 +15,30 @@ type t = {
   delay : Delay.t;
   prop : Propagate.t;
   early : Early.t;
-  mutable search : Paths.workspace array; (* one per extraction chunk, grown on demand *)
+  search : Paths.workspace array; (* one per extraction chunk *)
   obs : Obs.Ctx.t;
   mutable up_to_date : bool;
   mutable early_up_to_date : bool;
 }
 
-let create ?(topology = Delay.Steiner_tree) ?(obs = Obs.Ctx.null) ?fault design =
+let create ?(par = Util.Parallel.default ()) ?(topology = Delay.Steiner_tree)
+    ?(obs = Obs.Ctx.null) ?fault design =
   let graph = Graph.build design in
   {
     design;
     graph;
-    delay = Delay.create ?fault graph ~topology;
-    prop = Propagate.create graph;
+    delay = Delay.create ?fault ~par graph ~topology;
+    prop = Propagate.create ~par graph;
     early = Early.create graph;
-    search = [||];
+    search = Array.init (Util.Parallel.domains par) (fun _ -> Paths.workspace ());
     obs;
     up_to_date = false;
     early_up_to_date = false;
   }
 
 let graph t = t.graph
+
+let design t = t.design
 
 let arrivals t = t.prop.Propagate.arr
 
@@ -111,29 +114,21 @@ let num_failing_endpoints t =
   ensure t;
   Propagate.num_failing t.prop t.graph
 
-(* The path-search workspaces, one per chunk of a non-empty fan-out. *)
-let workspaces t =
-  let k = Util.Parallel.chunk_count ~n:1 in
-  let have = Array.length t.search in
-  if have < k then
-    t.search <- Array.init k (fun i -> if i < have then t.search.(i) else Paths.workspace ());
-  t.search
-
 let report_timing ?failing_only ?cap t ~n =
   ensure t;
-  Report.report_timing ?failing_only ?cap (workspaces t) t.prop t.graph ~n
+  Report.report_timing ?failing_only ?cap t.search t.prop t.graph ~n
 
 let report_timing_endpoint ?failing_only t ~n ~k =
   ensure t;
-  Report.report_timing_endpoint ?failing_only (workspaces t) t.prop t.graph ~n ~k
+  Report.report_timing_endpoint ?failing_only t.search t.prop t.graph ~n ~k
 
 let k_worst t ~endpoint ~k =
   ensure t;
-  Paths.k_worst (workspaces t).(0) t.graph t.prop.Propagate.arr ~endpoint ~k
+  Paths.k_worst t.search.(0) t.graph t.prop.Propagate.arr ~endpoint ~k
 
 let worst_path t ~endpoint =
   ensure t;
-  Paths.worst_path (workspaces t).(0) t.graph t.prop.Propagate.arr ~endpoint
+  Paths.worst_path t.search.(0) t.graph t.prop.Propagate.arr ~endpoint
 
 (** The single most critical path of the design (None when nothing is
     reachable). *)
@@ -143,9 +138,6 @@ let critical_path t =
   if Array.length ranked = 0 then None else worst_path t ~endpoint:ranked.(0)
 
 let stats_of_paths t paths ~elapsed = Report.stats_of t.graph paths ~elapsed
-
-(** Net wirelength as routed by the timer's topology (for reports). *)
-let net_wirelen t nid = t.delay.Delay.net_wirelen.(nid)
 
 (* ---- electrical design-rule checks (DRV) ---- *)
 

@@ -11,14 +11,18 @@
 type t
 
 (** Builds the timing graph; [topology] picks the wire model (default
-    Steiner trees, matching the evaluation kit). [obs] receives a
+    Steiner trees, matching the evaluation kit). The timing kernels run
+    on [par] (default {!Util.Parallel.default}). [obs] receives a
     [sta.update] span per re-time (children [sta.delay] / [sta.arrival] /
     [sta.required]) plus full/incremental update counters. [fault]
     (robustness tests) is applied to every Elmore node delay. *)
 val create :
+  ?par:Util.Parallel.t ->
   ?topology:Delay.topology -> ?obs:Obs.Ctx.t -> ?fault:(float -> float) -> Netlist.Design.t -> t
 
 val graph : t -> Graph.t
+
+val design : t -> Netlist.Design.t
 
 (** Current arrival times (valid after an update). *)
 val arrivals : t -> float array
@@ -76,9 +80,6 @@ val worst_path : t -> endpoint:int -> Paths.path option
 val critical_path : t -> Paths.path option
 
 val stats_of_paths : t -> Paths.path list -> elapsed:float -> Report.stats
-
-(** Routed wirelength of a net under the timer's topology. *)
-val net_wirelen : t -> int -> float
 
 type drv = {
   cap_violations : int; (* nets whose driver load exceeds max_cap *)

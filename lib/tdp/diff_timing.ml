@@ -38,8 +38,8 @@ let gamma_sm = 8.0 (* smooth-max temperature, ps *)
 
 let eta = 15.0 (* softplus sharpness for negative slack, ps *)
 
-let create ?fault design =
-  let timer = Sta.Timer.create ~topology:Sta.Delay.Star ?fault design in
+let create ?fault ~par design =
+  let timer = Sta.Timer.create ~par ~topology:Sta.Delay.Star ?fault design in
   let graph = Sta.Timer.graph timer in
   let max_sinks = ref 0 in
   let drive_res = Array.make (Design.num_nets design) 0.0 in

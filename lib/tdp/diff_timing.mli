@@ -5,7 +5,7 @@
 
 type t
 
-val create : ?fault:(float -> float) -> Netlist.Design.t -> t
+val create : ?fault:(float -> float) -> par:Util.Parallel.t -> Netlist.Design.t -> t
 
 (** One timing round: re-time (star model) and run the differentiable
     forward/backward passes. Returns (tns, wns) from the hard timer. *)

@@ -16,8 +16,7 @@ type t = {
   mutable anchors : anchor list;
 }
 
-let create ?fault design ~topology =
-  { design; timer = Sta.Timer.create ~topology ?fault design; anchors = [] }
+let create timer = { design = Sta.Timer.design timer; timer; anchors = [] }
 
 (** One timing round: re-time, extract each failing endpoint's worst path,
     derive anchors. Returns (tns, wns). *)

@@ -5,7 +5,7 @@
 
 type t
 
-val create : ?fault:(float -> float) -> Netlist.Design.t -> topology:Sta.Delay.topology -> t
+val create : Sta.Timer.t -> t
 
 (** One timing round: re-time, rebuild the anchor set. Returns (tns, wns). *)
 val round : t -> float * float

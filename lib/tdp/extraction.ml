@@ -30,10 +30,10 @@ type t = {
   mutable rounds : round_stats list; (* newest first *)
 }
 
-let create ?(obs = Obs.Ctx.null) ?fault design ~(config : Config.t) ~topology =
+let create ?(obs = Obs.Ctx.null) timer ~(config : Config.t) =
   {
-    timer = Sta.Timer.create ~topology ~obs ?fault design;
-    attract = Pin_attract.create design ~loss:config.loss;
+    timer;
+    attract = Pin_attract.create (Sta.Timer.design timer) ~loss:config.loss;
     config;
     obs;
     relax = 1.0;

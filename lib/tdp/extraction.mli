@@ -16,12 +16,11 @@ type round_stats = {
 
 type t
 
-(** [obs] is shared with the internal timer: each round emits [sta] and
-    [extraction] spans plus counters (rounds, endpoints visited, paths
-    extracted, pair-weight updates) and tns/wns/|P| gauges. *)
-val create :
-  ?obs:Obs.Ctx.t -> ?fault:(float -> float) -> Netlist.Design.t -> config:Config.t ->
-  topology:Sta.Delay.topology -> t
+(** Extracts paths of the timer's design. Each round emits [sta] and
+    [extraction] spans on [obs] plus counters (rounds, endpoints visited,
+    paths extracted, pair-weight updates) and tns/wns/|P| gauges; give
+    the timer the same context to nest its [sta.*] spans. *)
+val create : ?obs:Obs.Ctx.t -> Sta.Timer.t -> config:Config.t -> t
 
 (** One timing round at placement iteration [iter]. *)
 val round : t -> iter:int -> round_stats

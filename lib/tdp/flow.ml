@@ -167,8 +167,8 @@ let timing_hooks ~obs ~push_curve ~cells (cfg : Config.t) t =
                   add_normalized ~tx ~ty ~obs ~mult:(f.mult ()) ~wl_norm ~gx ~gy f.fill));
   }
 
-let run ?(seed = 1) ?(warm = false) ?(legalize = true) ?(topology = flow_topology) ?obs
-    ?heartbeat ?(fault = []) (meth : method_) (d : Design.t) =
+let run ?(par = Util.Parallel.default ()) ?(seed = 1) ?(warm = false) ?(legalize = true)
+    ?(topology = flow_topology) ?obs ?heartbeat ?(fault = []) (meth : method_) (d : Design.t) =
   (* Default: a private context so [result.breakdown] is populated even
      when the caller doesn't care about tracing. An explicitly disabled
      context ([Obs.Ctx.null]) turns all observation off — breakdown comes
@@ -192,6 +192,8 @@ let run ?(seed = 1) ?(warm = false) ?(legalize = true) ?(topology = flow_topolog
   let injectors = List.map (fun (site, spec) -> (site, Util.Fault.injector spec)) fault in
   let fault_at site = Option.map Util.Fault.apply (List.assoc_opt site injectors) in
   let elmore = fault_at Util.Fault.Elmore in
+  (* The timing method's timer: the run's value and [elmore] fault. *)
+  let timer ?obs topology = Sta.Timer.create ~par ?obs ~topology ?fault:elmore d in
   let curve = ref [] in
   (* Checkpoint the best placement seen at any timing round (by the flow
      timer's TNS, tie-broken by WNS): timing-driven runs can cycle once
@@ -228,11 +230,11 @@ let run ?(seed = 1) ?(warm = false) ?(legalize = true) ?(topology = flow_topolog
     match meth with
     | Vanilla -> None
     | Dp4 ->
-        let nw = Net_weighting.create ?fault:elmore d ~topology in
+        let nw = Net_weighting.create (timer topology) in
         Some
           { round_span = "sta+weighting"; round = (fun _ -> Net_weighting.round nw); force = None }
     | Diff_tdp ->
-        let dt = Diff_timing.create ?fault:elmore d in
+        let dt = Diff_timing.create ?fault:elmore ~par d in
         Some
           {
             round_span = "sta+backprop";
@@ -241,7 +243,7 @@ let run ?(seed = 1) ?(warm = false) ?(legalize = true) ?(topology = flow_topolog
               Some { span = "timing_grad"; mult = (fun () -> 0.4); fill = Diff_timing.add_grad dt };
           }
     | Dist_tdp ->
-        let ds = Distribution.create ?fault:elmore d ~topology in
+        let ds = Distribution.create (timer topology) in
         Some
           {
             round_span = "sta+anchors";
@@ -253,7 +255,7 @@ let run ?(seed = 1) ?(warm = false) ?(legalize = true) ?(topology = flow_topolog
         (* Our engine and pin-pair loss, but pin-level slack information
            with DP4's momentum scheme instead of path extraction (the
            paper's 'w/o Path Extraction' ablation). *)
-        let pl = Pin_level.create ?fault:elmore d ~topology in
+        let pl = Pin_level.create (timer topology) in
         Some
           {
             round_span = "sta+weighting";
@@ -262,7 +264,7 @@ let run ?(seed = 1) ?(warm = false) ?(legalize = true) ?(topology = flow_topolog
               Some { span = "pp_grad"; mult = (fun () -> cfg.beta); fill = Pin_level.add_grad pl };
           }
     | Efficient _ ->
-        let ex = Extraction.create ~obs ?fault:elmore d ~config:cfg ~topology in
+        let ex = Extraction.create ~obs (timer ~obs topology) ~config:cfg in
         extraction_state := Some ex;
         (* [Extraction.round] emits its own [sta] / [extraction] child
            spans, so the breakdown keeps both the combined and the
@@ -315,20 +317,20 @@ let run ?(seed = 1) ?(warm = false) ?(legalize = true) ?(topology = flow_topolog
         ]
       (fun () ->
         let _gp =
-          Gp.Globalplace.run ~params:gp_params ?hooks ~obs ?heartbeat
+          Gp.Globalplace.run ~par ~params:gp_params ?hooks ~obs ?heartbeat
             ?fault:(fault_at Util.Fault.Wl_grad) d
         in
         (* Keep the better of (final iterate, best checkpoint) under the
            common evaluation model. *)
         let metrics_gp =
           Obs.Ctx.span obs "evaluate" (fun () ->
-              let final_m = Evalkit.Metrics.evaluate d in
+              let final_m = Evalkit.Metrics.evaluate ~par d in
               match !best_snap with
               | None -> final_m
               | Some snap ->
                   let final_pos = Design.snapshot d in
                   Design.restore d snap;
-                  let snap_m = Evalkit.Metrics.evaluate d in
+                  let snap_m = Evalkit.Metrics.evaluate ~par d in
                   if snap_m.Evalkit.Metrics.tns > final_m.Evalkit.Metrics.tns then snap_m
                   else begin
                     Design.restore d final_pos;
@@ -343,7 +345,7 @@ let run ?(seed = 1) ?(warm = false) ?(legalize = true) ?(topology = flow_topolog
              flow boundary, not a silent bad result. *)
           Design.validate_exn ~placed:true d
         end;
-        let metrics = Obs.Ctx.span obs "evaluate" (fun () -> Evalkit.Metrics.evaluate d) in
+        let metrics = Obs.Ctx.span obs "evaluate" (fun () -> Evalkit.Metrics.evaluate ~par d) in
         Obs.Ctx.gauge obs "flow.hpwl" metrics.Evalkit.Metrics.hpwl;
         Obs.Ctx.gauge obs "flow.tns" metrics.Evalkit.Metrics.tns;
         Obs.Ctx.gauge obs "flow.wns" metrics.Evalkit.Metrics.wns;

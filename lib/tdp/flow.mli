@@ -70,11 +70,15 @@ val checkpoint_decision :
     machinery's timers (evaluation stays clean). Each site adds its
     corrupted calls to a [fault.<site>] counter, also when the run raises.
 
+    Global placement and every timer the run builds (the method's and
+    evaluation's) run on [par] (default {!Util.Parallel.default}).
+
     Raises [Util.Errors.Error]: [Invalid_design] if the input fails
     [Netlist.Design.validate] (also re-checked with [~placed:true] after
     legalization), [Config_error] for an out-of-range [Efficient] config,
     and [Diverged] if the placement engine exhausts its rollback budget. *)
 val run :
+  ?par:Util.Parallel.t ->
   ?seed:int ->
   ?warm:bool ->
   ?legalize:bool ->

@@ -20,7 +20,7 @@ let alpha = 8.0
 
 let momentum = 0.5
 
-let create ?fault design ~topology = { timer = Sta.Timer.create ~topology ?fault design; design }
+let create timer = { timer; design = Sta.Timer.design timer }
 
 (** One timing round: re-time, refresh all net weights in place.
     Returns (tns, wns). *)

@@ -9,7 +9,7 @@ val alpha : float
 
 val momentum : float
 
-val create : ?fault:(float -> float) -> Netlist.Design.t -> topology:Sta.Delay.topology -> t
+val create : Sta.Timer.t -> t
 
 (** One timing round: re-time and refresh every net's weight in place.
     Returns (tns, wns). *)

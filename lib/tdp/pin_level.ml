@@ -12,11 +12,8 @@
 
 type t = { timer : Sta.Timer.t; attract : Pin_attract.t }
 
-let create ?fault design ~topology =
-  {
-    timer = Sta.Timer.create ~topology ?fault design;
-    attract = Pin_attract.create design ~loss:Config.Quadratic;
-  }
+let create timer =
+  { timer; attract = Pin_attract.create (Sta.Timer.design timer) ~loss:Config.Quadratic }
 
 (** One timing round: re-time; for each net arc whose sink fails, update
     the pair weight toward 1 + alpha * crit with momentum. Returns

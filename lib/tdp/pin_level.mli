@@ -4,7 +4,7 @@
 
 type t
 
-val create : ?fault:(float -> float) -> Netlist.Design.t -> topology:Sta.Delay.topology -> t
+val create : Sta.Timer.t -> t
 
 (** One timing round; returns (tns, wns). *)
 val round : t -> float * float

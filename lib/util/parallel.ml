@@ -1,27 +1,20 @@
 (** Data-parallel loops over OCaml 5 domains, backed by a persistent
-    worker pool.
+    worker pool (the contract is in the .mli). *)
 
-    Stands in for the paper's CUDA kernels: all heavy per-pin / per-bin
-    kernels are embarrassingly parallel, so a chunked domain fan-out keeps
-    the same semantics. Workers are spawned lazily on the first dispatch
-    and parked on a condition variable between calls, so a Nesterov
-    iteration issuing dozens of kernel launches pays the spawn cost once
-    per process, not once per call.
+let clamp n = max 1 (min 128 n)
 
-    Determinism contract (see the .mli): every parallel body writes
-    locations no other chunk writes, and no float reduction crosses a
-    chunk boundary, so results do not depend on the domain count. *)
+(* The count [default ()] hands out. Kernels never read it: they read
+   the value their owner was created with. *)
+let default_domains = ref 1
 
-let num_domains = ref 1
-
-let set_num_domains n = num_domains := max 1 (min 128 n)
+let set_num_domains n = default_domains := clamp n
 
 (* ------------------------------------------------------------------ *)
 (* Persistent pool: [num_workers] parked domains plus the caller domain.
    One job at a time; dispatch bumps [generation] and broadcasts, the
    barrier waits for [pending] to drain. The pool only ever grows (to the
-   largest worker count requested so far) — shrinking [num_domains] just
-   leaves the extra workers parked, so a fixed domain count spawns each
+   largest worker count requested so far) — a value with fewer domains
+   just leaves the extra workers parked, so a fixed domain count spawns each
    worker at most once per process. *)
 
 let pool_mutex = Mutex.create ()
@@ -153,82 +146,59 @@ let run_pool ~chunks body =
       match werr with Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
 
 (* ------------------------------------------------------------------ *)
-(* Instrumentation hook: per-call kernel stats (wall time, per-chunk
-   times for imbalance) delivered to an installed observer — the obs
-   layer wires this to histograms without util depending on obs. *)
+(* The pool as a value: a domain count and an optional stats hook. The
+   hook observes per-call kernel stats (wall time, per-chunk times for
+   imbalance) — the obs layer turns them into metrics without util
+   depending on obs. *)
 
 type stats = {
   kernel : string;
   n : int;
   chunks : int;
+  dispatched : bool; (* ran on the pool, not inline below its grain *)
   total_s : float; (* wall time of the whole call *)
   chunk_s : float array; (* per-chunk wall time, length [chunks] *)
 }
 
-let instrument : (stats -> unit) option ref = ref None
+type t = { domains : int; instrument : (stats -> unit) option }
 
-let set_instrument h = instrument := h
+let create ?instrument n = { domains = clamp n; instrument }
 
-let instrumented () = !instrument <> None
+let default () = { domains = !default_domains; instrument = None }
+
+let domains t = t.domains
 
 let now () = Unix.gettimeofday ()
 
-let run_inline ~chunks body =
-  for c = 0 to chunks - 1 do
-    body c
-  done
-
-(* Run [body] over [chunks] chunk ids, via the pool when [dispatch],
-   inline otherwise; report to the instrument hook when installed and the
-   call is named. *)
-let launch ?name ~n ~chunks ~dispatch body =
-  match (!instrument, name) with
-  | Some hook, Some kernel ->
-      let chunk_s = Array.make chunks 0.0 in
-      let timed c =
-        let t0 = now () in
-        body c;
-        chunk_s.(c) <- now () -. t0
+(* Split [0, n) into [domains] contiguous chunks and run the non-empty
+   ones: on the pool at or above [grain], inline (same partition) below
+   it. A named call on a hooked value reports its stats. An unhooked
+   1-domain call is a direct call of [f]: no wrapper closure. *)
+let for_chunks t ?(grain = 256) ?name ~n f =
+  let d = t.domains in
+  match (t.instrument, name) with
+  | None, _ when d = 1 -> f ~chunk:0 ~lo:0 ~hi:n
+  | hook, name ->
+      let per = (n + d - 1) / d in
+      let body c =
+        let lo = c * per and hi = min n ((c + 1) * per) in
+        if lo < hi then f ~chunk:c ~lo ~hi
       in
-      let t0 = now () in
-      if dispatch then run_pool ~chunks timed else run_inline ~chunks timed;
-      hook { kernel; n; chunks; total_s = now () -. t0; chunk_s }
-  | _ -> if dispatch then run_pool ~chunks body else run_inline ~chunks body
-
-(* ------------------------------------------------------------------ *)
-(* Entry points. [grain] is the dispatch threshold: below it the call
-   runs inline (on the same chunk partition); at or above it the pool is
-   used. *)
-
-let seq_for n f =
-  for i = 0 to n - 1 do
-    f i
-  done
-
-let for_ ?(grain = 1024) ?name n f =
-  let d = !num_domains in
-  if d <= 1 || n < grain then launch ?name ~n ~chunks:1 ~dispatch:false (fun _ -> seq_for n f)
-  else begin
-    let per = (n + d - 1) / d in
-    let body c =
-      let lo = c * per and hi = min n ((c + 1) * per) in
-      for i = lo to hi - 1 do
-        f i
-      done
-    in
-    launch ?name ~n ~chunks:d ~dispatch:true body
-  end
-
-let chunk_count ~n = if !num_domains <= 1 || n <= 0 then 1 else !num_domains
-
-let for_chunks ?(grain = 256) ?name ~n f =
-  let d = !num_domains in
-  if d <= 1 then launch ?name ~n ~chunks:1 ~dispatch:false (fun _ -> f ~chunk:0 ~lo:0 ~hi:n)
-  else begin
-    let per = (n + d - 1) / d in
-    let body c =
-      let lo = c * per and hi = min n ((c + 1) * per) in
-      if lo < hi then f ~chunk:c ~lo ~hi
-    in
-    launch ?name ~n ~chunks:d ~dispatch:(n >= grain) body
-  end
+      let dispatch = d > 1 && n >= grain in
+      let run body =
+        if dispatch then run_pool ~chunks:d body
+        else
+          for c = 0 to d - 1 do
+            body c
+          done
+      in
+      (match (hook, name) with
+      | Some hook, Some kernel ->
+          let chunk_s = Array.make d 0.0 in
+          let t0 = now () in
+          run (fun c ->
+              let t0 = now () in
+              body c;
+              chunk_s.(c) <- now () -. t0);
+          hook { kernel; n; chunks = d; dispatched = dispatch; total_s = now () -. t0; chunk_s }
+      | _ -> run body)

@@ -25,7 +25,10 @@
    hex literals. Results do not depend on the domain count, so there is
    one section: the test runs the generator at 1, 2 and 4 domains
    (PARALLEL_DOMAINS=N, as for the test runner; default 1) and compares
-   every run with it.
+   every run with it. Every kernel runs on one [Util.Parallel.t] of N
+   domains whose hook counts the chunks of each named kernel; the
+   generator exits 1 if a kernel below ran with any other count, so a
+   run that silently stayed on one domain cannot pass.
 
      dune exec test/gen_gp_fixture.exe > test/fixtures/gp_kernels
 
@@ -34,6 +37,44 @@
 open Netlist
 
 let block = 256
+
+let domains =
+  match Sys.getenv_opt "PARALLEL_DOMAINS" with Some s -> int_of_string s | None -> 1
+
+(* Kernel name -> chunk counts its calls ran with. *)
+let chunks_seen : (string, int list) Hashtbl.t = Hashtbl.create 16
+
+let par =
+  Util.Parallel.create domains ~instrument:(fun (s : Util.Parallel.stats) ->
+      let seen = Option.value ~default:[] (Hashtbl.find_opt chunks_seen s.kernel) in
+      if not (List.mem s.chunks seen) then Hashtbl.replace chunks_seen s.kernel (s.chunks :: seen))
+
+(* Kernels every section set above runs; each must have run with
+   exactly [domains] chunks. *)
+let check_chunks () =
+  List.iter
+    (fun k ->
+      match Hashtbl.find_opt chunks_seen k with
+      | Some [ c ] when c = domains -> ()
+      | seen ->
+          Printf.eprintf "gen_gp_fixture: kernel %s ran with chunks [%s], expected %d\n" k
+            (String.concat ";" (List.map string_of_int (Option.value ~default:[] seen)))
+            domains;
+          exit 1)
+    [
+      "density.bins";
+      "dct.rows";
+      "poisson.filter";
+      "poisson.field";
+      "electro.grad";
+      "wl.grad";
+      "wl.grad.cells";
+      "sta.delay.nets";
+      "sta.arrival.level";
+      "sta.required.level";
+      "sta.slack";
+      "extract.endpoints";
+    ]
 
 let scale = 0.5
 
@@ -59,7 +100,7 @@ let emit_scalar name v = Printf.printf "scalar %s %h\n" name v
 let emit_count name n = Printf.printf "count %s %d\n" name n
 
 let density_of d ~bins =
-  let g = Gp.Densitygrid.create d ~bins_x:bins ~bins_y:bins in
+  let g = Gp.Densitygrid.create ~par d ~bins_x:bins ~bins_y:bins in
   Gp.Densitygrid.update g d;
   g.Gp.Densitygrid.density
 
@@ -70,11 +111,11 @@ let density_cases () =
     (fun short ->
       let d = Workloads.Suite.load ~scale short in
       let bins = Gp.Globalplace.auto_bins d in
-      let g = Gp.Densitygrid.create d ~bins_x:bins ~bins_y:bins in
+      let g = Gp.Densitygrid.create ~par d ~bins_x:bins ~bins_y:bins in
       Gp.Globalplace.initial_spread d ~bin_w:g.Gp.Densitygrid.bin_w ~bin_h:g.Gp.Densitygrid.bin_h
         ~seed:1;
       emit_array (short ^ ".spread.density") (density_of d ~bins);
-      ignore (Gp.Globalplace.run ~params:(vanilla 100) d);
+      ignore (Gp.Globalplace.run ~par ~params:(vanilla 100) d);
       emit_array (short ^ ".iter100.density") (density_of d ~bins))
     [ "sb1"; "sb7" ]
 
@@ -129,7 +170,7 @@ let boundary_cases () =
   let d = boundary_design () in
   List.iter
     (fun bins ->
-      let g = Gp.Densitygrid.create d ~bins_x:bins ~bins_y:bins in
+      let g = Gp.Densitygrid.create ~par d ~bins_x:bins ~bins_y:bins in
       Gp.Densitygrid.update g d;
       emit_array (Printf.sprintf "edges.%d.density" bins) g.Gp.Densitygrid.density;
       emit_array (Printf.sprintf "edges.%d.fixed" bins) g.Gp.Densitygrid.fixed)
@@ -151,7 +192,7 @@ let poisson_cases () =
               +. Util.Rng.float_range rng (-0.5) 0.5
               -. 0.7)
       in
-      let p = Numerics.Poisson.create ~rows ~cols in
+      let p = Numerics.Poisson.create ~par ~rows ~cols in
       let psi = Array.make n 0.0 and ex = Array.make n 0.0 and ey = Array.make n 0.0 in
       Numerics.Poisson.solve_into p ~rho ~psi;
       Numerics.Poisson.field_into p ~psi ~ex ~ey;
@@ -166,7 +207,7 @@ let globalplace_cases () =
   List.iter
     (fun short ->
       let d = Workloads.Suite.load ~scale short in
-      let r = Gp.Globalplace.run ~params:(vanilla 200) d in
+      let r = Gp.Globalplace.run ~par ~params:(vanilla 200) d in
       emit_array (short ^ ".gp200.x") (floats_of_farr d.Design.x);
       emit_array (short ^ ".gp200.y") (floats_of_farr d.Design.y);
       emit_scalar (short ^ ".gp200.hpwl") r.Gp.Globalplace.final_hpwl)
@@ -176,7 +217,7 @@ let detailed_cases () =
   List.iter
     (fun short ->
       let d = Workloads.Suite.load ~scale short in
-      ignore (Gp.Globalplace.run ~params:(vanilla 200) d);
+      ignore (Gp.Globalplace.run ~par ~params:(vanilla 200) d);
       ignore (Gp.Legalize.run d);
       emit_count (short ^ ".detailed.pass6") (Gp.Detailed.pass d ~window:6);
       emit_count (short ^ ".detailed.reorder") (Gp.Detailed.reorder_rows d);
@@ -202,15 +243,12 @@ let flow_cases () =
     (fun name ->
       let d = Workloads.Suite.load ~scale:0.15 "sb1" in
       let meth = Tdp.Flow.method_of_string name in
-      emit_flow ("flow." ^ name) d (Tdp.Flow.run meth d);
+      emit_flow ("flow." ^ name) d (Tdp.Flow.run ~par meth d);
       if name = "dp4" || name = "efficient" then
-        emit_flow ("flow." ^ name ^ ".warm") d (Tdp.Flow.run ~warm:true meth d))
+        emit_flow ("flow." ^ name ^ ".warm") d (Tdp.Flow.run ~par ~warm:true meth d))
     [ "vanilla"; "dp4"; "diff"; "dist"; "efficient"; "noextract" ]
 
 let () =
-  Option.iter
-    (fun s -> Util.Parallel.set_num_domains (int_of_string s))
-    (Sys.getenv_opt "PARALLEL_DOMAINS");
   Printf.printf
     "# gp bitwise fixture: per-block MD5 of IEEE-754 bits, block %d; ends are OCaml hex literals\n"
     block;
@@ -219,4 +257,5 @@ let () =
   poisson_cases ();
   globalplace_cases ();
   detailed_cases ();
-  flow_cases ()
+  flow_cases ();
+  check_chunks ()

@@ -2,11 +2,34 @@
 
 open Netlist
 
-(* Run [f] with the parallel runtime at [n] domains, restoring the
+(* Run [f] with [Util.Parallel.default ()] at [n] domains, restoring the
    previous (possibly PARALLEL_DOMAINS-driven) count afterwards even if
-   [f] raises. *)
+   [f] raises. Only owners created inside [f] (with no explicit value)
+   run at [n]: an owner keeps the value it was created with. *)
+(* The value an owner created here gets: it follows [with_domains] and
+   PARALLEL_DOMAINS. *)
+let par () = Util.Parallel.default ()
+
+(* A value of [n] domains whose hook records the chunk count of each
+   named kernel's calls. [check_chunks seen kernel n] asserts the kernel
+   ran, always with [n] chunks: a kernel that silently stayed on one
+   domain fails instead of passing vacuously. *)
+let counting_par n =
+  let seen = Hashtbl.create 16 in
+  let hook (s : Util.Parallel.stats) =
+    let cs = Option.value ~default:[] (Hashtbl.find_opt seen s.kernel) in
+    if not (List.mem s.chunks cs) then Hashtbl.replace seen s.kernel (s.chunks :: cs)
+  in
+  (Util.Parallel.create n ~instrument:hook, seen)
+
+let check_chunks seen kernel n =
+  Alcotest.(check (list int))
+    (Printf.sprintf "%s ran with %d chunks" kernel n)
+    [ n ]
+    (Option.value ~default:[] (Hashtbl.find_opt seen kernel))
+
 let with_domains n f =
-  let saved = !Util.Parallel.num_domains in
+  let saved = Util.Parallel.domains (Util.Parallel.default ()) in
   Util.Parallel.set_num_domains n;
   Fun.protect ~finally:(fun () -> Util.Parallel.set_num_domains saved) f
 
@@ -50,8 +73,8 @@ let bundle_bytes d =
 
 (* Plan-engine 2D DCT-II (or, with [inverse], DCT-III) of a row-major
    grid into a fresh array; [~rows:1] gives the 1D transform. *)
-let plan_dct ?(inverse = false) x ~rows ~cols =
-  let p = Numerics.Plan.create ~rows ~cols in
+let plan_dct ?(par = par ()) ?(inverse = false) x ~rows ~cols =
+  let p = Numerics.Plan.create ~par ~rows ~cols in
   let dst = Array.make (rows * cols) 0.0 in
   (if inverse then Numerics.Plan.idct2_2d else Numerics.Plan.dct2_2d) p ~src:x ~dst;
   dst

@@ -25,7 +25,7 @@ let test_wa_approaches_hpwl () =
   let hpwl = Design.total_hpwl d in
   let wa gamma =
     let gx = Array.make n 0.0 and gy = Array.make n 0.0 in
-    Gp.Wirelength.wa_wirelength_grad d ~gamma ~gx ~gy
+    Gp.Wirelength.wa_wirelength_grad ~par:(Helpers.par ()) d ~gamma ~gx ~gy
   in
   let w_tight = wa 0.01 and w_loose = wa 10.0 in
   Alcotest.(check bool) "gamma->0 converges to hpwl" true
@@ -39,10 +39,10 @@ let test_wa_gradient_finite_diff () =
   let n = Design.num_cells d in
   let gamma = 2.0 in
   let gx = Array.make n 0.0 and gy = Array.make n 0.0 in
-  let _ = Gp.Wirelength.wa_wirelength_grad d ~gamma ~gx ~gy in
+  let _ = Gp.Wirelength.wa_wirelength_grad ~par:(Helpers.par ()) d ~gamma ~gx ~gy in
   let value () =
     let tx = Array.make n 0.0 and ty = Array.make n 0.0 in
-    Gp.Wirelength.wa_wirelength_grad d ~gamma ~gx:tx ~gy:ty
+    Gp.Wirelength.wa_wirelength_grad ~par:(Helpers.par ()) d ~gamma ~gx:tx ~gy:ty
   in
   let h = 1e-4 in
   let rng = Util.Rng.create 23 in
@@ -76,7 +76,7 @@ let test_wa_respects_net_weights () =
   let n = Design.num_cells d in
   let grad_norm () =
     let gx = Array.make n 0.0 and gy = Array.make n 0.0 in
-    ignore (Gp.Wirelength.wa_wirelength_grad d ~gamma:1.0 ~gx ~gy);
+    ignore (Gp.Wirelength.wa_wirelength_grad ~par:(Helpers.par ()) d ~gamma:1.0 ~gx ~gy);
     Array.fold_left (fun a v -> a +. Float.abs v) 0.0 gx
   in
   let g1 = grad_norm () in
@@ -91,7 +91,7 @@ let test_wa_respects_net_weights () =
 
 let test_density_mass_conservation () =
   let d = spread_design () in
-  let grid = Gp.Densitygrid.create d ~bins_x:32 ~bins_y:32 in
+  let grid = Gp.Densitygrid.create ~par:(Helpers.par ()) d ~bins_x:32 ~bins_y:32 in
   Gp.Densitygrid.update grid d;
   let total = Array.fold_left ( +. ) 0.0 grid.Gp.Densitygrid.density in
   let expect = Design.movable_area d in
@@ -102,7 +102,7 @@ let test_density_mass_conservation () =
 
 let test_density_fixed_blockages () =
   let d = Lazy.force Helpers.small_generated in
-  let grid = Gp.Densitygrid.create d ~bins_x:32 ~bins_y:32 in
+  let grid = Gp.Densitygrid.create ~par:(Helpers.par ()) d ~bins_x:32 ~bins_y:32 in
   let fixed_total = Array.fold_left ( +. ) 0.0 grid.Gp.Densitygrid.fixed in
   (* Boundary pads hang half-off the die, so expectation uses the
      die-clipped area of each fixed cell. *)
@@ -116,7 +116,7 @@ let test_density_fixed_blockages () =
 
 let test_overflow_extremes () =
   let d = spread_design () in
-  let grid = Gp.Densitygrid.create d ~bins_x:32 ~bins_y:32 in
+  let grid = Gp.Densitygrid.create ~par:(Helpers.par ()) d ~bins_x:32 ~bins_y:32 in
   (* Everything stacked in one corner: overflow near 1. *)
   for id = 0 to Design.num_cells d - 1 do
     if Design.is_movable d id then begin
@@ -148,7 +148,7 @@ let test_electro_force_spreads () =
       d.y.{id} <- ctr.Geom.Point.y
     end
   done;
-  let grid = Gp.Densitygrid.create d ~bins_x:32 ~bins_y:32 in
+  let grid = Gp.Densitygrid.create ~par:(Helpers.par ()) d ~bins_x:32 ~bins_y:32 in
   Gp.Densitygrid.update grid d;
   let el = Gp.Electro.create grid in
   Gp.Electro.solve el ~target_density:1.0;
@@ -168,7 +168,7 @@ let test_electro_force_spreads () =
 
 let test_electro_energy_decreases_with_spreading () =
   let d = spread_design () in
-  let grid = Gp.Densitygrid.create d ~bins_x:32 ~bins_y:32 in
+  let grid = Gp.Densitygrid.create ~par:(Helpers.par ()) d ~bins_x:32 ~bins_y:32 in
   let el = Gp.Electro.create grid in
   let energy_at placement =
     placement ();
@@ -203,7 +203,7 @@ let test_electro_buffers_reused () =
      place: repeated solves must keep the same physical arrays (no
      per-iteration psi/ex/ey churn) while still changing their values. *)
   let d = spread_design () in
-  let grid = Gp.Densitygrid.create d ~bins_x:32 ~bins_y:32 in
+  let grid = Gp.Densitygrid.create ~par:(Helpers.par ()) d ~bins_x:32 ~bins_y:32 in
   Gp.Densitygrid.update grid d;
   let el = Gp.Electro.create grid in
   Gp.Electro.solve el ~target_density:1.0;
@@ -397,19 +397,22 @@ let suite =
 let test_wa_parallel_equivalence () =
   let d = spread_design () in
   let n = Design.num_cells d in
-  let run () =
+  let run nd =
+    let par, seen = Helpers.counting_par nd in
     let gx = Array.make n 0.0 and gy = Array.make n 0.0 in
-    let v = Gp.Wirelength.wa_wirelength_grad d ~gamma:2.0 ~gx ~gy in
+    let v = Gp.Wirelength.wa_wirelength_grad ~par d ~gamma:2.0 ~gx ~gy in
+    Helpers.check_chunks seen "wl.grad" nd;
+    Helpers.check_chunks seen "wl.grad.cells" nd;
     Array.concat [ [| v |]; gx; gy ]
   in
   let bits a = Array.map Int64.bits_of_float a in
-  let want = bits (Helpers.with_domains 1 run) in
+  let want = bits (run 1) in
   List.iter
     (fun nd ->
       Alcotest.(check (array int64))
         (Printf.sprintf "value and gradient bitwise at %d domains" nd)
         want
-        (bits (Helpers.with_domains nd run)))
+        (bits (run nd)))
     [ 2; 4 ]
 
 let suite = suite @ [ ("wa gradient parallel equivalence", `Quick, test_wa_parallel_equivalence) ]
@@ -461,49 +464,48 @@ let test_gp_bitwise_fixture () =
    scratch array (longer than the minor heap's size limit) re-entering
    the loop fails this test. *)
 let test_globalplace_iteration_alloc () =
-  Helpers.with_domains 1 (fun () ->
-      let words iters =
-        let d = Workloads.Suite.load ~calibrate:false ~scale:0.5 "sb1" in
-        let params = { Gp.Globalplace.default_params with max_iters = iters; min_iters = iters } in
-        (* [Gc.counters]'s minor count lags on OCaml 5; [Gc.minor_words]
-           is exact. Its major count less promotions is what went
-           straight to the major heap. *)
-        let _, promoted0, major0 = Gc.counters () in
-        let minor0 = Gc.minor_words () in
-        let r = Gp.Globalplace.run ~params d in
-        let minor1 = Gc.minor_words () in
-        let _, promoted1, major1 = Gc.counters () in
-        Alcotest.(check int) "iterations run" iters r.Gp.Globalplace.iters;
-        minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
-      in
-      (* warm-up: the first run pays one-time initialisation *)
-      ignore (words 50);
-      let short = words 50 in
-      let long = words 150 in
-      let per_iter = (long -. short) /. 100.0 in
-      if per_iter > 200.0 then
-        Alcotest.failf "%.1f words per steady-state iteration (budget 200)" per_iter)
+  let par = Util.Parallel.create 1 in
+  let words iters =
+    let d = Workloads.Suite.load ~calibrate:false ~scale:0.5 "sb1" in
+    let params = { Gp.Globalplace.default_params with max_iters = iters; min_iters = iters } in
+    (* [Gc.counters]'s minor count lags on OCaml 5; [Gc.minor_words]
+       is exact. Its major count less promotions is what went
+       straight to the major heap. *)
+    let _, promoted0, major0 = Gc.counters () in
+    let minor0 = Gc.minor_words () in
+    let r = Gp.Globalplace.run ~par ~params d in
+    let minor1 = Gc.minor_words () in
+    let _, promoted1, major1 = Gc.counters () in
+    Alcotest.(check int) "iterations run" iters r.Gp.Globalplace.iters;
+    minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+  in
+  (* warm-up: the first run pays one-time initialisation *)
+  ignore (words 50);
+  let short = words 50 in
+  let long = words 150 in
+  let per_iter = (long -. short) /. 100.0 in
+  if per_iter > 200.0 then
+    Alcotest.failf "%.1f words per steady-state iteration (budget 200)" per_iter
 
 (* Detailed placement scores candidates against a per-call workspace:
    the whole run allocates a bounded number of words per movable cell
    (the workspace, the sweep order and the row buckets), not per
    candidate. Direct major-heap words count, as above. *)
 let test_detailed_alloc () =
-  Helpers.with_domains 1 (fun () ->
-      let d = Workloads.Suite.load ~calibrate:false ~scale:0.5 "sb1" in
-      let params = { Gp.Globalplace.default_params with max_iters = 200; min_iters = 200 } in
-      ignore (Gp.Globalplace.run ~params d);
-      ignore (Gp.Legalize.run d);
-      let _, promoted0, major0 = Gc.counters () in
-      let minor0 = Gc.minor_words () in
-      let improved = Gp.Detailed.run d in
-      let minor1 = Gc.minor_words () in
-      let _, promoted1, major1 = Gc.counters () in
-      let words = minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
-      let per_cell = words /. float_of_int (Design.num_movable d) in
-      Alcotest.(check bool) "some improvements" true (improved > 0);
-      if per_cell > 200.0 then
-        Alcotest.failf "%.1f words per movable cell (budget 200)" per_cell)
+  let d = Workloads.Suite.load ~calibrate:false ~scale:0.5 "sb1" in
+  let params = { Gp.Globalplace.default_params with max_iters = 200; min_iters = 200 } in
+  ignore (Gp.Globalplace.run ~par:(Util.Parallel.create 1) ~params d);
+  ignore (Gp.Legalize.run d);
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  let improved = Gp.Detailed.run d in
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  let words = minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
+  let per_cell = words /. float_of_int (Design.num_movable d) in
+  Alcotest.(check bool) "some improvements" true (improved > 0);
+  if per_cell > 200.0 then
+    Alcotest.failf "%.1f words per movable cell (budget 200)" per_cell
 
 let suite =
   suite

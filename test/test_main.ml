@@ -12,7 +12,8 @@ let () =
       match int_of_string_opt s with
       | Some n ->
           Util.Parallel.set_num_domains n;
-          Printf.eprintf "[test] PARALLEL_DOMAINS=%d\n%!" !Util.Parallel.num_domains
+          Printf.eprintf "[test] PARALLEL_DOMAINS=%d\n%!"
+            (Util.Parallel.domains (Util.Parallel.default ()))
       | None -> Printf.eprintf "[test] ignoring malformed PARALLEL_DOMAINS=%S\n%!" s)
   | None -> ());
   Alcotest.run "efficient-tdp"

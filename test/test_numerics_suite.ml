@@ -18,7 +18,7 @@ let test_fft_bad_size () =
   (* The message must name the offending size. *)
   Alcotest.check_raises "not power of two"
     (Invalid_argument "Plan: size must be a power of two, got 3") (fun () ->
-      ignore (Numerics.Plan.create ~rows:4 ~cols:3))
+      ignore (Numerics.Plan.create ~par:(Helpers.par ()) ~rows:4 ~cols:3))
 
 (* ---------------- DCT (plan engine, 1D as a one-row grid) ---------------- *)
 
@@ -80,7 +80,7 @@ let test_plan_pair_vs_naive () =
   let rng = Util.Rng.create 21 in
   List.iter
     (fun n ->
-      let plan = Numerics.Plan.create ~rows:2 ~cols:n in
+      let plan = Numerics.Plan.create ~par:(Helpers.par ()) ~rows:2 ~cols:n in
       let a = random_array rng n and b = random_array rng n in
       let xa = Array.make n 0.0 and xb = Array.make n 0.0 in
       Numerics.Plan.dct2_pair plan ~a ~b ~xa ~xb;
@@ -103,7 +103,7 @@ let q_plan_pair_roundtrip =
     (fun (la, lb) ->
       let a = Array.of_list la and b = Array.of_list lb in
       let n = Array.length a in
-      let plan = Numerics.Plan.create ~rows:2 ~cols:n in
+      let plan = Numerics.Plan.create ~par:(Helpers.par ()) ~rows:2 ~cols:n in
       let xa = Array.make n 0.0 and xb = Array.make n 0.0 in
       let ra = Array.make n 0.0 and rb = Array.make n 0.0 in
       Numerics.Plan.dct2_pair plan ~a ~b ~xa ~xb;
@@ -117,7 +117,7 @@ let test_plan_2d_vs_direct () =
   List.iter
     (fun (rows, cols) ->
       let g = random_array rng (rows * cols) in
-      let plan = Numerics.Plan.create ~rows ~cols in
+      let plan = Numerics.Plan.create ~par:(Helpers.par ()) ~rows ~cols in
       let dst = Array.make (rows * cols) 0.0 in
       Numerics.Plan.dct2_2d plan ~src:g ~dst;
       Alcotest.(check bool)
@@ -136,7 +136,7 @@ let test_plan_in_place () =
   let rng = Util.Rng.create 23 in
   let rows = 16 and cols = 32 in
   let g = random_array rng (rows * cols) in
-  let plan = Numerics.Plan.create ~rows ~cols in
+  let plan = Numerics.Plan.create ~par:(Helpers.par ()) ~rows ~cols in
   let out = Array.make (rows * cols) 0.0 in
   Numerics.Plan.dct2_2d plan ~src:g ~dst:out;
   let buf = Array.copy g in
@@ -161,7 +161,7 @@ let test_poisson_residual () =
   let rng = Util.Rng.create 7 in
   let rows = 32 and cols = 32 in
   let rho = zero_mean rng (rows * cols) in
-  let p = Numerics.Poisson.create ~rows ~cols in
+  let p = Numerics.Poisson.create ~par:(Helpers.par ()) ~rows ~cols in
   let psi = Numerics.Poisson.solve p rho in
   (* Interior: discrete laplacian of psi must equal -rho exactly (the
      solver inverts the discrete operator). *)
@@ -179,7 +179,7 @@ let test_poisson_uniform_field () =
   (* Uniform charge = zero after DC removal: flat potential, zero field. *)
   let rows = 16 and cols = 16 in
   let rho = Array.make (rows * cols) 1.0 in
-  let p = Numerics.Poisson.create ~rows ~cols in
+  let p = Numerics.Poisson.create ~par:(Helpers.par ()) ~rows ~cols in
   let psi = Numerics.Poisson.solve p rho in
   let ex, ey = Numerics.Poisson.field p psi in
   Alcotest.(check bool) "zero field" true
@@ -191,7 +191,7 @@ let test_poisson_energy_nonneg () =
   for _ = 1 to 10 do
     let rows = 16 and cols = 16 in
     let rho = zero_mean rng (rows * cols) in
-    let p = Numerics.Poisson.create ~rows ~cols in
+    let p = Numerics.Poisson.create ~par:(Helpers.par ()) ~rows ~cols in
     let psi = Numerics.Poisson.solve p rho in
     (* The operator inverse is positive semidefinite on zero-mean charge. *)
     Alcotest.(check bool) "energy >= 0" true (Numerics.Poisson.energy rho psi >= -1e-9)
@@ -203,7 +203,7 @@ let test_poisson_field_points_downhill () =
   let rows = 32 and cols = 32 in
   let rho = Array.make (rows * cols) (-0.01) in
   rho.((16 * cols) + 16) <- 10.0;
-  let p = Numerics.Poisson.create ~rows ~cols in
+  let p = Numerics.Poisson.create ~par:(Helpers.par ()) ~rows ~cols in
   let psi = Numerics.Poisson.solve p rho in
   let ex, _ = Numerics.Poisson.field p psi in
   Alcotest.(check bool) "pushes right of blob" true (ex.((16 * cols) + 20) > 0.0);
@@ -213,44 +213,44 @@ let test_poisson_field_points_downhill () =
    Poisson boundary (exit code 2 in binaries), not a bare
    Invalid_argument from deep inside the FFT. *)
 let test_poisson_bad_grid () =
-  match Numerics.Poisson.create ~rows:48 ~cols:64 with
+  match Numerics.Poisson.create ~par:(Helpers.par ()) ~rows:48 ~cols:64 with
   | _ -> Alcotest.fail "expected Config_error for a 48-row grid"
   | exception Util.Errors.Error (Util.Errors.Config_error { what; detail }) ->
       Alcotest.(check string) "what" "poisson.grid" what;
       Alcotest.(check bool) "detail names the size" true (Helpers.contains ~sub:"48x64" detail)
 
 (* The steady-state solve loop must not touch the minor heap: warmed-up
-   [solve_into] + [field_into] over caller-owned buffers, sequential
-   runtime. [energy] is allowed its boxed-float return (a few words). *)
+   [solve_into] + [field_into] over caller-owned buffers, one domain and
+   no stats hook. [energy] is allowed its boxed-float return (a few
+   words). *)
 let test_poisson_zero_alloc () =
-  Helpers.with_domains 1 (fun () ->
-      let rng = Util.Rng.create 25 in
-      let rows = 64 and cols = 64 in
-      let p = Numerics.Poisson.create ~rows ~cols in
-      let rho = random_array rng (rows * cols) in
-      let psi = Array.make (rows * cols) 0.0 in
-      let ex = Array.make (rows * cols) 0.0 and ey = Array.make (rows * cols) 0.0 in
-      let iters = 50 in
-      let run () =
-        for _ = 1 to 5 do
-          Numerics.Poisson.solve_into p ~rho ~psi;
-          Numerics.Poisson.field_into p ~psi ~ex ~ey;
-          ignore (Numerics.Poisson.energy rho psi)
-        done
-      in
-      run ();
-      (* warm: scratch sized, tables built *)
-      let w0 = Gc.minor_words () in
-      for _ = 1 to iters do
-        Numerics.Poisson.solve_into p ~rho ~psi;
-        Numerics.Poisson.field_into p ~psi ~ex ~ey;
-        ignore (Numerics.Poisson.energy rho psi)
-      done;
-      let dw = Gc.minor_words () -. w0 in
-      let per_solve = dw /. float_of_int iters in
-      Alcotest.(check bool)
-        (Printf.sprintf "minor words/solve = %.1f (want < 16)" per_solve)
-        true (per_solve < 16.0))
+  let rng = Util.Rng.create 25 in
+  let rows = 64 and cols = 64 in
+  let p = Numerics.Poisson.create ~par:(Util.Parallel.create 1) ~rows ~cols in
+  let rho = random_array rng (rows * cols) in
+  let psi = Array.make (rows * cols) 0.0 in
+  let ex = Array.make (rows * cols) 0.0 and ey = Array.make (rows * cols) 0.0 in
+  let iters = 50 in
+  let run () =
+    for _ = 1 to 5 do
+      Numerics.Poisson.solve_into p ~rho ~psi;
+      Numerics.Poisson.field_into p ~psi ~ex ~ey;
+      ignore (Numerics.Poisson.energy rho psi)
+    done
+  in
+  run ();
+  (* warm: scratch sized, tables built *)
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    Numerics.Poisson.solve_into p ~rho ~psi;
+    Numerics.Poisson.field_into p ~psi ~ex ~ey;
+    ignore (Numerics.Poisson.energy rho psi)
+  done;
+  let dw = Gc.minor_words () -. w0 in
+  let per_solve = dw /. float_of_int iters in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words/solve = %.1f (want < 16)" per_solve)
+    true (per_solve < 16.0)
 
 let suite =
   [

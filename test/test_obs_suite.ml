@@ -36,7 +36,14 @@ let test_json_roundtrip () =
   (* Every byte value, escaped or copied, as the printf reference writes it. *)
   let all_bytes = Obs.Json.String (String.init 256 Char.chr) in
   Alcotest.(check string)
-    "every byte" (Helpers.Json_ref.to_string all_bytes) (Obs.Json.to_string all_bytes)
+    "every byte" (Helpers.Json_ref.to_string all_bytes) (Obs.Json.to_string all_bytes);
+  (* \u escapes decode to UTF-8: a surrogate pair is one 4-byte code
+     point (U+1F600), and the bytes round-trip unescaped. *)
+  let decoded = Obs.Json.parse_exn {|"\u00e9\u20ac\ud83d\ude00"|} in
+  Alcotest.(check bool) "utf-8 decode" true
+    (decoded = Obs.Json.String "\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80");
+  Alcotest.(check bool) "utf-8 roundtrip" true
+    (Obs.Json.parse_exn (Obs.Json.to_string decoded) = decoded)
 
 let test_json_floats () =
   let j = Obs.Json.parse_exn "{\"a\": 1.5, \"b\": -2.25e2, \"c\": 3}" in

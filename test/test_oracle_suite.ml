@@ -367,7 +367,7 @@ let numerics_diff () =
            (Helpers.plan_dct grid ~rows ~cols)
            (Ref_numerics.dct2_2d_direct grid ~rows ~cols));
       let rho = grid in
-      let p = Numerics.Poisson.create ~rows ~cols in
+      let p = Numerics.Poisson.create ~par:(Helpers.par ()) ~rows ~cols in
       let psi = Numerics.Poisson.solve p rho in
       check_ok "poisson solve"
         (Compare.check_array ~rtol:1e-9 ~atol:1e-8 ~what:"psi" psi
@@ -389,7 +389,7 @@ let numerics_diff () =
         (fun n ->
           let a = Array.init n (fun _ -> Util.Rng.float_range rng (-1.0) 1.0) in
           let b = Array.init n (fun _ -> Util.Rng.float_range rng (-1.0) 1.0) in
-          let plan = Numerics.Plan.create ~rows:2 ~cols:n in
+          let plan = Numerics.Plan.create ~par:(Helpers.par ()) ~rows:2 ~cols:n in
           let xa = Array.make n 0.0 and xb = Array.make n 0.0 in
           Numerics.Plan.dct2_pair plan ~a ~b ~xa ~xb;
           check_ok "plan pair A"
@@ -424,7 +424,7 @@ let numerics_diff () =
 let density_electro_diff () =
   at_domains (fun () ->
       let d = Lazy.force Helpers.small_generated in
-      let grid = Gp.Densitygrid.create d ~bins_x:16 ~bins_y:16 in
+      let grid = Gp.Densitygrid.create ~par:(Helpers.par ()) d ~bins_x:16 ~bins_y:16 in
       Gp.Densitygrid.update grid d;
       check_ok "density"
         (Compare.check_array ~rtol:1e-9 ~atol:1e-9 ~what:"density"
@@ -454,7 +454,7 @@ let wirelength_diff () =
            (Ref_place.hpwl_direct d));
       let nc = Netlist.Design.num_cells d in
       let gx = Array.make nc 0.0 and gy = Array.make nc 0.0 in
-      let wa = Gp.Wirelength.wa_wirelength_grad d ~gamma:8.0 ~gx ~gy in
+      let wa = Gp.Wirelength.wa_wirelength_grad ~par:(Helpers.par ()) d ~gamma:8.0 ~gx ~gy in
       check_ok "wa value"
         (Compare.check_float ~rtol:1e-9 ~atol:1e-9 ~what:"wa" wa
            (Ref_place.wa_value d ~gamma:8.0));
@@ -573,7 +573,7 @@ let mutation_wa_grad () =
   let corrupted f =
     let nc = Netlist.Design.num_cells d in
     let gx = Array.make nc 0.0 and gy = Array.make nc 0.0 in
-    ignore (Gp.Wirelength.wa_wirelength_grad d ~gamma:8.0 ~gx ~gy);
+    ignore (Gp.Wirelength.wa_wirelength_grad ~par:(Helpers.par ()) d ~gamma:8.0 ~gx ~gy);
     Ref_place.fd_check_cells d ~cells
       ~value:(fun () -> Ref_place.wa_value d ~gamma:8.0)
       ~gx:(Array.map f gx) ~gy:(Array.map f gy) ~what:"wa"

@@ -122,7 +122,7 @@ let test_legalize_high_utilization () =
 let test_density_inflation_preserves_area () =
   let d = Helpers.chain_design () in
   (* bins much larger than cells *)
-  let grid = Gp.Densitygrid.create d ~bins_x:4 ~bins_y:4 in
+  let grid = Gp.Densitygrid.create ~par:(Helpers.par ()) d ~bins_x:4 ~bins_y:4 in
   Gp.Densitygrid.update grid d;
   let total = Array.fold_left ( +. ) 0.0 grid.Gp.Densitygrid.density in
   check_float "area preserved under inflation" (Design.movable_area d) total
@@ -134,7 +134,7 @@ let test_wa_gamma_ordering () =
   let n = Design.num_cells d in
   let value gamma =
     let gx = Array.make n 0.0 and gy = Array.make n 0.0 in
-    Gp.Wirelength.wa_wirelength_grad d ~gamma ~gx ~gy
+    Gp.Wirelength.wa_wirelength_grad ~par:(Helpers.par ()) d ~gamma ~gx ~gy
   in
   let hpwl = Design.total_hpwl d in
   let v1 = value 0.5 and v2 = value 2.0 and v4 = value 8.0 in

@@ -540,6 +540,25 @@ let test_bad_unicode_escape () =
   Alcotest.(check bool) "then a ping is served" true
     (bool_member "pong" (expect_ok "ping" (Engine.handle_line engine {|{"id":"p","op":"ping"}|})))
 
+(* A surrogate \u escape must come in a high-low pair: a lone half is a
+   bad_request reply (it has no UTF-8 encoding), a pair is one code
+   point. *)
+let test_lone_surrogate () =
+  let engine = Engine.create () in
+  List.iter
+    (fun line ->
+      expect_error ("lone surrogate in " ^ line) ~kind:"bad_request"
+        (Engine.handle_line engine line))
+    [
+      {|{"id":"\ud83d","op":"ping"}|};
+      {|{"id":"\ud83dx","op":"ping"}|};
+      {|{"id":"\ud83d\u0041","op":"ping"}|};
+      {|{"id":"\ude00","op":"ping"}|};
+    ];
+  Alcotest.(check bool) "a pair is served" true
+    (bool_member "pong"
+       (expect_ok "ping" (Engine.handle_line engine {|{"id":"\ud83d\ude00","op":"ping"}|})))
+
 (* A 100-path report_timing reply on the generated test design encodes
    to the same bytes as the printf reference writer. *)
 let test_reply_bytes_unchanged () =
@@ -571,4 +590,5 @@ let suite =
     ("over-long request line", `Quick, test_overlong_request_line);
     ("bad unicode escape is a bad_request", `Quick, test_bad_unicode_escape);
     ("json reply bytes unchanged", `Quick, test_reply_bytes_unchanged);
+    ("lone surrogate is a bad_request", `Quick, test_lone_surrogate);
   ]

@@ -345,7 +345,7 @@ let test_nonfinite_slacks_excluded () =
   let _, _, nan_po = nan and _, inf_u, _ = inf in
   g.arc_delay.(arc_into (pin nan_po) ~net:true) <- Float.nan;
   g.arc_delay.(arc_into (out_pin inf_u) ~net:false) <- Float.infinity;
-  let prop = Sta.Propagate.create g in
+  let prop = Sta.Propagate.create ~par:(Helpers.par ()) g in
   Sta.Propagate.update prop g;
   let slack c = Sta.Propagate.endpoint_slack prop g (pin c) in
   let third (_, _, po) = po in
@@ -385,9 +385,9 @@ let suite =
   ]
 
 (* One full delay pass on a fresh graph; every array it writes, as bits. *)
-let delay_bits d topology =
+let delay_bits par d topology =
   let g = Sta.Graph.build d in
-  let dl = Sta.Delay.create g ~topology in
+  let dl = Sta.Delay.create ~par g ~topology in
   Sta.Delay.update dl;
   let bits a = Array.map Int64.bits_of_float a in
   ( bits g.Sta.Graph.arc_delay,
@@ -400,15 +400,22 @@ let topology_name = function Sta.Delay.Star -> "star" | Sta.Delay.Steiner_tree -
 (* The parallel delay kernel must agree bit for bit with the sequential
    one: arc delays, slews, net caps and wirelengths at 1, 2 and 4
    domains, for both topologies. Each chunk reuses its own tree
-   workspace, so this also catches state leaking between nets. *)
+   workspace, so this also catches state leaking between nets. The
+   kernel must have run with as many chunks as domains. *)
 let test_parallel_delay_equivalence () =
   with_generated_timer (fun d _timer ->
       List.iter
         (fun topology ->
-          let arc1, slew1, cap1, wl1 = Helpers.with_domains 1 (fun () -> delay_bits d topology) in
+          let at nd =
+            let par, seen = Helpers.counting_par nd in
+            let r = delay_bits par d topology in
+            Helpers.check_chunks seen "sta.delay.nets" nd;
+            r
+          in
+          let arc1, slew1, cap1, wl1 = at 1 in
           List.iter
             (fun nd ->
-              let arc, slew, cap, wl = Helpers.with_domains nd (fun () -> delay_bits d topology) in
+              let arc, slew, cap, wl = at nd in
               let what f = Printf.sprintf "%s %s @%d domains" (topology_name topology) f nd in
               Alcotest.(check (array int64)) (what "arc_delay") arc1 arc;
               Alcotest.(check (array int64)) (what "slew") slew1 slew;
@@ -425,7 +432,7 @@ let test_delay_matches_fresh_trees () =
       List.iter
         (fun topology ->
           let g = Sta.Graph.build d in
-          let dl = Sta.Delay.create g ~topology in
+          let dl = Sta.Delay.create ~par:(Helpers.par ()) g ~topology in
           Sta.Delay.update dl;
           let arc = ref 0 in
           for nid = 0 to Design.num_nets d - 1 do
@@ -459,25 +466,24 @@ let test_delay_matches_fresh_trees () =
    warm-up pass has grown the tree workspaces, a full re-time of sb1
    stays under 16 minor words per net. *)
 let test_delay_update_alloc () =
-  Helpers.with_domains 1 (fun () ->
-      let d = Workloads.Suite.load ~scale:0.5 ~calibrate:false "sb1" in
-      let g = Sta.Graph.build d in
-      let nnets = float_of_int (Design.num_nets d) in
-      List.iter
-        (fun topology ->
-          let dl = Sta.Delay.create g ~topology in
-          Sta.Delay.update dl;
-          let iters = 5 in
-          let w0 = Gc.minor_words () in
-          for _ = 1 to iters do
-            Sta.Delay.update dl
-          done;
-          let per_net = (Gc.minor_words () -. w0) /. (float_of_int iters *. nnets) in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: minor words/net = %.2f (want < 16)" (topology_name topology)
-               per_net)
-            true (per_net < 16.0))
-        [ Sta.Delay.Star; Sta.Delay.Steiner_tree ])
+  let d = Workloads.Suite.load ~scale:0.5 ~calibrate:false "sb1" in
+  let g = Sta.Graph.build d in
+  let nnets = float_of_int (Design.num_nets d) in
+  List.iter
+    (fun topology ->
+      let dl = Sta.Delay.create ~par:(Util.Parallel.create 1) g ~topology in
+      Sta.Delay.update dl;
+      let iters = 5 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to iters do
+        Sta.Delay.update dl
+      done;
+      let per_net = (Gc.minor_words () -. w0) /. (float_of_int iters *. nnets) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: minor words/net = %.2f (want < 16)" (topology_name topology)
+           per_net)
+        true (per_net < 16.0))
+    [ Sta.Delay.Star; Sta.Delay.Steiner_tree ]
 
 (* A warm [report_timing_endpoint] allocates little beyond the paths it
    returns: the endpoint ranking is kept until the next re-time and the

@@ -165,7 +165,7 @@ let test_extraction_round () =
       d.y.{id} <- Util.Rng.float rng (Geom.Rect.height d.die)
     end
   done;
-  let ex = Tdp.Extraction.create d ~config:Tdp.Config.default ~topology:Sta.Delay.Steiner_tree in
+  let ex = Tdp.Extraction.create (Sta.Timer.create d) ~config:Tdp.Config.default in
   let s1 = Tdp.Extraction.round ex ~iter:0 in
   Alcotest.(check bool) "found failing endpoints" true (s1.num_failing > 0);
   Alcotest.(check int) "one path per endpoint" s1.num_failing s1.num_paths;
@@ -177,7 +177,7 @@ let test_extraction_round () =
 let test_extraction_relax_ratchet () =
   let d = Helpers.chain_design () in
   (* Loose clock: nothing fails, relax must ratchet down. *)
-  let ex = Tdp.Extraction.create d ~config:Tdp.Config.default ~topology:Sta.Delay.Steiner_tree in
+  let ex = Tdp.Extraction.create (Sta.Timer.create d) ~config:Tdp.Config.default in
   let beta0 = Tdp.Extraction.effective_beta ex in
   ignore (Tdp.Extraction.round ex ~iter:0);
   let beta1 = Tdp.Extraction.effective_beta ex in
@@ -193,7 +193,7 @@ let test_extraction_global_topn_variant () =
     end
   done;
   let cfg = { Tdp.Config.default with extraction = Tdp.Config.Global_topn { mult = 2 } } in
-  let ex = Tdp.Extraction.create d ~config:cfg ~topology:Sta.Delay.Steiner_tree in
+  let ex = Tdp.Extraction.create (Sta.Timer.create d) ~config:cfg in
   let s = Tdp.Extraction.round ex ~iter:0 in
   Alcotest.(check bool) "paths bounded by 2n" true (s.num_paths <= 2 * s.num_failing)
 
@@ -202,7 +202,7 @@ let test_extraction_global_topn_variant () =
 let test_net_weighting_raises_critical () =
   let d = Helpers.chain_design () in
   d.clock_period <- 150.0;
-  let nw = Tdp.Net_weighting.create d ~topology:Sta.Delay.Steiner_tree in
+  let nw = Tdp.Net_weighting.create (Sta.Timer.create d) in
   let tns, wns = Tdp.Net_weighting.round nw in
   Alcotest.(check bool) "violations seen" true (tns < 0.0 && wns < 0.0);
   (* All nets on the (entirely critical) chain get weight > 1. *)
@@ -219,7 +219,7 @@ let test_net_weighting_raises_critical () =
 let test_net_weighting_no_change_when_met () =
   let d = Helpers.chain_design () in
   Design.reset_net_weights d;
-  let nw = Tdp.Net_weighting.create d ~topology:Sta.Delay.Steiner_tree in
+  let nw = Tdp.Net_weighting.create (Sta.Timer.create d) in
   let tns, _ = Tdp.Net_weighting.round nw in
   check_float "no violation" 0.0 tns;
   for nid = 0 to Design.num_nets d - 1 do
@@ -230,7 +230,7 @@ let test_net_weighting_momentum_converges () =
   let d = Helpers.chain_design () in
   d.clock_period <- 150.0;
   Design.reset_net_weights d;
-  let nw = Tdp.Net_weighting.create d ~topology:Sta.Delay.Steiner_tree in
+  let nw = Tdp.Net_weighting.create (Sta.Timer.create d) in
   for _ = 1 to 30 do
     ignore (Tdp.Net_weighting.round nw)
   done;
@@ -247,7 +247,7 @@ let test_net_weighting_momentum_converges () =
 
 let test_diff_timing_smooth_ge_hard () =
   let d = Helpers.small_calibrated () in
-  let dt = Tdp.Diff_timing.create d in
+  let dt = Tdp.Diff_timing.create ~par:(Helpers.par ()) d in
   ignore (Tdp.Diff_timing.round dt);
   (* log-sum-exp smooth max dominates the hard max. *)
   let timer = Sta.Timer.create ~topology:Sta.Delay.Star d in
@@ -273,7 +273,7 @@ let test_diff_timing_gradient_descends () =
     end
   done;
   d.clock_period <- d.clock_period *. 0.7;
-  let dt = Tdp.Diff_timing.create d in
+  let dt = Tdp.Diff_timing.create ~par:(Helpers.par ()) d in
   let tns0, _ = Tdp.Diff_timing.round dt in
   let n = Design.num_cells d in
   let gx = Array.make n 0.0 and gy = Array.make n 0.0 in
@@ -306,7 +306,7 @@ let test_distribution_anchors () =
     end
   done;
   d.clock_period <- d.clock_period *. 0.7;
-  let ds = Tdp.Distribution.create d ~topology:Sta.Delay.Steiner_tree in
+  let ds = Tdp.Distribution.create (Sta.Timer.create d) in
   let tns, _ = Tdp.Distribution.round ds in
   Alcotest.(check bool) "violations" true (tns < 0.0);
   let n = Design.num_cells d in
@@ -413,7 +413,7 @@ let test_pin_level_round () =
     end
   done;
   d.clock_period <- d.clock_period *. 0.8;
-  let pl = Tdp.Pin_level.create d ~topology:Sta.Delay.Steiner_tree in
+  let pl = Tdp.Pin_level.create (Sta.Timer.create d) in
   let tns, wns = Tdp.Pin_level.round pl in
   Alcotest.(check bool) "violations seen" true (tns < 0.0 && wns < 0.0);
   let n = Design.num_cells d in

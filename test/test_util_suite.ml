@@ -228,7 +228,10 @@ let test_tablefmt_fmt_float () =
 let test_parallel_for () =
   let n = 5000 in
   let a = Array.make n 0 in
-  Helpers.with_domains 4 (fun () -> Util.Parallel.for_ n (fun i -> a.(i) <- i));
+  Util.Parallel.for_chunks (Util.Parallel.create 4) ~n (fun ~chunk:_ ~lo ~hi ->
+      for i = lo to hi - 1 do
+        a.(i) <- i
+      done);
   Alcotest.(check bool) "all written" true (Array.for_all Fun.id (Array.mapi (fun i v -> v = i) a))
 
 (* A sum in the contract's pattern: each chunk folds its own range into
@@ -236,13 +239,13 @@ let test_parallel_for () =
 let test_parallel_sum () =
   let n = 10_000 in
   let s =
-    Helpers.with_domains 4 (fun () ->
-        let slots = Array.make (Util.Parallel.chunk_count ~n) 0.0 in
-        Util.Parallel.for_chunks ~grain:1 ~n (fun ~chunk ~lo ~hi ->
-            for i = lo to hi - 1 do
-              slots.(chunk) <- slots.(chunk) +. float_of_int i
-            done);
-        Array.fold_left ( +. ) 0.0 slots)
+    let par = Util.Parallel.create 4 in
+    let slots = Array.make (Util.Parallel.domains par) 0.0 in
+    Util.Parallel.for_chunks par ~grain:1 ~n (fun ~chunk ~lo ~hi ->
+        for i = lo to hi - 1 do
+          slots.(chunk) <- slots.(chunk) +. float_of_int i
+        done);
+    Array.fold_left ( +. ) 0.0 slots
   in
   check_float "gauss sum" (float_of_int (n * (n - 1) / 2)) s
 
