@@ -343,7 +343,6 @@ let fig3 c =
      the same endpoint across the loss variants. *)
   ignore (ok_flow c dname Tdp.Flow.Vanilla);
   let coarse_timer = Sta.Timer.create ~par:c.par d in
-  Sta.Timer.update coarse_timer;
   let target_ep =
     match Sta.Timer.critical_path coarse_timer with
     | Some p -> p.Sta.Paths.endpoint
@@ -354,20 +353,13 @@ let fig3 c =
       [ "Loss"; "Path slack (ps)"; "Path WL"; "Max seg"; "Mean seg"; "Seg CV"; "Segments" ]
   in
   let describe name =
-    let timer = Sta.Timer.create ~par:c.par d in
-    Sta.Timer.update timer;
-    let graph = Sta.Timer.graph timer in
-    match Sta.Timer.worst_path timer ~endpoint:target_ep with
+    Sta.Timer.update coarse_timer;
+    match Sta.Timer.worst_path coarse_timer ~endpoint:target_ep with
     | None -> ()
     | Some p ->
         let segs =
-          Array.to_list p.arcs
-          |> List.filter (fun a -> graph.Sta.Graph.arc_is_net.(a))
-          |> List.map (fun a ->
-                 let pi = graph.Sta.Graph.arc_from.(a) in
-                 let pj = graph.Sta.Graph.arc_to.(a) in
-                 Geom.Point.manhattan (Netlist.Design.pin_pos d pi) (Netlist.Design.pin_pos d pj))
-          |> Array.of_list
+          Array.of_list
+            (Evalkit.Wire_stats.path_segments d (Sta.Timer.graph coarse_timer) p)
         in
         (* ASCII sparkline of segment lengths along the path. *)
         let chars = "_.-=+*#%@" in
@@ -636,16 +628,16 @@ let ext c =
     table ~title:"EXT B: wire segments on sb1 (vanilla's 30 worst endpoints)"
       [ "Method"; "setup TNS"; "segments"; "buf cands"; "max seg"; "mean seg" ]
   in
-  let d = design c "sb1" in
+  let timer = Sta.Timer.create ~par:c.par (design c "sb1") in
   let endpoints =
     ignore (ok_flow c "sb1" Tdp.Flow.Vanilla);
-    Sta.Timer.report_timing_endpoint ~failing_only:false (Sta.Timer.create ~par:c.par d) ~n:30 ~k:1
+    Sta.Timer.report_timing_endpoint ~failing_only:false timer ~n:30 ~k:1
     |> List.map (fun (p : Sta.Paths.path) -> p.endpoint)
   in
   List.iter
     (fun meth ->
       let r = ok_flow c "sb1" meth in
-      let ws = Evalkit.Wire_stats.of_endpoints d ~endpoints in
+      let ws = Evalkit.Wire_stats.of_endpoints timer ~endpoints in
       Util.Tablefmt.add_row t2
         [
           r.name;
@@ -667,10 +659,11 @@ let ext c =
       Printf.printf "[run] ext-c refinement on %s...\n%!" dn;
       let d = design c dn in
       ignore (ok_flow c dn (Tdp.Flow.Efficient Tdp.Config.default));
+      let timer = Sta.Timer.create ~par:c.par d in
       let snap = Netlist.Design.snapshot d in
-      let s = Tdp.Timing_dp.run ~max_endpoints:30 d in
+      let s = Tdp.Timing_dp.run ~max_endpoints:30 timer in
       Netlist.Design.restore d snap;
-      let sa = Tdp.Sa_refine.run ~moves:3000 d in
+      let sa = Tdp.Sa_refine.run ~moves:3000 timer in
       Util.Tablefmt.add_row t3
         [
           dn;

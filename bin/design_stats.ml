@@ -74,20 +74,12 @@ let run design file lef scale =
          else if f <= 8 then "5-8" else if f <= 16 then "9-16" else ">16"));
   (* Timing graph shape. *)
   let g = Sta.Graph.build d in
-  let depth = Array.make (Sta.Graph.num_pins g) 0 in
-  let max_depth = ref 0 in
-  Array.iter
-    (fun p ->
-      for i = g.Sta.Graph.in_start.(p) to g.Sta.Graph.in_start.(p + 1) - 1 do
-        let a = g.Sta.Graph.in_arc.(i) in
-        depth.(p) <- max depth.(p) (depth.(g.Sta.Graph.arc_from.(a)) + 1)
-      done;
-      if depth.(p) > !max_depth then max_depth := depth.(p))
-    g.Sta.Graph.topo;
+  (* The propagation levels bucket pins by logic depth. *)
+  let levels = (Sta.Propagate.create ~par:(Util.Parallel.create 1) g).Sta.Propagate.levels in
   Printf.printf "  timing graph %d arcs, %d endpoints, max logic depth %d pins\n"
     g.Sta.Graph.num_arcs
     (Array.length g.Sta.Graph.endpoints)
-    !max_depth;
+    (Array.length levels - 1);
   if d.clock_period < 1e8 then Printf.printf "  clock        %.1f ps\n" d.clock_period
   else Printf.printf "  clock        (uncalibrated)\n"
 

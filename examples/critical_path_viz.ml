@@ -22,7 +22,7 @@ let draw (d : Design.t) (g : Sta.Graph.t) (p : Sta.Paths.path) =
   in
   Array.iter
     (fun a ->
-      if g.Sta.Graph.arc_is_net.(a) then begin
+      if Sta.Graph.is_net_arc g a then begin
         let pi = g.Sta.Graph.arc_from.(a) and pj = g.Sta.Graph.arc_to.(a) in
         let x0 = Design.pin_x d pi and y0 = Design.pin_y d pi in
         let x1 = Design.pin_x d pj and y1 = Design.pin_y d pj in
@@ -40,22 +40,13 @@ let draw (d : Design.t) (g : Sta.Graph.t) (p : Sta.Paths.path) =
     p.pins;
   Array.iter (fun row -> print_endline (String.init grid_w (fun i -> row.(i)))) canvas
 
-let describe_and_draw d name =
-  let timer = Sta.Timer.create d in
+let describe_and_draw timer name =
   Sta.Timer.update timer;
   match Sta.Timer.critical_path timer with
   | None -> print_endline "(no critical path)"
   | Some p ->
-      let g = Sta.Timer.graph timer in
-      let segs =
-        Array.to_list p.arcs
-        |> List.filter (fun a -> g.Sta.Graph.arc_is_net.(a))
-        |> List.map (fun a ->
-               Geom.Point.manhattan
-                 (Design.pin_pos d g.Sta.Graph.arc_from.(a))
-                 (Design.pin_pos d g.Sta.Graph.arc_to.(a)))
-        |> Array.of_list
-      in
+      let d = Sta.Timer.design timer and g = Sta.Timer.graph timer in
+      let segs = Array.of_list (Evalkit.Wire_stats.path_segments d g p) in
       Printf.printf "\n--- %s ---\n" name;
       Printf.printf "worst path: slack %.1f ps | wirelength %.1f | max segment %.1f | segment CV %.2f\n"
         p.slack (Util.Stats.sum segs) (Util.Stats.max_elt segs)
@@ -67,12 +58,13 @@ let () =
   Printf.printf "design %s, clock %.0f ps\n" d.name d.clock_period;
   (* Coarse placement first. *)
   ignore (Tdp.Flow.run Tdp.Flow.Vanilla d);
-  describe_and_draw d "coarse placement (wirelength-driven only)";
+  let timer = Sta.Timer.create d in
+  describe_and_draw timer "coarse placement (wirelength-driven only)";
   let base = { Tdp.Config.default with timing_start = 120; extra_iters = 200 } in
   List.iter
     (fun (name, loss) ->
       ignore (Tdp.Flow.run (Tdp.Flow.Efficient { base with loss }) d);
-      describe_and_draw d name)
+      describe_and_draw timer name)
     [
       ("HPWL loss", Tdp.Config.Hpwl_like);
       ("linear Euclidean loss", Tdp.Config.Linear);

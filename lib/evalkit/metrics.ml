@@ -11,17 +11,19 @@ type t = {
   num_endpoints : int;
 }
 
-(** Evaluate the design's current placement. *)
-let evaluate ?par (d : Netlist.Design.t) =
-  let timer = Sta.Timer.create ?par ~topology:Sta.Delay.Steiner_tree d in
+(** Score the current placement on [timer] after a full re-time. *)
+let of_timer timer =
   Sta.Timer.update timer;
   {
-    hpwl = Netlist.Design.total_hpwl d;
+    hpwl = Netlist.Design.total_hpwl (Sta.Timer.design timer);
     tns = Sta.Timer.tns timer;
     wns = Sta.Timer.wns timer;
     num_failing = Sta.Timer.num_failing_endpoints timer;
     num_endpoints = Array.length (Sta.Timer.graph timer).Sta.Graph.endpoints;
   }
+
+(** Evaluate the design's current placement on a fresh scorer timer. *)
+let evaluate ?par d = of_timer (Sta.Timer.create ?par ~topology:Sta.Delay.Steiner_tree d)
 
 let pp fmt m =
   Format.fprintf fmt "hpwl=%.4e tns=%.1f wns=%.1f failing=%d/%d" m.hpwl m.tns m.wns

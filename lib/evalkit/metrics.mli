@@ -10,8 +10,12 @@ type t = {
   num_endpoints : int;
 }
 
-(** Evaluate the design's current placement; the timer runs on [par]
-    (default {!Util.Parallel.default}). *)
+(** Score the timer's design after a full {!Sta.Timer.update}: equals
+    {!evaluate} on a clean (no fault) Steiner-tree timer. *)
+val of_timer : Sta.Timer.t -> t
+
+(** Evaluate the design's current placement on a fresh Steiner-tree
+    timer; the timer runs on [par] (default {!Util.Parallel.default}). *)
 val evaluate : ?par:Util.Parallel.t -> Netlist.Design.t -> t
 
 val pp : Format.formatter -> t -> unit

@@ -19,7 +19,7 @@ type t = {
 (* Driver->sink distances of the net arcs on a path. *)
 let path_segments (d : Design.t) (graph : Sta.Graph.t) (p : Sta.Paths.path) =
   Array.to_list p.arcs
-  |> List.filter (fun a -> graph.Sta.Graph.arc_is_net.(a))
+  |> List.filter (Sta.Graph.is_net_arc graph)
   |> List.map (fun a ->
          Geom.Point.manhattan
            (Design.pin_pos d graph.Sta.Graph.arc_from.(a))
@@ -41,12 +41,12 @@ let of_segments ?(buffer_threshold = 25.0) segs =
     }
 
 (** Statistics over the worst path to each of [endpoints] under the
-    current placement. One endpoint set scores every placement on the
-    same endpoints; the clock moves only required times, so it does not
-    change which path is worst. *)
-let of_endpoints (d : Design.t) ~endpoints =
-  let timer = Sta.Timer.create ~topology:Sta.Delay.Steiner_tree d in
-  let graph = Sta.Timer.graph timer in
+    current placement, re-timed on [timer] on entry. One endpoint set
+    scores every placement on the same endpoints; the clock moves only
+    required times, so it does not change which path is worst. *)
+let of_endpoints timer ~endpoints =
+  Sta.Timer.update timer;
+  let d = Sta.Timer.design timer and graph = Sta.Timer.graph timer in
   let segs =
     List.concat_map
       (fun e ->

@@ -17,6 +17,6 @@ val path_segments :
 
 val of_segments : ?buffer_threshold:float -> float list -> t
 
-(** Over the worst path (Steiner-tree timing) to each given endpoint
-    pin; unreachable endpoints add no segment. *)
-val of_endpoints : Netlist.Design.t -> endpoints:int list -> t
+(** Over the worst path to each given endpoint pin after a full re-time
+    of [timer]; unreachable endpoints add no segment. *)
+val of_endpoints : Sta.Timer.t -> endpoints:int list -> t

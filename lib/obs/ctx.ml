@@ -46,7 +46,7 @@ let enabled t = t.enabled
 let add_sink t sink = if t.enabled then t.sinks <- t.sinks @ [ sink ]
 
 (** Detach a sink previously added (physical equality). *)
-let remove_sink t sink = t.sinks <- List.filter (fun s -> s != sink) t.sinks
+let remove_sink t sink = if t.enabled then t.sinks <- List.filter (fun s -> s != sink) t.sinks
 
 let now t = t.clock () -. t.t0
 

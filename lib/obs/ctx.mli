@@ -7,7 +7,7 @@
 type t
 
 (** The disabled context: spans run their body directly, metrics are
-    dropped, [add_sink] is a no-op. *)
+    dropped, [add_sink] and [remove_sink] are no-ops. *)
 val null : t
 
 (** A live context. [clock] defaults to [Unix.gettimeofday] (injectable

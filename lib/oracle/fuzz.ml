@@ -202,7 +202,8 @@ let prop_density =
    at the pin count, and are monotone; the cell CSR partitions the pin id
    space exactly once with agreeing [pin_owner]; the net CSR lists every
    connected pin exactly once under its [pin_net] with the driver first;
-   the degree/sink accessors agree with the offsets. *)
+   the degree/sink accessors agree with the offsets; the timing graph's
+   arc layout matches the design. *)
 let prop_csr =
   {
     name = "csr-invariants";
@@ -266,6 +267,36 @@ let prop_csr =
           if seen.(p) <> expect then
             bad "pin %d appears %d times in the net CSR (expected %d)" p seen.(p) expect
         done;
+        (* Timing-graph arc layout: [net_arc] runs from the driver to the
+           sink it names, the net arcs are exactly the prefix, there is one
+           per sink plus inputs x outputs per combinational cell, and the
+           endpoints are the ascending [is_endpoint] scan. *)
+        let g = Sta.Graph.build d in
+        let counted = ref 0 in
+        for n = 0 to nn - 1 do
+          for k = 0 to net_num_sinks d n - 1 do
+            incr counted;
+            let a = Sta.Graph.net_arc g ~net:n ~sink:k in
+            if g.arc_from.(a) <> d.net_driver.(n) || g.arc_to.(a) <> net_sink d n k then
+              bad "net %d sink %d: net_arc %d runs %d -> %d" n k a g.arc_from.(a) g.arc_to.(a)
+          done
+        done;
+        for c = 0 to nc - 1 do
+          if kind d c = Logic && not (is_ff d c) then
+            let is_in p = pin_dir d p = In in
+            let ins = Array.fold_left (fun n p -> if is_in p then n + 1 else n) 0 (cell_pins d c) in
+            counted := !counted + (ins * (cell_num_pins d c - ins))
+        done;
+        if g.num_arcs <> !counted then bad "num_arcs %d, counted %d" g.num_arcs !counted;
+        for a = 0 to g.num_arcs - 1 do
+          let i = g.arc_from.(a) and j = g.arc_to.(a) and is_net = Sta.Graph.is_net_arc g a in
+          let net_shaped = pin_dir d i = Out && d.pin_net.(i) = d.pin_net.(j) in
+          if is_net <> (a < g.num_net_arcs) || is_net <> net_shaped then
+            bad "arc %d (%d -> %d): is_net_arc %b, %d net arcs" a i j is_net g.num_net_arcs
+        done;
+        let scan = List.filter (fun p -> g.is_endpoint.(p)) (List.init np Fun.id) in
+        if Array.to_list g.endpoints <> scan then
+          bad "endpoints differ from the ascending is_endpoint scan";
         match !problem with None -> Ok () | Some m -> Error m);
   }
 

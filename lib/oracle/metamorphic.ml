@@ -146,7 +146,7 @@ let eq9_accumulation ?(rtol = 1e-9) (graph : Sta.Graph.t) attract ~w0 ~w1 ~wns p
       if p.slack < 0.0 && wns < 0.0 then
         Array.iter
           (fun a ->
-            if graph.Sta.Graph.arc_is_net.(a) then begin
+            if Sta.Graph.is_net_arc graph a then begin
               let key = (graph.Sta.Graph.arc_from.(a), graph.Sta.Graph.arc_to.(a)) in
               match Hashtbl.find_opt expect key with
               | None -> Hashtbl.add expect key w0

@@ -43,25 +43,12 @@ type t = {
   slew : float array; (* per pin *)
   net_cap : float array; (* per net: total load seen by the driver *)
   net_wirelen : float array; (* per net: routed (tree) wirelength *)
-  net_first_arc : int array;
   par : Util.Parallel.t;
   workspaces : Rctree.Workspace.t array; (* one per chunk; [update_moved] uses the first *)
   dirty_stamp : int array;
   mutable epoch : int;
   fault : (float -> float) option;
 }
-
-(* Arc ids of a net's sinks, aligned with sink order: net arcs were pushed
-   per net, in sink order, before all cell arcs, so they form a contiguous
-   block starting at each net's first arc id. *)
-let net_first_arc (d : Design.t) =
-  let firsts = Array.make (Design.num_nets d) 0 in
-  let acc = ref 0 in
-  for nid = 0 to Design.num_nets d - 1 do
-    firsts.(nid) <- !acc;
-    acc := !acc + Design.net_num_sinks d nid
-  done;
-  firsts
 
 let create ?fault ~par graph ~topology =
   let d = graph.Graph.design in
@@ -71,7 +58,6 @@ let create ?fault ~par graph ~topology =
     slew = Array.make (Graph.num_pins graph) 0.0;
     net_cap = Array.make (Design.num_nets d) 0.0;
     net_wirelen = Array.make (Design.num_nets d) 0.0;
-    net_first_arc = net_first_arc d;
     par;
     workspaces = Array.init (Util.Parallel.domains par) (fun _ -> Rctree.Workspace.create ());
     dirty_stamp = Array.make (Design.num_nets d) 0;
@@ -90,7 +76,7 @@ let write_net t (ws : Rctree.Workspace.t) nid driver drive_res slew_base slew_lo
   t.net_wirelen.(nid) <- ws.sums.(1);
   let drv_slew = slew_base +. (slew_load *. total_cap) in
   t.slew.(driver) <- drv_slew;
-  let base = t.net_first_arc.(nid) and off = d.net_pin_off.(nid) + 1 in
+  let base = Graph.net_arc t.graph ~net:nid ~sink:0 and off = d.net_pin_off.(nid) + 1 in
   for k = 0 to d.net_pin_off.(nid + 1) - off - 1 do
     let wire_d = ws.delay.(ws.node_of_term.(k + 1)) in
     arc_delay.(base + k) <- (drive_res *. total_cap) +. wire_d;
@@ -132,22 +118,26 @@ let update_net t ws nid =
   | Design.Input_pad -> write_net t ws nid driver pad_drive_res pad_slew_base pad_slew_load
   | Design.Output_pad | Design.Blockage -> invalid_arg "Delay.driver_params: not a driver"
 
-(* Refresh the cell arcs leaving a pin (their delay depends on the pin's
-   input slew, which a dirty net feeding the pin may have changed). *)
-let update_cell_arcs_from t pin =
+(* Refresh cell arc [a]: its delay depends on its input pin's slew. *)
+let update_cell_arc t a =
   let graph = t.graph in
   let d = graph.Graph.design in
+  let pin = graph.Graph.arc_from.(a) in
+  let owner = d.pin_owner.(pin) in
+  match Design.kind d owner with
+  | Design.Logic ->
+      let lc = Design.libcell d owner in
+      graph.Graph.arc_delay.(a) <- lc.Libcell.intrinsic +. (lc.Libcell.slew_sens *. t.slew.(pin))
+  | Design.Input_pad | Design.Output_pad | Design.Blockage ->
+      assert false (* cell arcs only exist on logic cells *)
+
+(* Refresh the cell arcs leaving a pin (a dirty net feeding the pin may
+   have changed its input slew). *)
+let update_cell_arcs_from t pin =
+  let graph = t.graph in
   for j = graph.Graph.out_start.(pin) to graph.Graph.out_start.(pin + 1) - 1 do
     let a = graph.Graph.out_arc.(j) in
-    if not graph.Graph.arc_is_net.(a) then begin
-      let owner = d.pin_owner.(pin) in
-      match Design.kind d owner with
-      | Design.Logic ->
-          let lc = Design.libcell d owner in
-          graph.Graph.arc_delay.(a) <-
-            lc.Libcell.intrinsic +. (lc.Libcell.slew_sens *. t.slew.(pin))
-      | Design.Input_pad | Design.Output_pad | Design.Blockage -> assert false
-    end
+    if not (Graph.is_net_arc graph a) then update_cell_arc t a
   done
 
 (** Recompute all arc delays and slews from the placement in [d.x/d.y]. *)
@@ -165,19 +155,10 @@ let update t =
       for nid = lo to hi - 1 do
         update_net t ws nid
       done);
-  (* Pass 2: cell arcs — slews at inputs are now final. *)
-  for a = 0 to graph.Graph.num_arcs - 1 do
-    if not graph.Graph.arc_is_net.(a) then begin
-      let from_pin = graph.Graph.arc_from.(a) in
-      let owner = d.pin_owner.(from_pin) in
-      match Design.kind d owner with
-      | Design.Logic ->
-          let lc = Design.libcell d owner in
-          graph.Graph.arc_delay.(a) <-
-            lc.Libcell.intrinsic +. (lc.Libcell.slew_sens *. t.slew.(from_pin))
-      | Design.Input_pad | Design.Output_pad | Design.Blockage ->
-          assert false (* cell arcs only exist on logic cells *)
-    end
+  (* Pass 2: cell arcs, which follow the net arcs — slews at inputs are
+     now final. *)
+  for a = graph.Graph.num_net_arcs to graph.Graph.num_arcs - 1 do
+    update_cell_arc t a
   done
 
 (** Incremental delay refresh after moving only [cells]: recomputes the

@@ -18,7 +18,6 @@ type t = {
   slew : float array; (* per pin *)
   net_cap : float array; (* per net: total load seen by the driver *)
   net_wirelen : float array; (* per net: routed (tree) wirelength *)
-  net_first_arc : int array; (* per net: id of its first (contiguous) net arc *)
   par : Util.Parallel.t; (* the net pass fans out on it *)
   workspaces : Rctree.Workspace.t array; (* one per domain; [update_moved] uses the first *)
   dirty_stamp : int array; (* per net: last [update_moved] epoch that re-timed it *)

@@ -17,11 +17,9 @@ open Netlist
 type t = {
   design : Design.t;
   num_arcs : int;
+  num_net_arcs : int; (* net arcs are arcs [0, num_net_arcs) *)
   arc_from : int array;
   arc_to : int array;
-  arc_is_net : bool array;
-  arc_net : int array; (* net id for net arcs, -1 for cell arcs *)
-  arc_sink_idx : int array; (* index into net.sinks for net arcs *)
   arc_delay : float array; (* updated by Delay.update each round *)
   in_start : int array; (* CSR: in-arcs of pin p are in_arc.[in_start.(p) .. in_start.(p+1)-1] *)
   in_arc : int array;
@@ -37,91 +35,110 @@ type t = {
 
 let num_pins t = Design.num_pins t.design
 
+let is_net_arc t a = a < t.num_net_arcs
+
+(* Net n's arcs follow the sinks of the nets before it. Every net has one
+   driver ([Builder] rejects undriven nets), so n nets before it own
+   [net_pin_off.(n) - n] sinks. *)
+let net_arc t ~net ~sink = t.design.Design.net_pin_off.(net) - net + sink
+
 exception Combinational_loop
 
-(* Boundary conditions are the only graph state derived from the design's
-   timing constraints rather than its structure. Factored out of [build]
-   so a constraint change (clock retarget ECO) refreshes them in place —
-   adjacency, topological order and arc delays all survive. *)
-let refresh_boundary_conditions ~(d : Design.t) ~start_arrival ~end_required =
+(* Marks the start/end points and writes their boundary conditions,
+   the only graph state derived from the design's timing constraints
+   rather than its structure. A constraint change (clock retarget ECO)
+   reruns it in place: the marks are structural and come out the same,
+   and adjacency, topological order and arc delays all survive. *)
+let set_boundary (d : Design.t) ~is_startpoint ~is_endpoint ~start_arrival ~end_required =
+  let start pid v =
+    is_startpoint.(pid) <- true;
+    start_arrival.(pid) <- v
+  and end_ pid v =
+    is_endpoint.(pid) <- true;
+    end_required.(pid) <- v
+  in
   for cid = 0 to Design.num_cells d - 1 do
-    match Design.kind d cid with
-    | Design.Logic when Design.is_ff d cid ->
-        let lc = Design.libcell d cid in
-        Design.iter_cell_pins d cid (fun pid ->
-            match Design.pin_dir d pid with
-            | Design.Out -> start_arrival.(pid) <- lc.Libcell.clk_to_q
-            | Design.In -> end_required.(pid) <- d.clock_period -. lc.Libcell.setup)
-    | Design.Input_pad ->
-        Design.iter_cell_pins d cid (fun pid -> start_arrival.(pid) <- d.input_delay)
-    | Design.Output_pad ->
-        Design.iter_cell_pins d cid (fun pid ->
-            end_required.(pid) <- d.clock_period -. d.output_delay)
-    | Design.Logic | Design.Blockage -> ()
+    for k = d.cell_pin_off.(cid) to d.cell_pin_off.(cid + 1) - 1 do
+      let pid = d.cell_pin_ids.(k) in
+      match Design.kind d cid with
+      | Design.Logic when Design.is_ff d cid -> (
+          let lc = Design.libcell d cid in
+          match Design.pin_dir d pid with
+          | Design.Out -> start pid lc.Libcell.clk_to_q
+          | Design.In -> end_ pid (d.clock_period -. lc.Libcell.setup))
+      | Design.Input_pad -> start pid d.input_delay
+      | Design.Output_pad -> end_ pid (d.clock_period -. d.output_delay)
+      | Design.Logic | Design.Blockage -> ()
+    done
   done
 
 let refresh_boundary t =
-  refresh_boundary_conditions ~d:t.design ~start_arrival:t.start_arrival
-    ~end_required:t.end_required
+  set_boundary t.design ~is_startpoint:t.is_startpoint ~is_endpoint:t.is_endpoint
+    ~start_arrival:t.start_arrival ~end_required:t.end_required
+
+(* The cell arcs, numbered from [a]: per combinational cell, each input
+   pin -> each output pin, both in pin order. Writes them into
+   [arc_from]/[arc_to] unless those are empty (the counting pass) and
+   returns the next arc id. The loops index the design's CSR directly:
+   a closure per cell would allocate more than the graph itself. *)
+let cell_arcs (d : Design.t) ~arc_from ~arc_to a =
+  let a = ref a and write = Array.length arc_from > 0 in
+  for cid = 0 to Design.num_cells d - 1 do
+    if Design.kind d cid = Design.Logic && not (Design.is_ff d cid) then begin
+      let lo = d.cell_pin_off.(cid) and hi = d.cell_pin_off.(cid + 1) - 1 in
+      for i = lo to hi do
+        let pi = d.cell_pin_ids.(i) in
+        if Design.pin_dir d pi = Design.In then
+          for o = lo to hi do
+            let po = d.cell_pin_ids.(o) in
+            if Design.pin_dir d po = Design.Out then begin
+              if write then (arc_from.(!a) <- pi; arc_to.(!a) <- po);
+              incr a
+            end
+          done
+      done
+    end
+  done;
+  !a
+
+(* CSR over pins of the arcs keyed by [pin_of] (arc -> pin). *)
+let build_csr ~np pin_of =
+  let num_arcs = Array.length pin_of in
+  let start = Array.make (np + 1) 0 in
+  for a = 0 to num_arcs - 1 do
+    start.(pin_of.(a) + 1) <- start.(pin_of.(a) + 1) + 1
+  done;
+  for p = 1 to np do
+    start.(p) <- start.(p) + start.(p - 1)
+  done;
+  let fill = Array.copy start in
+  let adj = Array.make num_arcs 0 in
+  for a = 0 to num_arcs - 1 do
+    adj.(fill.(pin_of.(a))) <- a;
+    fill.(pin_of.(a)) <- fill.(pin_of.(a)) + 1
+  done;
+  (start, adj)
 
 let build (d : Design.t) =
-  let np = Design.num_pins d in
-  let arcs_from = Util.Gvec.create () in
-  let arcs_to = Util.Gvec.create () in
-  let arcs_is_net = Util.Gvec.create () in
-  let arcs_net = Util.Gvec.create () in
-  let arcs_sink = Util.Gvec.create () in
-  let add_arc ~from_pin ~to_pin ~is_net ~net ~sink_idx =
-    Util.Gvec.push arcs_from from_pin;
-    Util.Gvec.push arcs_to to_pin;
-    Util.Gvec.push arcs_is_net is_net;
-    Util.Gvec.push arcs_net net;
-    Util.Gvec.push arcs_sink sink_idx
-  in
-  (* Net arcs first, per net in sink order: [Delay.net_first_arc] relies
-     on each net's arcs being contiguous at the front of the arc list. *)
-  for nid = 0 to Design.num_nets d - 1 do
-    let driver = d.net_driver.(nid) in
-    for k = 0 to Design.net_num_sinks d nid - 1 do
-      add_arc ~from_pin:driver ~to_pin:(Design.net_sink d nid k) ~is_net:true ~net:nid
-        ~sink_idx:k
+  let np = Design.num_pins d and nn = Design.num_nets d in
+  (* Counting pass: one net arc per sink (every net has one driver), then
+     the cell arcs. The fill pass writes the net arcs net by net in sink
+     order (the layout {!net_arc} reads), then the cell arcs. *)
+  let num_net_arcs = d.net_pin_off.(nn) - nn in
+  let num_arcs = cell_arcs d ~arc_from:[||] ~arc_to:[||] num_net_arcs in
+  let arc_from = Array.make num_arcs 0 in
+  let arc_to = Array.make num_arcs 0 in
+  for nid = 0 to nn - 1 do
+    for k = d.net_pin_off.(nid) + 1 to d.net_pin_off.(nid + 1) - 1 do
+      arc_from.(k - nid - 1) <- d.net_driver.(nid);
+      arc_to.(k - nid - 1) <- d.net_pin_ids.(k)
     done
   done;
-  for cid = 0 to Design.num_cells d - 1 do
-    if Design.kind d cid = Design.Logic && not (Design.is_ff d cid) then
-      Design.iter_cell_pins d cid (fun i ->
-          if Design.pin_dir d i = Design.In then
-            Design.iter_cell_pins d cid (fun o ->
-                if Design.pin_dir d o = Design.Out then
-                  add_arc ~from_pin:i ~to_pin:o ~is_net:false ~net:(-1) ~sink_idx:(-1)))
-  done;
-  let arc_from = Util.Gvec.to_array arcs_from in
-  let arc_to = Util.Gvec.to_array arcs_to in
-  let num_arcs = Array.length arc_from in
-  (* CSR adjacency. *)
-  let build_csr key =
-    let start = Array.make (np + 1) 0 in
-    for a = 0 to num_arcs - 1 do
-      start.(key a + 1) <- start.(key a + 1) + 1
-    done;
-    for p = 1 to np do
-      start.(p) <- start.(p) + start.(p - 1)
-    done;
-    let fill = Array.copy start in
-    let adj = Array.make num_arcs 0 in
-    for a = 0 to num_arcs - 1 do
-      adj.(fill.(key a)) <- a;
-      fill.(key a) <- fill.(key a) + 1
-    done;
-    (start, adj)
-  in
-  let in_start, in_arc = build_csr (fun a -> arc_to.(a)) in
-  let out_start, out_arc = build_csr (fun a -> arc_from.(a)) in
+  ignore (cell_arcs d ~arc_from ~arc_to num_net_arcs);
+  let in_start, in_arc = build_csr ~np arc_to in
+  let out_start, out_arc = build_csr ~np arc_from in
   (* Kahn topological sort; a leftover pin means a combinational loop. *)
-  let indeg = Array.make np 0 in
-  for a = 0 to num_arcs - 1 do
-    indeg.(arc_to.(a)) <- indeg.(arc_to.(a)) + 1
-  done;
+  let indeg = Array.init np (fun p -> in_start.(p + 1) - in_start.(p)) in
   let topo = Array.make np 0 in
   let head = ref 0 and tail = ref 0 in
   for p = 0 to np - 1 do
@@ -144,37 +161,21 @@ let build (d : Design.t) =
     done
   done;
   if !tail <> np then raise Combinational_loop;
-  (* Start / end point classification and boundary conditions. *)
   let is_startpoint = Array.make np false in
   let is_endpoint = Array.make np false in
   let start_arrival = Array.make np 0.0 in
   let end_required = Array.make np 0.0 in
-  for cid = 0 to Design.num_cells d - 1 do
-    match Design.kind d cid with
-    | Design.Logic when Design.is_ff d cid ->
-        Design.iter_cell_pins d cid (fun pid ->
-            match Design.pin_dir d pid with
-            | Design.Out -> is_startpoint.(pid) <- true
-            | Design.In -> is_endpoint.(pid) <- true)
-    | Design.Input_pad ->
-        Design.iter_cell_pins d cid (fun pid -> is_startpoint.(pid) <- true)
-    | Design.Output_pad ->
-        Design.iter_cell_pins d cid (fun pid -> is_endpoint.(pid) <- true)
-    | Design.Logic | Design.Blockage -> ()
-  done;
-  refresh_boundary_conditions ~d ~start_arrival ~end_required;
-  let endpoints =
-    Array.of_list
-      (List.filter (fun p -> is_endpoint.(p)) (List.init np Fun.id))
-  in
+  set_boundary d ~is_startpoint ~is_endpoint ~start_arrival ~end_required;
+  let num_endpoints = Array.fold_left (fun n e -> if e then n + 1 else n) 0 is_endpoint in
+  let endpoints = Array.make num_endpoints 0 in
+  let k = ref 0 in
+  Array.iteri (fun p e -> if e then (endpoints.(!k) <- p; incr k)) is_endpoint;
   {
     design = d;
     num_arcs;
+    num_net_arcs;
     arc_from;
     arc_to;
-    arc_is_net = Util.Gvec.to_array arcs_is_net;
-    arc_net = Util.Gvec.to_array arcs_net;
-    arc_sink_idx = Util.Gvec.to_array arcs_sink;
     arc_delay = Array.make num_arcs 0.0;
     in_start;
     in_arc;

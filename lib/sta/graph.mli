@@ -9,11 +9,9 @@
 type t = {
   design : Netlist.Design.t;
   num_arcs : int;
+  num_net_arcs : int; (* net arcs come first; see {!is_net_arc} *)
   arc_from : int array;
   arc_to : int array;
-  arc_is_net : bool array;
-  arc_net : int array; (* net id for net arcs, -1 for cell arcs *)
-  arc_sink_idx : int array; (* index into net.sinks for net arcs *)
   arc_delay : float array; (* refreshed by Delay each timing round *)
   in_start : int array; (* CSR: in-arcs of pin p are
                            in_arc.(in_start.(p) .. in_start.(p+1)-1) *)
@@ -29,6 +27,13 @@ type t = {
 }
 
 val num_pins : t -> int
+
+(** The arc layout: net arcs (driver -> sink) first, net by net in sink
+    order, then the cell arcs. [net_arc g ~net ~sink] is the arc to
+    {!Netlist.Design.net_sink}[ d net sink]. *)
+val is_net_arc : t -> int -> bool
+
+val net_arc : t -> net:int -> sink:int -> int
 
 exception Combinational_loop
 

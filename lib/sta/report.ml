@@ -35,7 +35,7 @@ let count_pin_pairs (graph : Graph.t) paths =
   let tbl = Hashtbl.create 4096 in
   List.iter
     (fun (p : Paths.path) ->
-      Array.iter (fun a -> if graph.arc_is_net.(a) then Hashtbl.replace tbl a ()) p.arcs)
+      Array.iter (fun a -> if Graph.is_net_arc graph a then Hashtbl.replace tbl a ()) p.arcs)
     paths;
   Hashtbl.length tbl
 
@@ -112,7 +112,7 @@ let pp_path fmt (graph : Graph.t) (p : Paths.path) =
   Array.iteri
     (fun i a ->
       arrival := !arrival +. graph.Graph.arc_delay.(a);
-      let kind = if graph.Graph.arc_is_net.(a) then "(net)" else "(cell)" in
+      let kind = if Graph.is_net_arc graph a then "(net)" else "(cell)" in
       Format.fprintf fmt "  %-22s %-5s %10.2f %10.2f@."
         (label p.Paths.pins.(i + 1))
         kind graph.Graph.arc_delay.(a) !arrival)

@@ -26,12 +26,10 @@ type t = {
   dl_darc : float array; (* dLoss / d(arc delay) *)
   drive_res : float array; (* per net: its driver's output resistance *)
   (* Per-sink scratch of [add_grad], sized to the widest net and reused
-     for every net: driver-to-sink dx/dy, Manhattan length, and the
-     sink arc's dLoss/d(delay). *)
+     for every net: driver-to-sink dx/dy and Manhattan length. *)
   dxs : float array;
   dys : float array;
   lens : float array;
-  garc : float array;
 }
 
 let gamma_sm = 8.0 (* smooth-max temperature, ps *)
@@ -61,7 +59,6 @@ let create ?fault ~par design =
     dxs = Array.make !max_sinks 0.0;
     dys = Array.make !max_sinks 0.0;
     lens = Array.make !max_sinks 0.0;
-    garc = Array.make !max_sinks 0.0;
   }
 
 (* At top level and inlined: as a local function in [add_grad]'s loop it
@@ -160,7 +157,6 @@ let add_grad t ~gx ~gy =
   let d = t.design in
   let graph = Sta.Timer.graph t.timer in
   let r = d.r_per_unit and c = d.c_per_unit in
-  (* Net arcs of one net form a contiguous block in arc order. *)
   for nid = 0 to Design.num_nets d - 1 do
     let nsinks = Design.net_num_sinks d nid in
     if nsinks > 0 then begin
@@ -171,9 +167,7 @@ let add_grad t ~gx ~gy =
       let cd = d.pin_owner.(driver) in
       let dx0 = d.x.{cd} +. d.pin_off_x.{driver} in
       let dy0 = d.y.{cd} +. d.pin_off_y.{driver} in
-      let dxs = t.dxs and dys = t.dys and lens = t.lens and garc = t.garc in
-      Array.fill garc 0 nsinks 0.0;
-      let gsum = ref 0.0 in
+      let dxs = t.dxs and dys = t.dys and lens = t.lens in
       for k = 0 to nsinks - 1 do
         let spid = Design.net_sink d nid k in
         let cs = d.pin_owner.(spid) in
@@ -181,16 +175,11 @@ let add_grad t ~gx ~gy =
         dys.(k) <- dy0 -. (d.y.{cs} +. d.pin_off_y.{spid});
         lens.(k) <- Float.abs dxs.(k) +. Float.abs dys.(k)
       done;
-      (* dLoss/d(arc delay) for each sink arc. *)
-      let lo = graph.Sta.Graph.out_start.(driver) in
-      let hi = graph.Sta.Graph.out_start.(driver + 1) in
-      for j = lo to hi - 1 do
-        let a = graph.Sta.Graph.out_arc.(j) in
-        if graph.Sta.Graph.arc_is_net.(a) then begin
-          let k = graph.Sta.Graph.arc_sink_idx.(a) in
-          garc.(k) <- t.dl_darc.(a);
-          gsum := !gsum +. t.dl_darc.(a)
-        end
+      (* dLoss/d(arc delay) of sink k's arc is [dl_darc.(a0 + k)]. *)
+      let a0 = Sta.Graph.net_arc graph ~net:nid ~sink:0 in
+      let gsum = ref 0.0 in
+      for k = 0 to nsinks - 1 do
+        gsum := !gsum +. t.dl_darc.(a0 + k)
       done;
       (* delay_k = R_drv * sum_j (c*L_j + C_j) + r*L_k*(c*L_k/2 + C_k) *)
       for k = 0 to nsinks - 1 do
@@ -198,7 +187,7 @@ let add_grad t ~gx ~gy =
         let sink_cap = d.pin_cap.{spid} in
         let dl_dlen =
           (drive_res *. c *. !gsum)
-          +. (garc.(k) *. ((r *. c *. lens.(k)) +. (r *. sink_cap)))
+          +. (t.dl_darc.(a0 + k) *. ((r *. c *. lens.(k)) +. (r *. sink_cap)))
         in
         if dl_dlen <> 0.0 then begin
           let gx_d = dl_dlen *. sgn dxs.(k) in

@@ -61,7 +61,7 @@ let update_from_path t (graph : Sta.Graph.t) ~w0 ~w1 ~wns (path : Sta.Paths.path
     let ratio = path.slack /. wns in
     Array.iter
       (fun a ->
-        if graph.Sta.Graph.arc_is_net.(a) then begin
+        if Sta.Graph.is_net_arc graph a then begin
           let i = graph.Sta.Graph.arc_from.(a) and j = graph.Sta.Graph.arc_to.(a) in
           let p, fresh = find_or_add t ~w0 i j in
           p.touched <- true;

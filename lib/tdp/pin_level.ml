@@ -23,15 +23,13 @@ let round t =
   if wns < 0.0 then begin
     let graph = Sta.Timer.graph t.timer in
     let slack = Sta.Timer.slacks t.timer in
-    for a = 0 to graph.Sta.Graph.num_arcs - 1 do
-      if graph.Sta.Graph.arc_is_net.(a) then begin
-        let j = graph.Sta.Graph.arc_to.(a) in
-        if Float.is_finite slack.(j) && slack.(j) < 0.0 then begin
-          let crit = Float.min 1.0 (slack.(j) /. wns) in
-          let w_hat = 1.0 +. (Net_weighting.alpha *. crit) in
-          Pin_attract.update_pair_momentum t.attract
-            ~pin_i:graph.Sta.Graph.arc_from.(a) ~pin_j:j ~w_hat ~momentum:Net_weighting.momentum
-        end
+    for a = 0 to graph.Sta.Graph.num_net_arcs - 1 do
+      let j = graph.Sta.Graph.arc_to.(a) in
+      if Float.is_finite slack.(j) && slack.(j) < 0.0 then begin
+        let crit = Float.min 1.0 (slack.(j) /. wns) in
+        let w_hat = 1.0 +. (Net_weighting.alpha *. crit) in
+        Pin_attract.update_pair_momentum t.attract
+          ~pin_i:graph.Sta.Graph.arc_from.(a) ~pin_j:j ~w_hat ~momentum:Net_weighting.momentum
       end
     done
   end;

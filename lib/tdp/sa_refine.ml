@@ -39,9 +39,9 @@ let alpha = 0.998
 let seed = 1
 let window = 12.0
 
-let run ?(moves = 2000) (d : Design.t) =
+let run ?(moves = 2000) timer =
+  let d = Sta.Timer.design timer in
   let rng = Util.Rng.create seed in
-  let timer = Sta.Timer.create ~topology:Sta.Delay.Steiner_tree d in
   Sta.Timer.update timer;
   let tns_before = Sta.Timer.tns timer in
   let hpwl_before = Design.total_hpwl d in

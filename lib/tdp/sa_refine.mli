@@ -13,4 +13,5 @@ type stats = {
   hpwl_after : float;
 }
 
-val run : ?moves:int -> Netlist.Design.t -> stats
+(** [run timer] re-times [timer], then refines its design's placement. *)
+val run : ?moves:int -> Sta.Timer.t -> stats

@@ -44,8 +44,8 @@ let swap (d : Design.t) a b =
 (** Run on a legal placement. [max_endpoints] bounds the critical set,
     [window] the neighbour search distance (in sites). Returns stats; the
     placement is left at the improved (still legal) state. *)
-let run ?(max_endpoints = 50) ?(window = 8.0) (d : Design.t) =
-  let timer = Sta.Timer.create ~topology:Sta.Delay.Steiner_tree d in
+let run ?(max_endpoints = 50) ?(window = 8.0) timer =
+  let d = Sta.Timer.design timer in
   Sta.Timer.update timer;
   let tns_before = Sta.Timer.tns timer in
   let crits = critical_cells d timer ~max_endpoints in

@@ -9,6 +9,7 @@ type stats = {
   tns_after : float;
 }
 
-(** [run d] mutates the placement; TNS never degrades. [max_endpoints]
-    bounds the critical path set, [window] the swap search radius. *)
-val run : ?max_endpoints:int -> ?window:float -> Netlist.Design.t -> stats
+(** [run timer] re-times [timer], then mutates its design's placement;
+    TNS never degrades. [max_endpoints] bounds the critical path set,
+    [window] the swap search radius. *)
+val run : ?max_endpoints:int -> ?window:float -> Sta.Timer.t -> stats

@@ -109,7 +109,7 @@ let test_wire_stats_critical_paths () =
   let endpoints = Array.to_list (Array.sub all 0 10) in
   let score_at period =
     Sta.Timer.set_clock timer period;
-    (Sta.Timer.num_failing_endpoints timer, Evalkit.Wire_stats.of_endpoints d ~endpoints)
+    (Sta.Timer.num_failing_endpoints timer, Evalkit.Wire_stats.of_endpoints timer ~endpoints)
   in
   let base = d.clock_period in
   let loose_failing, loose = score_at (base *. 100.0) in
@@ -129,7 +129,7 @@ let test_timing_dp_never_degrades () =
   let d = Helpers.small_calibrated () in
   ignore (Gp.Globalplace.run ~params:{ Gp.Globalplace.default_params with max_iters = 200 } d);
   ignore (Gp.Legalize.run d);
-  let s = Tdp.Timing_dp.run ~max_endpoints:10 ~window:6.0 d in
+  let s = Tdp.Timing_dp.run ~max_endpoints:10 ~window:6.0 (Sta.Timer.create d) in
   Alcotest.(check bool)
     (Printf.sprintf "tns %.1f -> %.1f" s.tns_before s.tns_after)
     true
@@ -219,7 +219,7 @@ let test_sa_refine_never_regresses_cost () =
   let d = Helpers.small_calibrated () in
   ignore (Gp.Globalplace.run ~params:{ Gp.Globalplace.default_params with max_iters = 150 } d);
   ignore (Gp.Legalize.run d);
-  let s = Tdp.Sa_refine.run ~moves:600 d in
+  let s = Tdp.Sa_refine.run ~moves:600 (Sta.Timer.create d) in
   let cost tns hpwl = -.tns +. (0.5 *. hpwl) in
   Alcotest.(check bool)
     (Printf.sprintf "cost %.0f -> %.0f" (cost s.tns_before s.hpwl_before)
@@ -234,7 +234,7 @@ let test_sa_refine_deterministic () =
     let d = Helpers.small_calibrated () in
     ignore (Gp.Globalplace.run ~params:{ Gp.Globalplace.default_params with max_iters = 150 } d);
     ignore (Gp.Legalize.run d);
-    let s = Tdp.Sa_refine.run ~moves:300 d in
+    let s = Tdp.Sa_refine.run ~moves:300 (Sta.Timer.create d) in
     (s.accepted, s.tns_after)
   in
   let a1, t1 = run_once () in

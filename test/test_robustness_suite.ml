@@ -390,6 +390,39 @@ let test_flow_methods_with_elmore_fault () =
         [ Util.Fault.Nan; Util.Fault.Pos_inf; Util.Fault.Neg_inf; Util.Fault.Huge ])
     Tdp.Flow.[ Dp4; Diff_tdp; Dist_tdp; Dp4_in_ours ]
 
+(* [Flow.run] scores on one clean Steiner timer of its own, so its
+   metrics equal a fresh [Evalkit.Metrics.evaluate] of the placement they
+   describe: also under an Elmore fault plan on the method's timer, and
+   when the run keeps its best checkpoint. Without legalization both
+   metrics describe the final placement; with it, [metrics] does and
+   [metrics_gp] repeats the unlegalized run's. *)
+let test_flow_scores_like_evaluate () =
+  let metrics = Alcotest.testable Evalkit.Metrics.pp ( = ) in
+  List.iter
+    (fun (what, fault) ->
+      let run legalize =
+        let d = Workloads.Suite.load ~scale:0.15 "sb1" in
+        let ctx = Obs.Ctx.create () in
+        let r = Tdp.Flow.run ~obs:ctx ~legalize ~fault (Tdp.Flow.Efficient fast_cfg) d in
+        (r, Evalkit.Metrics.evaluate d, flow_faults ctx Util.Fault.Elmore)
+      in
+      let raw, raw_eval, faults = run false in
+      let legal, legal_eval, _ = run true in
+      Alcotest.(check bool) (what ^ ": fault window reached") (fault <> []) (faults > 0.0);
+      Alcotest.check metrics (what ^ ": metrics_gp") raw_eval raw.Tdp.Flow.metrics_gp;
+      Alcotest.check metrics (what ^ ": metrics") raw_eval raw.Tdp.Flow.metrics;
+      Alcotest.check metrics (what ^ ": legalized metrics") legal_eval legal.Tdp.Flow.metrics;
+      Alcotest.check metrics (what ^ ": legalized metrics_gp") raw.Tdp.Flow.metrics_gp
+        legal.Tdp.Flow.metrics_gp;
+      (* The clean run keeps a checkpoint: its placement is one recorded at
+         a timing round, not the final iterate. *)
+      if fault = [] then
+        Alcotest.(check bool) (what ^ ": best checkpoint kept") true
+          (List.exists
+             (fun (c : Tdp.Flow.curve_point) -> c.hpwl = raw.Tdp.Flow.metrics_gp.hpwl)
+             raw.Tdp.Flow.curve))
+    [ ("elmore fault", elmore_plan Util.Fault.Huge); ("checkpoint", []) ]
+
 (* Fault windows are per run: the same windowed plan corrupts the same
    number of calls in two back-to-back runs. *)
 let test_fault_window_per_run () =
@@ -588,6 +621,7 @@ let suite =
     ("flow survives elmore nan fault", `Slow, test_flow_with_elmore_nan_fault);
     ("every timing method survives elmore faults", `Slow, test_flow_methods_with_elmore_fault);
     ("fault window is per run", `Slow, test_fault_window_per_run);
+    ("flow scores like a fresh evaluate", `Slow, test_flow_scores_like_evaluate);
     ("flow rejects invalid design", `Quick, test_flow_rejects_invalid_design);
     ("place exit codes", `Slow, test_place_exit_codes);
     ("tools exit codes", `Quick, test_tools_exit_codes);

@@ -338,7 +338,9 @@ let test_nonfinite_slacks_excluded () =
     Array.to_list (Design.cell_pins d c) |> List.find (fun p -> Design.pin_name d p = "o")
   in
   let arc_into p ~net =
-    let rec find a = if g.arc_to.(a) = p && g.arc_is_net.(a) = net then a else find (a + 1) in
+    let rec find a =
+      if g.arc_to.(a) = p && Sta.Graph.is_net_arc g a = net then a else find (a + 1)
+    in
     find 0
   in
   Array.fill g.arc_delay 0 g.num_arcs 100.0;
@@ -511,9 +513,38 @@ let test_warm_query_alloc () =
             true
             (words <= 4.0 *. float_of_int path_words)))
 
+(* [Graph.build] sizes its arrays from a counting pass, so it allocates
+   little beyond its result: at most 1.5x the words of the graph, and
+   [Timer.create] at most 2x the words of the timer. The design's own
+   words count in neither. *)
+let test_graph_build_alloc () =
+  let d = Workloads.Suite.load ~scale:0.5 ~calibrate:false "sb1" in
+  let design_words = Obj.reachable_words (Obj.repr d) in
+  (* The runtime folds a domain's counts into [Gc] statistics at a minor
+     collection, so one precedes each reading. *)
+  let allocated_words () =
+    Gc.minor ();
+    Gc.allocated_bytes () /. float_of_int (Sys.word_size / 8)
+  in
+  let check what ~bound f =
+    let w0 = allocated_words () in
+    let r = f () in
+    let words = allocated_words () -. w0 in
+    let live = float_of_int (Obj.reachable_words (Obj.repr r) - design_words) in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.0f words allocated for %.0f live (ratio %.2f, want <= %.1f)" what
+         words live (words /. live) bound)
+      true
+      (words <= bound *. live)
+  in
+  check "Graph.build" ~bound:1.5 (fun () -> Obj.repr (Sta.Graph.build d));
+  check "Timer.create" ~bound:2.0 (fun () ->
+      Obj.repr (Sta.Timer.create ~par:(Util.Parallel.create 1) d))
+
 let suite =
   suite
   @ [
+      ("graph build allocation", `Quick, test_graph_build_alloc);
       ("parallel delay kernel", `Quick, test_parallel_delay_equivalence);
       ("delay == fresh tree per net", `Quick, test_delay_matches_fresh_trees);
       ("delay update allocation-free", `Quick, test_delay_update_alloc);
