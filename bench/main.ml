@@ -505,6 +505,8 @@ let scaling c =
     let electro = Gp.Electro.create grid in
     let n_ep = max 1 (min 64 (Array.length (Sta.Timer.graph timer).Sta.Graph.endpoints)) in
     let n_failing = max 1 (Sta.Timer.num_failing_endpoints timer) in
+    (* Built once, as the Nesterov loop builds it. *)
+    let wl_ws = Gp.Wirelength.make_ws ~par d in
     [
       ("density.update", Netlist.Design.num_cells d, fun () -> Gp.Densitygrid.update grid d);
       ( "electro.solve",
@@ -517,7 +519,7 @@ let scaling c =
         fun () ->
           Array.fill gx 0 (Array.length gx) 0.0;
           Array.fill gy 0 (Array.length gy) 0.0;
-          ignore (Gp.Wirelength.wa_wirelength_grad ~par d ~gamma:2.0 ~gx ~gy) );
+          ignore (Gp.Wirelength.wa_wirelength_grad_ws wl_ws d ~gamma:2.0 ~gx ~gy) );
       ( "sta.update",
         Sta.Graph.num_pins (Sta.Timer.graph timer),
         fun () ->

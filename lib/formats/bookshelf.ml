@@ -6,10 +6,21 @@ module L = Netlist.Libcell
 
 let specials = ":"
 
-let dir_of_lp (lp : L.lib_pin) = match lp.kind with L.Input -> D.In | L.Output -> D.Out
-
 let perr ~name ~line fmt =
   Printf.ksprintf (fun msg -> raise (Scan.Parse_error (line, name ^ ": " ^ msg))) fmt
+
+(* A declared record count is checked against what the file can still
+   hold before any table is sized from it: the [seen] records already
+   read plus one per [min_bytes] bytes left, where [min_bytes] is the
+   shortest record with its newline (the last one may lack it). A header
+   that lies about its count thus costs memory in proportion to the file,
+   not to the header. *)
+let check_room sc ~what ~min_bytes ~seen n =
+  let room = Scan.remaining_bytes sc in
+  let fit = if room >= max_int - 1 then max_int else seen + ((room + 1) / min_bytes) in
+  if n > fit then
+    Scan.fail sc "%s %d exceeds what the remaining %d bytes can hold (at most %d)" what n room
+      fit
 
 (* ---------------------------------------------------------------- aux -- *)
 
@@ -131,7 +142,10 @@ let read_scl sc =
       if Scan.tok_is_ci sc "UCLA" then ()
       else if Scan.tok_is_ci sc "NumRows" then begin
         Scan.expect_lit sc ":";
-        num_rows := Scan.expect_int sc ~what:"row count"
+        let n = Scan.expect_int sc ~what:"row count" in
+        (* "CoreRow", "Coordinate:0", "Height:0", "SubrowOrigin:0 NumSites:0", "End" *)
+        check_room sc ~what:"NumRows" ~min_bytes:60 ~seen:!rows_seen n;
+        num_rows := n
       end
       else if Scan.tok_is_ci sc "CoreRow" then read_row ()
       else Scan.fail sc "unexpected token %S in .scl" (Scan.tok sc)
@@ -154,7 +168,7 @@ type nodes = {
 let read_nodes sc b ~cx ~cy =
   Fun.protect ~finally:(fun () -> Scan.close sc) @@ fun () ->
   let nn = ref (-1) and nt = ref (-1) in
-  let tbl = ref None and term = ref Bytes.empty and names = ref [||] in
+  let tbl = ref (Strtab.create ()) and term = ref Bytes.empty and names = ref [||] in
   let count = ref 0 and tcount = ref 0 in
   while Scan.next_line sc do
     if Scan.next_tok sc then begin
@@ -163,10 +177,13 @@ let read_nodes sc b ~cx ~cy =
         Scan.expect_lit sc ":";
         let n = Scan.expect_int sc ~what:"node count" in
         if n < 0 || n > max_cells then Scan.fail sc "implausible NumNodes %d" n;
+        (* "a 1 1": name, width, height *)
+        check_room sc ~what:"NumNodes" ~min_bytes:6 ~seen:0 n;
         nn := n;
-        tbl := Some (Strtab.create ~size_hint:n ());
+        tbl := Strtab.create ~size_hint:n ();
         term := Bytes.make n '\000';
-        names := Array.make n ""
+        names := Array.make n "";
+        B.reserve b ~cells:n ~pins:0 ~nets:0
       end
       else if Scan.tok_is_ci sc "NumTerminals" then begin
         Scan.expect_lit sc ":";
@@ -174,10 +191,12 @@ let read_nodes sc b ~cx ~cy =
       end
       else begin
         if !nn < 0 then Scan.fail sc "node record before NumNodes header";
-        let tbl = Option.get !tbl in
-        if Scan.tok_lookup sc tbl <> None then
-          Scan.fail sc "duplicate cell %S" (Scan.tok sc);
+        (* One probe binds the name and detects a duplicate: a bound name
+           leaves the count unchanged. *)
         let name = Scan.tok sc in
+        let bound = Strtab.length !tbl in
+        Strtab.add !tbl name !count;
+        if Strtab.length !tbl = bound then Scan.fail sc "duplicate cell %S" name;
         let w = Scan.expect_float sc ~what:"cell width" in
         let h = Scan.expect_float sc ~what:"cell height" in
         if w < 0.0 || h < 0.0 then Scan.fail sc "negative cell size";
@@ -193,7 +212,6 @@ let read_nodes sc b ~cx ~cy =
           B.add_raw_cell b ~cname:name ~kind:D.Logic ~lib:None ~w ~h
             ~movable:(not terminal) ~x:cx ~y:cy
         in
-        Strtab.add tbl name id;
         !names.(id) <- name;
         if terminal then begin
           Bytes.set !term id '\001';
@@ -207,32 +225,37 @@ let read_nodes sc b ~cx ~cy =
   if !count <> !nn then Scan.fail sc "expected %d node records, got %d" !nn !count;
   if !nt >= 0 && !tcount <> !nt then
     Scan.fail sc "NumTerminals %d but %d terminal records" !nt !tcount;
-  { tbl = Option.get !tbl; names = !names; term = !term }
+  { tbl = !tbl; names = !names; term = !term }
 
 (* ------------------------------------------------------ .cells sidecar -- *)
 
-(* Per-cell spec from the sidecar: 'L' logic (with library cell and M/F),
-   'I'/'O' pads, 'B' blockage, '\000' absent. *)
-type spec = {
-  mutable sk : char;
-  mutable slib : L.t option;
-  mutable smov : bool;
-  mutable sline : int;
-}
+(* The sidecar, one slot per cell: the kind letter ('L' logic, 'I'/'O'
+   pads, 'B' blockage, '\000' not listed yet), the library cell's index
+   in [L.default_library] (logic only), M/F as '\001'/'\000', and the
+   entry's line. *)
+type specs = { sk : Bytes.t; slib : int array; smov : Bytes.t; sline : int array }
 
 let read_cells sc (nd : nodes) =
   Fun.protect ~finally:(fun () -> Scan.close sc) @@ fun () ->
   let n = Array.length nd.names in
-  let specs = Array.init n (fun _ -> { sk = '\000'; slib = None; smov = false; sline = 0 }) in
+  let sp =
+    {
+      sk = Bytes.make n '\000';
+      slib = Array.make n (-1);
+      smov = Bytes.make n '\000';
+      sline = Array.make n 0;
+    }
+  in
+  let lib_tbl = Strtab.create ~size_hint:(Array.length L.default_library) () in
+  Array.iteri (fun i (l : L.t) -> Strtab.add lib_tbl l.L.lname i) L.default_library;
   let cell_of () =
     Scan.expect sc ~what:"cell name";
-    match Scan.tok_lookup sc nd.tbl with
-    | Some c ->
-        if specs.(c).sk <> '\000' then
-          Scan.fail sc "duplicate .cells entry for %s" nd.names.(c);
-        specs.(c).sline <- Scan.line_number sc;
-        c
-    | None -> Scan.fail sc "unknown cell %S in .cells" (Scan.tok sc)
+    let c = Scan.tok_find sc nd.tbl in
+    if c < 0 then Scan.fail sc "unknown cell %S in .cells" (Scan.tok sc);
+    if Bytes.get sp.sk c <> '\000' then
+      Scan.fail sc "duplicate .cells entry for %s" nd.names.(c);
+    sp.sline.(c) <- Scan.line_number sc;
+    c
   in
   while Scan.next_line sc do
     if Scan.next_tok sc then begin
@@ -240,20 +263,17 @@ let read_cells sc (nd : nodes) =
       else if Scan.tok_is sc "L" then begin
         let c = cell_of () in
         Scan.expect sc ~what:"library cell name";
-        let lname = Scan.tok sc in
-        let lib =
-          try L.find_in_library lname
-          with Invalid_argument _ -> Scan.fail sc "unknown library cell %S" lname
-        in
+        let li = Scan.tok_find sc lib_tbl in
+        if li < 0 then Scan.fail sc "unknown library cell %S" (Scan.tok sc);
         Scan.expect sc ~what:"M or F";
         let mov =
-          if Scan.tok_is sc "M" then true
-          else if Scan.tok_is sc "F" then false
+          if Scan.tok_is sc "M" then '\001'
+          else if Scan.tok_is sc "F" then '\000'
           else Scan.fail sc "expected M or F, got %S" (Scan.tok sc)
         in
-        specs.(c).sk <- 'L';
-        specs.(c).slib <- Some lib;
-        specs.(c).smov <- mov
+        Bytes.set sp.sk c 'L';
+        sp.slib.(c) <- li;
+        Bytes.set sp.smov c mov
       end
       else begin
         let k =
@@ -263,152 +283,88 @@ let read_cells sc (nd : nodes) =
           else Scan.fail sc "unexpected token %S in .cells" (Scan.tok sc)
         in
         let c = cell_of () in
-        specs.(c).sk <- k;
+        Bytes.set sp.sk c k;
         if Scan.next_tok sc then Scan.fail sc "trailing tokens in .cells entry"
       end
     end
   done;
-  Array.iteri
-    (fun c s ->
-      if s.sk = '\000' then Scan.fail sc "missing .cells entry for %s" nd.names.(c))
-    specs;
-  specs
+  for c = 0 to n - 1 do
+    if Bytes.get sp.sk c = '\000' then Scan.fail sc "missing .cells entry for %s" nd.names.(c)
+  done;
+  sp
 
 (* Settle kinds/libs and create every pin in cell-id, library order — the
    same order [add_logic]/[add_pad] would have used, so pin ids round-trip
    identically. Returns each cell's first pin id plus the taken bitmap the
    net matcher updates. *)
-let apply_specs ~fname b (nd : nodes) (specs : spec array) =
-  let n = Array.length specs in
+let apply_specs ~fname b (nd : nodes) (sp : specs) =
+  let n = Bytes.length sp.sk in
+  let libs = L.default_library in
+  let lib_opts = Array.map Option.some libs in
   let pin_first = Array.make n 0 in
   let total = ref 0 in
   for c = 0 to n - 1 do
-    let s = specs.(c) in
     pin_first.(c) <- !total;
-    match s.sk with
+    match Bytes.get sp.sk c with
+    | 'L' -> total := !total + Array.length libs.(sp.slib.(c)).L.pins
+    | 'I' | 'O' -> incr total
+    | _ -> ()
+  done;
+  B.reserve b ~cells:0 ~pins:!total ~nets:0;
+  for c = 0 to n - 1 do
+    (match Bytes.get sp.sk c with
     | 'L' ->
-        let lib = Option.get s.slib in
+        let lib = libs.(sp.slib.(c)) in
         if
           Float.abs (B.cell_width b ~cell:c -. lib.L.width) > 1e-9
           || Float.abs (B.cell_height b ~cell:c -. lib.L.height) > 1e-9
         then
-          perr ~name:fname ~line:s.sline "cell %s size disagrees with library cell %s"
+          perr ~name:fname ~line:sp.sline.(c) "cell %s size disagrees with library cell %s"
             nd.names.(c) lib.L.lname;
-        B.set_kind b ~cell:c ~kind:D.Logic ~lib:(Some lib);
-        B.set_movable b ~cell:c ~movable:s.smov;
-        Array.iter
-          (fun (lp : L.lib_pin) ->
-            ignore
-              (B.add_raw_pin b ~cell:c ~pin_name:lp.L.pname ~dir:(dir_of_lp lp)
-                 ~off_x:lp.L.off_x ~off_y:lp.L.off_y ~cap:lp.L.cap);
-            incr total)
-          lib.L.pins
-    | 'I' ->
-        B.set_kind b ~cell:c ~kind:D.Input_pad ~lib:None;
-        B.set_movable b ~cell:c ~movable:false;
-        ignore
-          (B.add_raw_pin b ~cell:c ~pin_name:"p" ~dir:D.Out ~off_x:0.0 ~off_y:0.0 ~cap:0.0);
-        incr total
-    | 'O' ->
-        B.set_kind b ~cell:c ~kind:D.Output_pad ~lib:None;
-        B.set_movable b ~cell:c ~movable:false;
-        ignore
-          (B.add_raw_pin b ~cell:c ~pin_name:"p" ~dir:D.In ~off_x:0.0 ~off_y:0.0 ~cap:3.0);
-        incr total
-    | _ ->
-        B.set_kind b ~cell:c ~kind:D.Blockage ~lib:None;
-        B.set_movable b ~cell:c ~movable:false
+        B.set_kind b ~cell:c ~kind:D.Logic ~lib:lib_opts.(sp.slib.(c));
+        B.set_movable b ~cell:c ~movable:(Bytes.get sp.smov c = '\001')
+    | k ->
+        let kind = match k with 'I' -> D.Input_pad | 'O' -> D.Output_pad | _ -> D.Blockage in
+        B.set_kind b ~cell:c ~kind ~lib:None;
+        B.set_movable b ~cell:c ~movable:false);
+    B.add_canonical_pins b ~cell:c
   done;
   (pin_first, Bytes.make !total '\000')
 
 (* ---------------------------------------------------------------- nets -- *)
 
 type netmode =
-  | Sidecar of { specs : spec array; pin_first : int array; taken : Bytes.t }
+  | Sidecar of { sp : specs; pin_first : int array; taken : Bytes.t }
   | Raw of { nin : int array; nout : int array; pcnt : int array }
 
-(* Sidecar pin resolution: match (direction, exact offsets) against the
+(* Sidecar pin resolution matches (direction, exact offsets) against the
    cell's library pins, skipping ones already connected. Offsets printed
    with %.17g reparse to identical floats, so exact equality is the right
    test. *)
-let match_spec_pin specs pin_first taken c ~dir ~ox ~oy =
-  let s : spec = specs.(c) in
-  match s.sk with
-  | 'L' ->
-      let lib = Option.get s.slib in
-      let res = ref (-1) in
-      Array.iteri
-        (fun k (lp : L.lib_pin) ->
-          if
-            !res < 0
-            && dir_of_lp lp = dir
-            && lp.L.off_x = ox
-            && lp.L.off_y = oy
-            && Bytes.get taken (pin_first.(c) + k) = '\000'
-          then res := pin_first.(c) + k)
-        lib.L.pins;
-      !res
-  | 'I' ->
-      if dir = D.Out && ox = 0.0 && oy = 0.0 && Bytes.get taken pin_first.(c) = '\000' then
-        pin_first.(c)
-      else -1
-  | 'O' ->
-      if dir = D.In && ox = 0.0 && oy = 0.0 && Bytes.get taken pin_first.(c) = '\000' then
-        pin_first.(c)
-      else -1
-  | _ -> -1
-
 let read_nets sc b (nd : nodes) mode =
   Fun.protect ~finally:(fun () -> Scan.close sc) @@ fun () ->
   let num_nets = ref (-1) and num_pins = ref (-1) in
   let net_count = ref 0 and pin_count = ref 0 in
-  let read_entry ~nname ~deg_line ~found ~want =
-    (* Find the next entry line; NetDegree or EOF here means the record is
-       shorter than its declared degree. *)
-    let rec seek () =
-      if not (Scan.next_line sc) then
-        Scan.fail_at sc ~line:deg_line "net %s: expected %d entries, found %d" nname want
-          found
-      else if not (Scan.next_tok sc) then seek ()
-      else if Scan.tok_is_ci sc "NetDegree" then
-        Scan.fail_at sc ~line:deg_line "net %s: expected %d entries, found %d" nname want
-          found
-    in
-    seek ();
-    let cell =
-      match Scan.tok_lookup sc nd.tbl with
-      | Some c -> c
-      | None -> Scan.fail sc "unknown cell %S in net %s" (Scan.tok sc) nname
-    in
-    Scan.expect sc ~what:"pin direction";
-    let dir =
-      if Scan.tok_is_ci sc "O" then D.Out
-      else if Scan.tok_is_ci sc "I" || Scan.tok_is_ci sc "B" then D.In
-      else Scan.fail sc "bad pin direction %S (expected I, O or B)" (Scan.tok sc)
-    in
-    let ox, oy =
-      if Scan.next_tok sc then begin
-        if not (Scan.tok_is sc ":") then
-          Scan.fail sc "expected ':' before pin offsets, got %S" (Scan.tok sc);
-        let ox = Scan.expect_float sc ~what:"pin x offset" in
-        let oy = Scan.expect_float sc ~what:"pin y offset" in
-        if Scan.next_tok sc then Scan.fail sc "trailing tokens in net entry";
-        (ox, oy)
-      end
-      else (0.0, 0.0)
-    in
-    (cell, dir, ox, oy)
-  in
+  let libs = L.default_library in
   while Scan.next_line sc do
     if Scan.next_tok sc then begin
       if Scan.tok_is_ci sc "UCLA" then ()
       else if Scan.tok_is_ci sc "NumNets" then begin
         Scan.expect_lit sc ":";
-        num_nets := Scan.expect_int sc ~what:"net count"
+        let n = Scan.expect_int sc ~what:"net count" in
+        (* "NetDegree:1" and one "a I" entry *)
+        check_room sc ~what:"NumNets" ~min_bytes:16 ~seen:!net_count n;
+        num_nets := n;
+        B.reserve b ~cells:0 ~pins:0 ~nets:n
       end
       else if Scan.tok_is_ci sc "NumPins" then begin
         Scan.expect_lit sc ":";
-        num_pins := Scan.expect_int sc ~what:"pin count"
+        let n = Scan.expect_int sc ~what:"pin count" in
+        (* "a I": cell name and direction *)
+        check_room sc ~what:"NumPins" ~min_bytes:4 ~seen:!pin_count n;
+        num_pins := n;
+        (* Sidecar pins come from the library, and apply_specs sized them. *)
+        match mode with Raw _ -> B.reserve b ~cells:0 ~pins:n ~nets:0 | Sidecar _ -> ()
       end
       else if Scan.tok_is_ci sc "NetDegree" then begin
         Scan.expect_lit sc ":";
@@ -422,30 +378,78 @@ let read_nets sc b (nd : nodes) mode =
         let nid = B.add_net b ~nname in
         let sinks = ref 0 and driver = ref false in
         for k = 0 to deg - 1 do
-          let cell, dir, ox, oy = read_entry ~nname ~deg_line ~found:k ~want:deg in
+          (* Find the next entry line; NetDegree or EOF here means the
+             record is shorter than its declared degree. *)
+          let found = ref false in
+          while not !found do
+            if not (Scan.next_line sc) then
+              Scan.fail_at sc ~line:deg_line "net %s: expected %d entries, found %d" nname deg k
+            else if Scan.next_tok sc then
+              if Scan.tok_is_ci sc "NetDegree" then
+                Scan.fail_at sc ~line:deg_line "net %s: expected %d entries, found %d" nname
+                  deg k
+              else found := true
+          done;
+          let cell = Scan.tok_find sc nd.tbl in
+          if cell < 0 then Scan.fail sc "unknown cell %S in net %s" (Scan.tok sc) nname;
+          Scan.expect sc ~what:"pin direction";
+          let out =
+            if Scan.tok_is_ci sc "O" then true
+            else if Scan.tok_is_ci sc "I" || Scan.tok_is_ci sc "B" then false
+            else Scan.fail sc "bad pin direction %S (expected I, O or B)" (Scan.tok sc)
+          in
+          let offsets = Scan.next_tok sc in
+          if offsets && not (Scan.tok_is sc ":") then
+            Scan.fail sc "expected ':' before pin offsets, got %S" (Scan.tok sc);
+          let ox = if offsets then Scan.expect_float sc ~what:"pin x offset" else 0.0 in
+          let oy = if offsets then Scan.expect_float sc ~what:"pin y offset" else 0.0 in
+          if offsets && Scan.next_tok sc then Scan.fail sc "trailing tokens in net entry";
           let pid =
             match mode with
-            | Sidecar { specs; pin_first; taken } ->
-                let pid = match_spec_pin specs pin_first taken cell ~dir ~ox ~oy in
-                if pid < 0 then
+            | Sidecar { sp; pin_first; taken } ->
+                let first = pin_first.(cell) in
+                let pid = ref (-1) in
+                (match Bytes.get sp.sk cell with
+                | 'L' ->
+                    let pins = libs.(sp.slib.(cell)).L.pins in
+                    let k = ref 0 in
+                    while !pid < 0 && !k < Array.length pins do
+                      let lp = pins.(!k) in
+                      if
+                        (match lp.L.kind with L.Output -> out | L.Input -> not out)
+                        && lp.L.off_x = ox
+                        && lp.L.off_y = oy
+                        && Bytes.get taken (first + !k) = '\000'
+                      then pid := first + !k;
+                      incr k
+                    done
+                | ('I' | 'O') as pad ->
+                    if
+                      out = (pad = 'I')
+                      && ox = 0.0
+                      && oy = 0.0
+                      && Bytes.get taken first = '\000'
+                    then pid := first
+                | _ -> ());
+                if !pid < 0 then
                   Scan.fail sc "cell %s has no free %s pin at offset (%g, %g)"
                     nd.names.(cell)
-                    (if dir = D.Out then "output" else "input")
+                    (if out then "output" else "input")
                     ox oy;
-                Bytes.set taken pid '\001';
-                pid
+                Bytes.set taken !pid '\001';
+                !pid
             | Raw { nin; nout; pcnt } ->
                 let pname = "p" ^ string_of_int pcnt.(cell) in
                 pcnt.(cell) <- pcnt.(cell) + 1;
-                (match dir with
-                | D.In -> nin.(cell) <- nin.(cell) + 1
-                | D.Out -> nout.(cell) <- nout.(cell) + 1);
-                B.add_raw_pin b ~cell ~pin_name:pname ~dir ~off_x:ox ~off_y:oy
-                  ~cap:(if dir = D.In then Defaults.sink_cap else 0.0)
+                if out then nout.(cell) <- nout.(cell) + 1 else nin.(cell) <- nin.(cell) + 1;
+                B.add_raw_pin b ~cell ~pin_name:pname
+                  ~dir:(if out then D.Out else D.In)
+                  ~off_x:ox ~off_y:oy
+                  ~cap:(if out then 0.0 else Defaults.sink_cap)
           in
           (try B.connect b ~net:nid ~pin:pid
            with Util.Errors.Error _ -> Scan.fail sc "net %s has two drivers" nname);
-          (match dir with D.In -> incr sinks | D.Out -> driver := true);
+          if out then driver := true else incr sinks;
           incr pin_count
         done;
         if not !driver then Scan.fail_at sc ~line:deg_line "net %s has no driver" nname;
@@ -490,42 +494,33 @@ let infer_kinds b (nd : nodes) nin nout pcnt =
 
 (* ----------------------------------------------------------------- pl -- *)
 
-(* Shared by the builder path (read_aux) and the overlay path (apply_pl):
-   [lookup]/[dims]/[setpos]/[fix] abstract the target. *)
-let read_pl_generic sc ~lookup ~dims ~setpos ~fix =
+(* Positions land on the frozen design: [read_aux] applies its .pl after
+   [B.finish], exactly as [apply_pl] overlays one on a loaded design. *)
+let read_pl sc tbl (d : D.t) =
   Fun.protect ~finally:(fun () -> Scan.close sc) @@ fun () ->
   while Scan.next_line sc do
     if Scan.next_tok sc then begin
       if Scan.tok_is_ci sc "UCLA" then ()
       else begin
-        let cell =
-          match lookup sc with
-          | Some c -> c
-          | None -> Scan.fail sc "unknown cell %S in .pl" (Scan.tok sc)
-        in
+        let cell = Scan.tok_find sc tbl in
+        if cell < 0 then Scan.fail sc "unknown cell %S in .pl" (Scan.tok sc);
         let llx = Scan.expect_float sc ~what:"x coordinate" in
         let lly = Scan.expect_float sc ~what:"y coordinate" in
-        let w, h = dims cell in
-        setpos cell (llx +. (w /. 2.0)) (lly +. (h /. 2.0));
+        d.D.x.{cell} <- llx +. (d.D.w.{cell} /. 2.0);
+        d.D.y.{cell} <- lly +. (d.D.h.{cell} /. 2.0);
         if Scan.next_tok sc then begin
           if not (Scan.tok_is sc ":") then
             Scan.fail sc "expected ':' before orientation, got %S" (Scan.tok sc);
           Scan.expect sc ~what:"orientation";
           while Scan.next_tok sc do
-            if Scan.tok_is_ci sc "/FIXED" || Scan.tok_is_ci sc "/FIXED_NI" then fix cell
+            if Scan.tok_is_ci sc "/FIXED" || Scan.tok_is_ci sc "/FIXED_NI" then
+              Bytes.set d.D.movable cell '\000'
             else Scan.fail sc "unexpected token %S in .pl record" (Scan.tok sc)
           done
         end
       end
     end
   done
-
-let read_pl sc b (nd : nodes) =
-  read_pl_generic sc
-    ~lookup:(fun sc -> Scan.tok_lookup sc nd.tbl)
-    ~dims:(fun c -> (B.cell_width b ~cell:c, B.cell_height b ~cell:c))
-    ~setpos:(fun c x y -> B.set_position b ~cell:c ~x ~y)
-    ~fix:(fun c -> B.set_movable b ~cell:c ~movable:false)
 
 (* ------------------------------------------------------------ read_aux -- *)
 
@@ -573,11 +568,9 @@ let read_aux path =
   let mode =
     match fs.f_cells with
     | Some l ->
-        let specs = read_cells (open_listed ~auxname l) nd in
-        let pin_first, taken =
-          apply_specs ~fname:(Filename.basename l.fpath) b nd specs
-        in
-        Sidecar { specs; pin_first; taken }
+        let sp = read_cells (open_listed ~auxname l) nd in
+        let pin_first, taken = apply_specs ~fname:(Filename.basename l.fpath) b nd sp in
+        Sidecar { sp; pin_first; taken }
     | None ->
         let n = Array.length nd.names in
         Raw { nin = Array.make n 0; nout = Array.make n 0; pcnt = Array.make n 0 }
@@ -586,8 +579,8 @@ let read_aux path =
   (match mode with
   | Raw { nin; nout; pcnt } -> infer_kinds b nd nin nout pcnt
   | Sidecar _ -> ());
-  read_pl (open_listed ~auxname (need "pl" fs.f_pl)) b nd;
   let d = B.finish b in
+  read_pl (open_listed ~auxname (need "pl" fs.f_pl)) nd.tbl d;
   (match meta.Meta.iodelay with
   | Some (i, o) ->
       d.D.input_delay <- i;
@@ -712,11 +705,4 @@ let write_pl path d = with_out path (fun oc -> write_pl_oc oc d)
 let apply_pl (d : D.t) path =
   let tbl = Strtab.create ~size_hint:d.D.n_cells () in
   Array.iteri (fun i name -> Strtab.add tbl name i) d.D.cell_names;
-  let sc = Scan.open_file ~specials path in
-  read_pl_generic sc
-    ~lookup:(fun sc -> Scan.tok_lookup sc tbl)
-    ~dims:(fun c -> (d.D.w.{c}, d.D.h.{c}))
-    ~setpos:(fun c x y ->
-      d.D.x.{c} <- x;
-      d.D.y.{c} <- y)
-    ~fix:(fun c -> Bytes.set d.D.movable c '\000')
+  read_pl (Scan.open_file ~specials path) tbl d

@@ -388,7 +388,7 @@ let read_def ?lef path =
       req "COMPONENTS section";
       if Scan.tok_is sc "-" then begin
         req "component name";
-        if Scan.tok_lookup sc comp_tbl <> None then
+        if Scan.tok_find sc comp_tbl >= 0 then
           Scan.fail sc "duplicate component %S" (Scan.tok sc);
         let cname = Scan.tok sc in
         req "component macro";
@@ -447,7 +447,7 @@ let read_def ?lef path =
       req "PINS section";
       if Scan.tok_is sc "-" then begin
         req "pin name";
-        if Scan.tok_lookup sc pin_tbl <> None then
+        if Scan.tok_find sc pin_tbl >= 0 then
           Scan.fail sc "duplicate pin %S" (Scan.tok sc);
         let pname = Scan.tok sc in
         let dir = ref None and pos = ref None in
@@ -535,15 +535,14 @@ let read_def ?lef path =
             let cell =
               if Scan.tok_is sc "PIN" then begin
                 req "pad pin name";
-                match Scan.tok_lookup sc pin_tbl with
-                | Some c -> c
-                | None -> Scan.fail sc "unknown DEF pin %S in net %s" (Scan.tok sc) nname
+                let c = Scan.tok_find sc pin_tbl in
+                if c < 0 then Scan.fail sc "unknown DEF pin %S in net %s" (Scan.tok sc) nname;
+                c
               end
               else
-                match Scan.tok_lookup sc comp_tbl with
-                | Some c -> c
-                | None ->
-                    Scan.fail sc "unknown component %S in net %s" (Scan.tok sc) nname
+                let c = Scan.tok_find sc comp_tbl in
+                if c < 0 then Scan.fail sc "unknown component %S in net %s" (Scan.tok sc) nname;
+                c
             in
             req "component pin name";
             let pin_name = Scan.tok sc in

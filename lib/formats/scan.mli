@@ -3,10 +3,12 @@
     Single pass, allocation-lean: input is pulled through a fixed chunk
     buffer, the current line lives in one reusable byte buffer, and
     tokens are (start, length) spans into it — nothing is materialized
-    unless the caller asks ({!tok}). Numeric tokens are parsed through a
-    per-length scratch pool, so a parse allocates only the boxed float
-    result. Errors raise {!Parse_error} carrying the current
-    line number and a message prefixed with the scanner's [name].
+    unless the caller asks ({!tok}). Comparisons, name lookups and
+    integer parses allocate nothing; a number parse allocates its
+    result's box, plus a memo key when it is a token the exact fast path
+    cannot take and the memo has not seen ({!tok_float}). Errors
+    raise {!Parse_error} carrying the current line number and a message
+    prefixed with the scanner's [name].
 
     Limits (all reported as parse errors, never crashes): tokens are
     capped at {!max_token_len} bytes, lines at {!max_line_len}. CRLF
@@ -26,8 +28,6 @@ val max_line_len : int
 
 (** [specials] lists single characters that always form their own token
     (e.g. ["();"] for DEF, [":"] for Bookshelf). *)
-val of_channel : ?specials:string -> name:string -> in_channel -> t
-
 val of_string : ?specials:string -> name:string -> string -> t
 
 (** Raises [Parse_error (0, _)] when the file cannot be opened. [name]
@@ -41,6 +41,12 @@ val name : t -> string
 
 (** 1-based number of the current line (0 before the first [next_line]). *)
 val line_number : t -> int
+
+(** Bytes of input after the current line: what the rest of the source
+    could still hold. [max_int] when the source's length is unknown (a
+    pipe, or a file reporting a length below the read position). Readers bound declared record counts by it before sizing any
+    table from them. *)
+val remaining_bytes : t -> int
 
 (** Raise [Parse_error] at the current line. *)
 val fail : t -> ('a, unit, string, 'b) format4 -> 'a
@@ -82,10 +88,14 @@ val tok_is_ci : t -> string -> bool
 
 val tok_starts_with : t -> char -> bool
 
-(** Resolve the current token in a {!Strtab} without materializing it. *)
-val tok_lookup : t -> Strtab.t -> int option
+(** Resolve the current token in a {!Strtab} without materializing it;
+    [-1] when unbound. *)
+val tok_find : t -> Strtab.t -> int
 
-(** Parse the current token; [Parse_error] on malformed input. *)
+(** Parse the current token; [Parse_error] on malformed input. The
+    result has [float_of_string]'s bits for the token's bytes: plain
+    decimals it can prove exact are parsed in place, the rest go through
+    [float_of_string] behind a small memo of recent tokens. *)
 val tok_float : t -> float
 
 val tok_int : t -> int

@@ -41,10 +41,11 @@ let hash_span (b : Bytes.t) pos len =
 let span_eq (s : string) (b : Bytes.t) pos len =
   String.length s = len
   &&
-  let rec eq i =
-    i >= len || String.unsafe_get s i = Bytes.unsafe_get b (pos + i) && eq (i + 1)
-  in
-  eq 0
+  let i = ref 0 in
+  while !i < len && String.unsafe_get s !i = Bytes.unsafe_get b (pos + !i) do
+    incr i
+  done;
+  !i = len
 
 let grow t =
   let old_keys = t.keys and old_vals = t.vals in
@@ -84,28 +85,14 @@ let add t key v =
     else j := (!j + 1) land t.mask
   done
 
-let find t key =
-  let j = ref (hash_str key land t.mask) in
-  let res = ref None and stop = ref false in
-  while not !stop do
-    let k = t.keys.(!j) in
-    if k == empty_key then stop := true
-    else if String.equal k key then begin
-      res := Some t.vals.(!j);
-      stop := true
-    end
-    else j := (!j + 1) land t.mask
-  done;
-  !res
-
 let find_span t b ~pos ~len =
   let j = ref (hash_span b pos len land t.mask) in
-  let res = ref None and stop = ref false in
+  let res = ref (-1) and stop = ref false in
   while not !stop do
-    let k = t.keys.(!j) in
+    let k = Array.unsafe_get t.keys !j in
     if k == empty_key then stop := true
     else if span_eq k b pos len then begin
-      res := Some t.vals.(!j);
+      res := Array.unsafe_get t.vals !j;
       stop := true
     end
     else j := (!j + 1) land t.mask

@@ -13,7 +13,6 @@ val length : t -> int
     overwritten — callers wanting duplicate detection probe first. *)
 val add : t -> string -> int -> unit
 
-val find : t -> string -> int option
-
-(** Lookup by the bytes [b.[pos .. pos+len-1]] without allocating. *)
-val find_span : t -> Bytes.t -> pos:int -> len:int -> int option
+(** Value bound to the bytes [b.[pos .. pos+len-1]], or [-1] when
+    unbound. Allocates nothing. *)
+val find_span : t -> Bytes.t -> pos:int -> len:int -> int

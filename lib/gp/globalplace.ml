@@ -305,7 +305,12 @@ let run ?(par = Util.Parallel.default ()) ?(params = default_params) ?hooks ?(ob
           ("gamma", Obs.Json.Float gamma);
           ("lambda", Obs.Json.Float !lambda);
         ];
-    if (not !just_recovered) && (!iter mod 10 = 0 || overflow < stop_overflow) then begin
+    let done_now = overflow < stop_overflow && !iter >= params.min_iters in
+    (* Verified checkpoints every 10th iteration and on the last one: a
+       warm start sits below [stop_overflow] from its first iteration,
+       and checkpointing each of those would cost an unpack, a full HPWL
+       and a snapshot per iteration. *)
+    if (not !just_recovered) && (!iter mod 10 = 0 || done_now) then begin
       unpack d movable (Nesterov.iterate !opt);
       let hpwl = Design.total_hpwl d in
       if Util.Guard.is_finite hpwl then begin
@@ -326,7 +331,7 @@ let run ?(par = Util.Parallel.default ()) ?(params = default_params) ?hooks ?(ob
     (* Heartbeat after the hooks and guards so the record carries this
        iteration's timing/guard updates (cadence decided inside). *)
     (match heartbeat with Some hb -> Obs.Heartbeat.tick hb ~iter:!iter ~overflow | None -> ());
-    if overflow < stop_overflow && !iter >= params.min_iters then stop := true;
+    if done_now then stop := true;
     incr iter)
   done;
   unpack d movable (Nesterov.iterate !opt);

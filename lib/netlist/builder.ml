@@ -1,12 +1,17 @@
 (** Incremental construction of a {!Design.t}.
 
-    Streams every field through monomorphic {!Util.Gvec} vectors (no
-    per-element boxing, no intermediate lists), checks structural
-    invariants (single driver per net, no reconnection) as connections
-    arrive, and freezes into the struct-of-arrays database with a
-    counting-sort CSR build. All operations are amortised O(1). *)
+    Every field lives in a plain table of the type the design stores
+    (int arrays, Bytes flags, float64 Bigarrays, name arrays), so pushes
+    never box and [finish] hands tables over instead of converting them.
+    A table grows by doubling unless {!reserve} sized it from a reader's
+    record counts; a table whose capacity equals its count is handed to
+    the design as is. Structural invariants (single driver per net, no
+    reconnection) are checked as connections arrive, and [finish] builds
+    both CSRs by counting sort. All operations are amortised O(1). *)
 
 module Gv = Util.Gvec
+
+type farr = Design.farr
 
 type t = {
   name : string;
@@ -15,38 +20,45 @@ type t = {
   clock_period : float;
   r_per_unit : float;
   c_per_unit : float;
-  (* cells *)
-  cell_names : string Gv.t;
-  kinds : Gv.Int.t;
-  lib_idx : Gv.Int.t;
+  (* cells: slots [0, n_cells) of each table are live *)
+  mutable n_cells : int;
+  mutable cell_names : string array;
+  mutable kinds : Bytes.t;
+  mutable movable : Bytes.t;
+  mutable lib_idx : int array;
+  mutable ws : farr;
+  mutable hs : farr;
+  mutable xs : farr;
+  mutable ys : farr;
+  mutable first_pin : int array; (* pins are created contiguously per cell *)
   libs : Libcell.t Gv.t;
   lib_tbl : (string, int) Hashtbl.t; (* lname -> index into libs *)
-  ws : Gv.Float.t;
-  hs : Gv.Float.t;
-  movs : Gv.Int.t;
-  xs : Gv.Float.t;
-  ys : Gv.Float.t;
-  first_pin : Gv.Int.t; (* pins are created contiguously per cell *)
   (* pins *)
-  pin_names : string Gv.t;
-  pin_owner : Gv.Int.t;
-  pin_dir : Gv.Int.t; (* 0 = In, 1 = Out *)
-  pin_off_x : Gv.Float.t;
-  pin_off_y : Gv.Float.t;
-  pin_cap : Gv.Float.t;
-  pin_net : Gv.Int.t; (* -1 until connected *)
+  mutable n_pins : int;
+  mutable pin_names : string array;
+  mutable pin_owner : int array;
+  mutable pin_dirs : Bytes.t; (* Design.dir_code *)
+  mutable pin_off_x : farr;
+  mutable pin_off_y : farr;
+  mutable pin_cap : farr;
+  mutable pin_net : int array; (* -1 until connected *)
+  (* sink pins in connection order, counting-sorted by [pin_net] into the
+     net CSR at finish; a pin sinks at most once, so this shares the pin
+     capacity and never grows on its own *)
+  mutable n_sinks : int;
+  mutable sink_pin : int array;
   (* nets *)
-  net_names : string Gv.t;
-  net_driver : Gv.Int.t;
-  net_nsinks : Gv.Int.t;
-  (* sink connections in arrival order; counting-sorted into CSR at finish *)
-  sink_net : Gv.Int.t;
-  sink_pin : Gv.Int.t;
+  mutable n_nets : int;
+  mutable net_names : string array;
+  mutable net_driver : int array;
+  mutable net_nsinks : int array;
   (* False once a raw pin lands on a cell that is not the newest one; the
      name-based pin lookups (which scan the contiguous range) then refuse
      to answer. [finish] never relies on contiguity. *)
   mutable pins_contiguous : bool;
 }
+
+let no_farr () = Design.farr_create 0
 
 let create ~name ~die ~row_height ~clock_period ~r_per_unit ~c_per_unit =
   {
@@ -56,292 +68,362 @@ let create ~name ~die ~row_height ~clock_period ~r_per_unit ~c_per_unit =
     clock_period;
     r_per_unit;
     c_per_unit;
-    cell_names = Gv.create ();
-    kinds = Gv.Int.create ();
-    lib_idx = Gv.Int.create ();
+    n_cells = 0;
+    cell_names = [||];
+    kinds = Bytes.empty;
+    movable = Bytes.empty;
+    lib_idx = [||];
+    ws = no_farr ();
+    hs = no_farr ();
+    xs = no_farr ();
+    ys = no_farr ();
+    first_pin = [||];
     libs = Gv.create ();
     lib_tbl = Hashtbl.create 16;
-    ws = Gv.Float.create ();
-    hs = Gv.Float.create ();
-    movs = Gv.Int.create ();
-    xs = Gv.Float.create ();
-    ys = Gv.Float.create ();
-    first_pin = Gv.Int.create ();
-    pin_names = Gv.create ();
-    pin_owner = Gv.Int.create ();
-    pin_dir = Gv.Int.create ();
-    pin_off_x = Gv.Float.create ();
-    pin_off_y = Gv.Float.create ();
-    pin_cap = Gv.Float.create ();
-    pin_net = Gv.Int.create ();
-    net_names = Gv.create ();
-    net_driver = Gv.Int.create ();
-    net_nsinks = Gv.Int.create ();
-    sink_net = Gv.Int.create ();
-    sink_pin = Gv.Int.create ();
+    n_pins = 0;
+    pin_names = [||];
+    pin_owner = [||];
+    pin_dirs = Bytes.empty;
+    pin_off_x = no_farr ();
+    pin_off_y = no_farr ();
+    pin_cap = no_farr ();
+    pin_net = [||];
+    n_sinks = 0;
+    sink_pin = [||];
+    n_nets = 0;
+    net_names = [||];
+    net_driver = [||];
+    net_nsinks = [||];
     pins_contiguous = true;
   }
 
-let num_cells b = Gv.length b.cell_names
+let num_cells b = b.n_cells
 
-let num_nets b = Gv.length b.net_names
+let num_nets b = b.n_nets
 
-(** Return the builder to a clean slate so a long-lived process can
-    stream a second design through it. Every vector is emptied (the
-    polymorphic ones also drop their backing store, so the previous
-    load's names and library cells become collectable), the library
-    intern table is cleared, and the contiguity flag rearms. Without the
-    table clear a reused builder would resolve a same-named library cell
-    of the *new* design to the old design's dangling [libs] index. *)
+(* Drop every table (not just the counts): a kept table would retain the
+   previous design's names and library cells, and [finish] may have
+   handed it to that design. Without the library table clear a reused
+   builder would resolve a same-named library cell of the *new* design
+   to the old design's dangling [libs] index. *)
 let reset b =
-  Gv.clear b.cell_names;
-  Gv.Int.clear b.kinds;
-  Gv.Int.clear b.lib_idx;
+  b.n_cells <- 0;
+  b.cell_names <- [||];
+  b.kinds <- Bytes.empty;
+  b.movable <- Bytes.empty;
+  b.lib_idx <- [||];
+  b.ws <- no_farr ();
+  b.hs <- no_farr ();
+  b.xs <- no_farr ();
+  b.ys <- no_farr ();
+  b.first_pin <- [||];
   Gv.clear b.libs;
   Hashtbl.reset b.lib_tbl;
-  Gv.Float.clear b.ws;
-  Gv.Float.clear b.hs;
-  Gv.Int.clear b.movs;
-  Gv.Float.clear b.xs;
-  Gv.Float.clear b.ys;
-  Gv.Int.clear b.first_pin;
-  Gv.clear b.pin_names;
-  Gv.Int.clear b.pin_owner;
-  Gv.Int.clear b.pin_dir;
-  Gv.Float.clear b.pin_off_x;
-  Gv.Float.clear b.pin_off_y;
-  Gv.Float.clear b.pin_cap;
-  Gv.Int.clear b.pin_net;
-  Gv.clear b.net_names;
-  Gv.Int.clear b.net_driver;
-  Gv.Int.clear b.net_nsinks;
-  Gv.Int.clear b.sink_net;
-  Gv.Int.clear b.sink_pin;
+  b.n_pins <- 0;
+  b.pin_names <- [||];
+  b.pin_owner <- [||];
+  b.pin_dirs <- Bytes.empty;
+  b.pin_off_x <- no_farr ();
+  b.pin_off_y <- no_farr ();
+  b.pin_cap <- no_farr ();
+  b.pin_net <- [||];
+  b.n_sinks <- 0;
+  b.sink_pin <- [||];
+  b.n_nets <- 0;
+  b.net_names <- [||];
+  b.net_driver <- [||];
+  b.net_nsinks <- [||];
   b.pins_contiguous <- true
 
+(* ---- table capacity ---------------------------------------------------- *)
+
+(* Int and name tables only: a [float array] would need its own maker. *)
+let resize a n cap ~fill =
+  let r = Array.make cap fill in
+  Array.blit a 0 r 0 n;
+  r
+
+let resize_bytes a n cap =
+  let r = Bytes.make cap '\000' in
+  Bytes.blit a 0 r 0 n;
+  r
+
+let resize_farr (a : farr) n cap =
+  let r = Design.farr_create cap in
+  Bigarray.Array1.blit (Bigarray.Array1.sub a 0 n) (Bigarray.Array1.sub r 0 n);
+  r
+
+let set_cell_cap b cap =
+  let n = b.n_cells in
+  b.cell_names <- resize b.cell_names n cap ~fill:"";
+  b.kinds <- resize_bytes b.kinds n cap;
+  b.movable <- resize_bytes b.movable n cap;
+  b.lib_idx <- resize b.lib_idx n cap ~fill:0;
+  b.ws <- resize_farr b.ws n cap;
+  b.hs <- resize_farr b.hs n cap;
+  b.xs <- resize_farr b.xs n cap;
+  b.ys <- resize_farr b.ys n cap;
+  b.first_pin <- resize b.first_pin n cap ~fill:0
+
+let set_pin_cap b cap =
+  let n = b.n_pins in
+  b.pin_names <- resize b.pin_names n cap ~fill:"";
+  b.pin_owner <- resize b.pin_owner n cap ~fill:0;
+  b.pin_dirs <- resize_bytes b.pin_dirs n cap;
+  b.pin_off_x <- resize_farr b.pin_off_x n cap;
+  b.pin_off_y <- resize_farr b.pin_off_y n cap;
+  b.pin_cap <- resize_farr b.pin_cap n cap;
+  b.pin_net <- resize b.pin_net n cap ~fill:0;
+  b.sink_pin <- resize b.sink_pin b.n_sinks cap ~fill:0
+
+let set_net_cap b cap =
+  let n = b.n_nets in
+  b.net_names <- resize b.net_names n cap ~fill:"";
+  b.net_driver <- resize b.net_driver n cap ~fill:0;
+  b.net_nsinks <- resize b.net_nsinks n cap ~fill:0
+
+let grown n = max 16 (2 * n)
+
+let reserve b ~cells ~pins ~nets =
+  if cells > Array.length b.cell_names then set_cell_cap b cells;
+  if pins > Array.length b.pin_owner then set_pin_cap b pins;
+  if nets > Array.length b.net_driver then set_net_cap b nets
+
+(* ---- cells and pins ------------------------------------------------------ *)
+
 let add_pin b ~owner ~pin_name ~dir ~off_x ~off_y ~cap =
-  let pid = Gv.Int.length b.pin_owner in
-  Gv.push b.pin_names pin_name;
-  Gv.Int.push b.pin_owner owner;
-  Gv.Int.push b.pin_dir (match dir with Design.In -> 0 | Design.Out -> 1);
-  Gv.Float.push b.pin_off_x off_x;
-  Gv.Float.push b.pin_off_y off_y;
-  Gv.Float.push b.pin_cap cap;
-  Gv.Int.push b.pin_net (-1);
+  let pid = b.n_pins in
+  if pid = Array.length b.pin_owner then set_pin_cap b (grown pid);
+  b.pin_names.(pid) <- pin_name;
+  b.pin_owner.(pid) <- owner;
+  Bytes.unsafe_set b.pin_dirs pid (Design.dir_code dir);
+  b.pin_off_x.{pid} <- off_x;
+  b.pin_off_y.{pid} <- off_y;
+  b.pin_cap.{pid} <- cap;
+  b.pin_net.(pid) <- -1;
+  b.n_pins <- pid + 1;
   pid
 
 (* Library cells are interned by name: designs reuse a handful of
-   [Libcell.t] values, so the side table stays tiny. *)
+   [Libcell.t] values, so the side table stays tiny. While it is, a scan
+   for the very same value answers first (each interned value is the
+   first of its name, so the scan and the name table agree). *)
 let intern_lib b (lib : Libcell.t) =
-  match Hashtbl.find_opt b.lib_tbl lib.Libcell.lname with
-  | Some i -> i
-  | None ->
+  let n = Gv.length b.libs in
+  let i = ref 0 in
+  while !i < n && !i < 16 && Gv.get b.libs !i != lib do
+    incr i
+  done;
+  if !i < n && !i < 16 then !i
+  else
+    match Hashtbl.find b.lib_tbl lib.Libcell.lname with
+    | i -> i
+    | exception Not_found ->
       let i = Gv.length b.libs in
       Gv.push b.libs lib;
       Hashtbl.add b.lib_tbl lib.Libcell.lname i;
       i
 
 let add_cell b ~cname ~kind ~lib_idx ~w ~h ~movable ~x ~y =
-  let id = num_cells b in
-  Gv.push b.cell_names cname;
-  Gv.Int.push b.kinds kind;
-  Gv.Int.push b.lib_idx lib_idx;
-  Gv.Float.push b.ws w;
-  Gv.Float.push b.hs h;
-  Gv.Int.push b.movs (if movable then 1 else 0);
-  Gv.Float.push b.xs x;
-  Gv.Float.push b.ys y;
-  Gv.Int.push b.first_pin (Gv.Int.length b.pin_owner);
+  let id = b.n_cells in
+  if id = Array.length b.cell_names then set_cell_cap b (grown id);
+  b.cell_names.(id) <- cname;
+  Bytes.unsafe_set b.kinds id (Design.kind_code kind);
+  Bytes.unsafe_set b.movable id (if movable then '\001' else '\000');
+  b.lib_idx.(id) <- lib_idx;
+  b.ws.{id} <- w;
+  b.hs.{id} <- h;
+  b.xs.{id} <- x;
+  b.ys.{id} <- y;
+  b.first_pin.(id) <- b.n_pins;
+  b.n_cells <- id + 1;
   id
 
-(** Add a logic cell (combinational or FF); creates its pins from the
-    library cell. Returns the cell id. *)
+let check_cell b fn cell =
+  if cell < 0 || cell >= b.n_cells then
+    invalid_arg (Printf.sprintf "Builder.%s: no cell %d" fn cell)
+
+(* The pins every cell of a kind carries: a logic cell's come from its
+   library cell in library order; a pad has one pin "p" at its centre
+   (an input pad drives it, an output pad sinks it with a nominal pad
+   capacitance); a blockage has none. *)
+let add_canonical_pins b ~cell =
+  check_cell b "add_canonical_pins" cell;
+  if cell <> b.n_cells - 1 then b.pins_contiguous <- false;
+  let k = Bytes.get b.kinds cell in
+  if k = Design.kind_code Design.Logic then begin
+    let li = b.lib_idx.(cell) in
+    if li < 0 then invalid_arg "Builder.add_canonical_pins: logic cell without library cell";
+    let pins = (Gv.get b.libs li).Libcell.pins in
+    for k = 0 to Array.length pins - 1 do
+      let lp = pins.(k) in
+      let dir =
+        match lp.Libcell.kind with Libcell.Input -> Design.In | Libcell.Output -> Design.Out
+      in
+      ignore
+        (add_pin b ~owner:cell ~pin_name:lp.Libcell.pname ~dir ~off_x:lp.Libcell.off_x
+           ~off_y:lp.Libcell.off_y ~cap:lp.Libcell.cap)
+    done
+  end
+  else if k = Design.kind_code Design.Input_pad then
+    ignore (add_pin b ~owner:cell ~pin_name:"p" ~dir:Design.Out ~off_x:0.0 ~off_y:0.0 ~cap:0.0)
+  else if k = Design.kind_code Design.Output_pad then
+    ignore (add_pin b ~owner:cell ~pin_name:"p" ~dir:Design.In ~off_x:0.0 ~off_y:0.0 ~cap:3.0)
+
 let add_logic b ~cname ~lib ~x ~y ?(movable = true) () =
   let li = intern_lib b lib in
   let id =
-    add_cell b ~cname ~kind:0 ~lib_idx:li ~w:lib.Libcell.width ~h:lib.Libcell.height ~movable
-      ~x ~y
+    add_cell b ~cname ~kind:Design.Logic ~lib_idx:li ~w:lib.Libcell.width
+      ~h:lib.Libcell.height ~movable ~x ~y
   in
-  Array.iter
-    (fun (lp : Libcell.lib_pin) ->
-      let dir = match lp.kind with Libcell.Input -> Design.In | Libcell.Output -> Design.Out in
-      ignore (add_pin b ~owner:id ~pin_name:lp.pname ~dir ~off_x:lp.off_x ~off_y:lp.off_y ~cap:lp.cap))
-    lib.Libcell.pins;
+  add_canonical_pins b ~cell:id;
   id
 
-(* Pads sit on the die boundary, are fixed, and carry one pin at their
-   centre with a nominal pad capacitance. *)
+(* Pads sit on the die boundary and are fixed. *)
 let add_pad b ~cname ~kind ~x ~y =
-  let dir, cap = if kind = 1 then (Design.Out, 0.0) else (Design.In, 3.0) in
   let id = add_cell b ~cname ~kind ~lib_idx:(-1) ~w:1.0 ~h:1.0 ~movable:false ~x ~y in
-  ignore (add_pin b ~owner:id ~pin_name:"p" ~dir ~off_x:0.0 ~off_y:0.0 ~cap);
+  add_canonical_pins b ~cell:id;
   id
 
-let add_input_pad b ~cname ~x ~y = add_pad b ~cname ~kind:1 ~x ~y
+let add_input_pad b ~cname ~x ~y = add_pad b ~cname ~kind:Design.Input_pad ~x ~y
 
-let add_output_pad b ~cname ~x ~y = add_pad b ~cname ~kind:2 ~x ~y
+let add_output_pad b ~cname ~x ~y = add_pad b ~cname ~kind:Design.Output_pad ~x ~y
 
-(** Add a fixed rectangular blockage (macro). *)
 let add_blockage b ~cname ~x ~y ~w ~h =
-  add_cell b ~cname ~kind:3 ~lib_idx:(-1) ~w ~h ~movable:false ~x ~y
+  add_cell b ~cname ~kind:Design.Blockage ~lib_idx:(-1) ~w ~h ~movable:false ~x ~y
 
 (* ---- raw construction (streaming format readers) --------------------- *)
 
-let kind_int = function
-  | Design.Logic -> 0
-  | Design.Input_pad -> 1
-  | Design.Output_pad -> 2
-  | Design.Blockage -> 3
-
-(** Add a cell with explicit kind/geometry and NO pins; pins arrive later
-    through {!add_raw_pin} in whatever order the input file dictates. The
-    cell's size comes from the caller, not the library cell — external
-    formats carry their own geometry. *)
 let add_raw_cell b ~cname ~kind ~lib ~w ~h ~movable ~x ~y =
   let li = match lib with Some l -> intern_lib b l | None -> -1 in
-  add_cell b ~cname ~kind:(kind_int kind) ~lib_idx:li ~w ~h ~movable ~x ~y
+  add_cell b ~cname ~kind ~lib_idx:li ~w ~h ~movable ~x ~y
 
-(** Add one pin to an arbitrary existing cell. Unlike the library path,
-    pins need not be contiguous per cell — [finish] rebuilds the
-    cell->pin CSR by stable counting sort. After an out-of-order raw pin,
-    the name-based lookups ([connect_by_name]/[pin_of_cell]) raise. *)
 let add_raw_pin b ~cell ~pin_name ~dir ~off_x ~off_y ~cap =
-  if cell < 0 || cell >= num_cells b then
-    invalid_arg (Printf.sprintf "Builder.add_raw_pin: no cell %d" cell);
-  if cell <> num_cells b - 1 then b.pins_contiguous <- false;
+  check_cell b "add_raw_pin" cell;
+  if cell <> b.n_cells - 1 then b.pins_contiguous <- false;
   add_pin b ~owner:cell ~pin_name ~dir ~off_x ~off_y ~cap
 
-(** Reposition a cell centre (format readers stream positions from a
-    separate file, e.g. Bookshelf [.pl], after the cells exist). *)
-let set_position b ~cell ~x ~y =
-  Gv.Float.set b.xs cell x;
-  Gv.Float.set b.ys cell y
+let set_movable b ~cell ~movable =
+  check_cell b "set_movable" cell;
+  Bytes.unsafe_set b.movable cell (if movable then '\001' else '\000')
 
-(** Mark a cell fixed/movable after creation (Bookshelf splits the
-    movable flag between [.nodes] and [.pl]). *)
-let set_movable b ~cell ~movable = Gv.Int.set b.movs cell (if movable then 1 else 0)
-
-(** Reclassify a cell after creation. Bookshelf only reveals whether a
-    terminal is a pad, macro or fixed gate once the net section shows its
-    pins, so raw readers create cells as [Logic] and settle kinds last. *)
 let set_kind b ~cell ~kind ~lib =
-  Gv.Int.set b.kinds cell (kind_int kind);
-  Gv.Int.set b.lib_idx cell (match lib with Some l -> intern_lib b l | None -> -1)
+  check_cell b "set_kind" cell;
+  Bytes.unsafe_set b.kinds cell (Design.kind_code kind);
+  b.lib_idx.(cell) <- (match lib with Some l -> intern_lib b l | None -> -1)
 
-let cell_width b ~cell = Gv.Float.get b.ws cell
+let cell_width b ~cell =
+  check_cell b "cell_width" cell;
+  b.ws.{cell}
 
-let cell_height b ~cell = Gv.Float.get b.hs cell
+let cell_height b ~cell =
+  check_cell b "cell_height" cell;
+  b.hs.{cell}
 
-let cell_kind b ~cell =
-  match Gv.Int.get b.kinds cell with
-  | 0 -> Design.Logic
-  | 1 -> Design.Input_pad
-  | 2 -> Design.Output_pad
-  | _ -> Design.Blockage
+(* ---- nets ---------------------------------------------------------------- *)
 
 let add_net b ~nname =
-  let nid = num_nets b in
-  Gv.push b.net_names nname;
-  Gv.Int.push b.net_driver (-1);
-  Gv.Int.push b.net_nsinks 0;
+  let nid = b.n_nets in
+  if nid = Array.length b.net_driver then set_net_cap b (grown nid);
+  b.net_names.(nid) <- nname;
+  b.net_driver.(nid) <- -1;
+  b.net_nsinks.(nid) <- 0;
+  b.n_nets <- nid + 1;
   nid
 
-(** Connect pin [pid] to net [nid]; direction decides driver vs sink.
-    A net must end up with exactly one driver. *)
 let connect b ~net:nid ~pin:pid =
-  if Gv.Int.get b.pin_net pid >= 0 then
+  if pid < 0 || pid >= b.n_pins then invalid_arg (Printf.sprintf "Builder.connect: no pin %d" pid);
+  if nid < 0 || nid >= b.n_nets then invalid_arg (Printf.sprintf "Builder.connect: no net %d" nid);
+  if b.pin_net.(pid) >= 0 then
     Util.Errors.invalid_design ~design:b.name
       [ Printf.sprintf "pin %d connected to two nets" pid ];
-  Gv.Int.set b.pin_net pid nid;
-  if Gv.Int.get b.pin_dir pid = 1 then begin
-    if Gv.Int.get b.net_driver nid >= 0 then
+  b.pin_net.(pid) <- nid;
+  if Bytes.unsafe_get b.pin_dirs pid = Design.dir_code Design.Out then begin
+    if b.net_driver.(nid) >= 0 then
       Util.Errors.invalid_design ~design:b.name
-        [ Printf.sprintf "net %s has two drivers" (Gv.get b.net_names nid) ];
-    Gv.Int.set b.net_driver nid pid
+        [ Printf.sprintf "net %s has two drivers" b.net_names.(nid) ];
+    b.net_driver.(nid) <- pid
   end
   else begin
-    Gv.Int.set b.net_nsinks nid (Gv.Int.get b.net_nsinks nid + 1);
-    Gv.Int.push b.sink_net nid;
-    Gv.Int.push b.sink_pin pid
+    b.net_nsinks.(nid) <- b.net_nsinks.(nid) + 1;
+    let k = b.n_sinks in
+    b.sink_pin.(k) <- pid;
+    b.n_sinks <- k + 1
   end
 
 (* Pins of cell [c] occupy the contiguous pid range starting at
    [first_pin c]; the range ends at the next cell's first pin (or the pin
    count for the last cell). *)
-let pin_range b ~cell =
-  let lo = Gv.Int.get b.first_pin cell in
-  let hi =
-    if cell + 1 < num_cells b then Gv.Int.get b.first_pin (cell + 1)
-    else Gv.Int.length b.pin_owner
-  in
-  (lo, hi)
-
 let find_pin b ~cell ~pin_name =
   if not b.pins_contiguous then
     invalid_arg "Builder.find_pin: pins are no longer contiguous (raw pins were added)";
-  let lo, hi = pin_range b ~cell in
+  check_cell b "find_pin" cell;
+  let lo = b.first_pin.(cell) in
+  let hi = if cell + 1 < b.n_cells then b.first_pin.(cell + 1) else b.n_pins in
   let rec go pid =
     if pid >= hi then None
-    else if Gv.get b.pin_names pid = pin_name then Some pid
+    else if String.equal b.pin_names.(pid) pin_name then Some pid
     else go (pid + 1)
   in
   go lo
 
-(** Connect by cell id + pin name (looked up in the cell's pins). *)
 let connect_by_name b ~net ~cell ~pin_name =
   match find_pin b ~cell ~pin_name with
   | Some pid -> connect b ~net ~pin:pid
   | None ->
       invalid_arg
-        (Printf.sprintf "Builder.connect_by_name: cell %s has no pin %s"
-           (Gv.get b.cell_names cell) pin_name)
+        (Printf.sprintf "Builder.connect_by_name: cell %s has no pin %s" b.cell_names.(cell)
+           pin_name)
 
-(** Pin id of [cell]'s pin called [pin_name]. *)
 let pin_of_cell b ~cell ~pin_name =
   match find_pin b ~cell ~pin_name with
   | Some pid -> pid
   | None -> invalid_arg "Builder.pin_of_cell: no such pin"
 
-(** Freeze into the struct-of-arrays database. Every net must have a
-    driver and at least one sink. *)
+(* ---- freeze -------------------------------------------------------------- *)
+
+let exact a n = if Array.length a = n then a else Array.sub a 0 n
+
+let exact_bytes a n = if Bytes.length a = n then a else Bytes.sub a 0 n
+
+let exact_farr (a : farr) n = if Bigarray.Array1.dim a = n then a else resize_farr a n n
+
 let finish b =
-  let n_cells = num_cells b in
-  let n_pins = Gv.Int.length b.pin_owner in
-  let n_nets = num_nets b in
-  let net_driver = Gv.Int.to_array b.net_driver in
+  let n_cells = b.n_cells and n_pins = b.n_pins and n_nets = b.n_nets in
+  let net_driver = b.net_driver and net_nsinks = b.net_nsinks in
   let problems = ref [] in
   for nid = n_nets - 1 downto 0 do
-    if Gv.Int.get b.net_nsinks nid = 0 then
-      problems := Printf.sprintf "net %s has no sinks" (Gv.get b.net_names nid) :: !problems;
+    if net_nsinks.(nid) = 0 then
+      problems := Printf.sprintf "net %s has no sinks" b.net_names.(nid) :: !problems;
     if net_driver.(nid) < 0 then
-      problems := Printf.sprintf "net %s has no driver" (Gv.get b.net_names nid) :: !problems
+      problems := Printf.sprintf "net %s has no driver" b.net_names.(nid) :: !problems
   done;
   if !problems <> [] then Util.Errors.invalid_design ~design:b.name !problems;
   (* Cell->pin CSR by stable counting sort over [pin_owner]. The library
      path creates each cell's pins contiguously so the sort degenerates to
      the identity map; raw pins from format readers arrive in net order
      and land here in pin-id order per cell. *)
+  let pin_owner = exact b.pin_owner n_pins in
   let cell_pin_off = Array.make (n_cells + 1) 0 in
   for p = 0 to n_pins - 1 do
-    let owner = Gv.Int.get b.pin_owner p in
-    cell_pin_off.(owner + 1) <- cell_pin_off.(owner + 1) + 1
+    let o = pin_owner.(p) + 1 in
+    cell_pin_off.(o) <- cell_pin_off.(o) + 1
   done;
   for i = 0 to n_cells - 1 do
     cell_pin_off.(i + 1) <- cell_pin_off.(i + 1) + cell_pin_off.(i)
   done;
   let cell_pin_ids = Array.make n_pins (-1) in
-  let cell_cursor = Array.make (max 1 n_cells) 0 in
-  Array.blit cell_pin_off 0 cell_cursor 0 n_cells;
+  let cursor = Array.sub cell_pin_off 0 n_cells in
   for p = 0 to n_pins - 1 do
-    let owner = Gv.Int.get b.pin_owner p in
-    cell_pin_ids.(cell_cursor.(owner)) <- p;
-    cell_cursor.(owner) <- cell_cursor.(owner) + 1
+    let o = pin_owner.(p) in
+    cell_pin_ids.(cursor.(o)) <- p;
+    cursor.(o) <- cursor.(o) + 1
   done;
   (* Net->pin CSR by counting sort: slot 0 of each net is its driver, then
-     sinks in connection order (the sort is stable over [sink_net]). *)
+     sinks in connection order (the sort is stable over [sink_pin]). *)
   let net_pin_off = Array.make (n_nets + 1) 0 in
   for nid = 0 to n_nets - 1 do
-    net_pin_off.(nid + 1) <- net_pin_off.(nid) + 1 + Gv.Int.get b.net_nsinks nid
+    net_pin_off.(nid + 1) <- net_pin_off.(nid) + 1 + net_nsinks.(nid)
   done;
   let net_pin_ids = Array.make net_pin_off.(n_nets) (-1) in
   let cursor = Array.make n_nets 0 in
@@ -349,47 +431,53 @@ let finish b =
     net_pin_ids.(net_pin_off.(nid)) <- net_driver.(nid);
     cursor.(nid) <- net_pin_off.(nid) + 1
   done;
-  for k = 0 to Gv.Int.length b.sink_net - 1 do
-    let nid = Gv.Int.get b.sink_net k in
-    net_pin_ids.(cursor.(nid)) <- Gv.Int.get b.sink_pin k;
+  let pin_net = exact b.pin_net n_pins and sink_pin = b.sink_pin in
+  for k = 0 to b.n_sinks - 1 do
+    let p = sink_pin.(k) in
+    let nid = pin_net.(p) in
+    net_pin_ids.(cursor.(nid)) <- p;
     cursor.(nid) <- cursor.(nid) + 1
   done;
-  let bytes_of_gvec g n = Bytes.init n (fun i -> Char.chr (Gv.Int.get g i)) in
   let weights = Design.farr_create n_nets in
   Design.farr_fill weights 1.0;
-  {
-    Design.name = b.name;
-    die = b.die;
-    row_height = b.row_height;
-    clock_period = b.clock_period;
-    input_delay = 0.0;
-    output_delay = 0.0;
-    r_per_unit = b.r_per_unit;
-    c_per_unit = b.c_per_unit;
-    n_cells;
-    n_pins;
-    n_nets;
-    x = Design.farr_of_array (Gv.Float.to_array b.xs);
-    y = Design.farr_of_array (Gv.Float.to_array b.ys);
-    w = Design.farr_of_array (Gv.Float.to_array b.ws);
-    h = Design.farr_of_array (Gv.Float.to_array b.hs);
-    movable = bytes_of_gvec b.movs n_cells;
-    kinds = bytes_of_gvec b.kinds n_cells;
-    lib_idx = Gv.Int.to_array b.lib_idx;
-    libs = Gv.to_array b.libs;
-    cell_pin_off;
-    cell_pin_ids;
-    pin_owner = Gv.Int.to_array b.pin_owner;
-    pin_net = Gv.Int.to_array b.pin_net;
-    pin_dirs = bytes_of_gvec b.pin_dir n_pins;
-    pin_off_x = Design.farr_of_array (Gv.Float.to_array b.pin_off_x);
-    pin_off_y = Design.farr_of_array (Gv.Float.to_array b.pin_off_y);
-    pin_cap = Design.farr_of_array (Gv.Float.to_array b.pin_cap);
-    net_driver;
-    net_weight = weights;
-    net_pin_off;
-    net_pin_ids;
-    cell_names = Gv.to_array b.cell_names;
-    pin_names = Gv.to_array b.pin_names;
-    net_names = Gv.to_array b.net_names;
-  }
+  let d =
+    {
+      Design.name = b.name;
+      die = b.die;
+      row_height = b.row_height;
+      clock_period = b.clock_period;
+      input_delay = 0.0;
+      output_delay = 0.0;
+      r_per_unit = b.r_per_unit;
+      c_per_unit = b.c_per_unit;
+      n_cells;
+      n_pins;
+      n_nets;
+      x = exact_farr b.xs n_cells;
+      y = exact_farr b.ys n_cells;
+      w = exact_farr b.ws n_cells;
+      h = exact_farr b.hs n_cells;
+      movable = exact_bytes b.movable n_cells;
+      kinds = exact_bytes b.kinds n_cells;
+      lib_idx = exact b.lib_idx n_cells;
+      libs = Gv.to_array b.libs;
+      cell_pin_off;
+      cell_pin_ids;
+      pin_owner;
+      pin_net;
+      pin_dirs = exact_bytes b.pin_dirs n_pins;
+      pin_off_x = exact_farr b.pin_off_x n_pins;
+      pin_off_y = exact_farr b.pin_off_y n_pins;
+      pin_cap = exact_farr b.pin_cap n_pins;
+      net_driver = exact net_driver n_nets;
+      net_weight = weights;
+      net_pin_off;
+      net_pin_ids;
+      cell_names = exact b.cell_names n_cells;
+      pin_names = exact b.pin_names n_pins;
+      net_names = exact b.net_names n_nets;
+    }
+  in
+  (* The design may now own these tables; the builder lets go of them. *)
+  reset b;
+  d

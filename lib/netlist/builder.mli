@@ -1,7 +1,9 @@
 (** Incremental construction of a {!Design.t}: collect cells/pins/nets in
-    growable vectors, check structural invariants (one driver per net,
-    pins exist, no reconnection), freeze into the flat-array database.
-    All operations are amortised O(1). *)
+    tables of the design's own types, check structural invariants (one
+    driver per net, pins exist, no reconnection), freeze into the
+    flat-array database. All operations are amortised O(1); tables sized
+    by {!reserve} to the final counts are handed to the design without a
+    copy. *)
 
 type t
 
@@ -18,8 +20,15 @@ val num_cells : t -> int
 
 val num_nets : t -> int
 
+(** Grow the cell, pin and net tables to hold at least [cells], [pins]
+    and [nets] entries in total (a count at or below the current
+    capacity changes nothing). Readers call it with their files' record
+    counts — after bounding those by the file size — so a build does no
+    doubling and [finish] copies nothing. *)
+val reserve : t -> cells:int -> pins:int -> nets:int -> unit
+
 (** Return to a clean slate for reuse in a long-lived process: all
-    vectors emptied, the library intern table cleared (a stale entry
+    tables dropped, the library intern table cleared (a stale entry
     would bind a same-named library cell to a dangling index), previous
     elements made collectable, pin contiguity rearmed. The identity
     [reset b; build X] ≡ [build X on a fresh builder] is enforced by the
@@ -82,9 +91,6 @@ val add_raw_cell :
 val add_raw_pin :
   t -> cell:int -> pin_name:string -> dir:Design.dir -> off_x:float -> off_y:float -> cap:float -> int
 
-(** Reposition a cell centre (positions stream from a separate file). *)
-val set_position : t -> cell:int -> x:float -> y:float -> unit
-
 (** Flip a cell's movable flag after creation. *)
 val set_movable : t -> cell:int -> movable:bool -> unit
 
@@ -92,11 +98,18 @@ val set_movable : t -> cell:int -> movable:bool -> unit
     readers learn pad/blockage kinds only once pins are known. *)
 val set_kind : t -> cell:int -> kind:Design.kind -> lib:Libcell.t option -> unit
 
+(** Create the pins every cell of the cell's current kind carries, as
+    {!add_logic}/{!add_input_pad}/{!add_output_pad} do: a logic cell's
+    library pins in library order, a pad's single pin ["p"], nothing for
+    a blockage. Raises [Invalid_argument] for a logic cell without a
+    library cell. *)
+val add_canonical_pins : t -> cell:int -> unit
+
 val cell_width : t -> cell:int -> float
 
 val cell_height : t -> cell:int -> float
 
-val cell_kind : t -> cell:int -> Design.kind
-
-(** Freeze. Every net must have a driver and at least one sink. *)
+(** Freeze. Every net must have a driver and at least one sink. The
+    design takes over the builder's tables, and the builder is left
+    empty, as after {!reset}. *)
 val finish : t -> Design.t

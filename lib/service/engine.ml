@@ -228,10 +228,16 @@ let handle_line t line =
 
 let serve t ic oc =
   let r = Protocol.reader ic in
+  (* One reply buffer for the session: a reply is encoded into it and
+     written out from it, so no reply regrows a fresh buffer or copies
+     itself into a string. *)
+  let buf = Buffer.create 65536 in
   let reply json =
+    Buffer.clear buf;
+    Obs.Json.write buf json;
+    Buffer.add_char buf '\n';
     try
-      output_string oc (Obs.Json.to_string json);
-      output_char oc '\n';
+      Buffer.output_buffer oc buf;
       flush oc
     with Sys_error _ -> () (* client went away mid-reply *)
   in

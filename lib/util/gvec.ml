@@ -1,5 +1,5 @@
 (** Growable array (OCaml 5.1 lacks Dynarray). Amortised O(1) push,
-    O(1) random access — the builder and path search lean on it. *)
+    O(1) random access. *)
 
 type 'a t = { mutable data : 'a array; mutable size : int }
 
@@ -41,69 +41,3 @@ let iter f t =
 let clear t =
   t.data <- [||];
   t.size <- 0
-
-(* Monomorphic variants for the netlist builders: the backing stores are
-   flat [float array] / [int array], so streaming a million fields never
-   boxes an element and [to_array] is a single blit. *)
-
-module Float = struct
-  type t = { mutable data : float array; mutable size : int }
-
-  let create () = { data = [||]; size = 0 }
-
-  let length t = t.size
-
-  let push t x =
-    let cap = Array.length t.data in
-    if t.size = cap then begin
-      let nd = Array.make (max 8 (2 * cap)) 0.0 in
-      Array.blit t.data 0 nd 0 t.size;
-      t.data <- nd
-    end;
-    t.data.(t.size) <- x;
-    t.size <- t.size + 1
-
-  let get t i =
-    if i < 0 || i >= t.size then invalid_arg "Gvec.Float.get: out of bounds";
-    t.data.(i)
-
-  let set t i x =
-    if i < 0 || i >= t.size then invalid_arg "Gvec.Float.set: out of bounds";
-    t.data.(i) <- x
-
-  let to_array t = Array.sub t.data 0 t.size
-
-  (* Floats carry no pointers, so keeping the capacity is safe — the
-     whole point of reuse is to skip the regrowth doublings. *)
-  let clear t = t.size <- 0
-end
-
-module Int = struct
-  type t = { mutable data : int array; mutable size : int }
-
-  let create () = { data = [||]; size = 0 }
-
-  let length t = t.size
-
-  let push t x =
-    let cap = Array.length t.data in
-    if t.size = cap then begin
-      let nd = Array.make (max 8 (2 * cap)) 0 in
-      Array.blit t.data 0 nd 0 t.size;
-      t.data <- nd
-    end;
-    t.data.(t.size) <- x;
-    t.size <- t.size + 1
-
-  let get t i =
-    if i < 0 || i >= t.size then invalid_arg "Gvec.Int.get: out of bounds";
-    t.data.(i)
-
-  let set t i x =
-    if i < 0 || i >= t.size then invalid_arg "Gvec.Int.set: out of bounds";
-    t.data.(i) <- x
-
-  let to_array t = Array.sub t.data 0 t.size
-
-  let clear t = t.size <- 0
-end

@@ -24,45 +24,3 @@ val iter : ('a -> unit) -> 'a t -> unit
     become unreachable, not merely inaccessible, or a reused vector
     retains every previous element for the GC. *)
 val clear : 'a t -> unit
-
-(** Monomorphic float vector over a flat [float array] backing store:
-    pushes never box and [to_array] is one blit. The netlist builders
-    stream coordinate/offset/cap fields through these. *)
-module Float : sig
-  type t
-
-  val create : unit -> t
-
-  val length : t -> int
-
-  val push : t -> float -> unit
-
-  val get : t -> int -> float
-
-  val set : t -> int -> float -> unit
-
-  val to_array : t -> float array
-
-  (** Reset to length 0; keeps capacity (floats hold no pointers). *)
-  val clear : t -> unit
-end
-
-(** Monomorphic int vector over a flat [int array] backing store. *)
-module Int : sig
-  type t
-
-  val create : unit -> t
-
-  val length : t -> int
-
-  val push : t -> int -> unit
-
-  val get : t -> int -> int
-
-  val set : t -> int -> int -> unit
-
-  val to_array : t -> int array
-
-  (** Reset to length 0; keeps capacity. *)
-  val clear : t -> unit
-end

@@ -180,9 +180,17 @@ let torture_cases () =
         | ".lef" -> ignore (Formats.Lefdef.read_lef path)
         | ext -> Alcotest.failf "%s: unknown torture entry extension %S" exp_file ext
       in
+      (* Memory follows the file, not its header: every fixture is a few
+         hundred bytes, whatever counts it declares. *)
+      let a0 = Gc.allocated_bytes () in
+      let check_alloc () =
+        let mib = (Gc.allocated_bytes () -. a0) /. 1048576.0 in
+        if mib >= 64.0 then Alcotest.failf "%s: allocated %.0f MiB before failing" entry mib
+      in
       match parse () with
       | () -> Alcotest.failf "%s: parsed cleanly, expected Parse_error" entry
       | exception Formats.Scan.Parse_error (line, msg) ->
+          check_alloc ();
           if line <> want_line then
             Alcotest.failf "%s: Parse_error at line %d (%s), expected line %d" entry line msg
               want_line;
@@ -191,6 +199,75 @@ let torture_cases () =
       | exception e ->
           Alcotest.failf "%s: raised %s, expected Parse_error" entry (Printexc.to_string e))
     expects
+
+(* --- ingest cost: a generated ~20k-cell bundle loads with at most 100
+   minor words per cell (names, boxed number results and net names;
+   every table is sized from the headers and never passes through the
+   minor heap). *)
+
+let bookshelf_load_allocation () =
+  Helpers.with_temp_dir (fun dir ->
+      let d = Workloads.Suite.load_sized ~calibrate:false ~cells:20_000 () in
+      let aux = Formats.Bookshelf.write ~dir ~stem:"alloc" d in
+      let cells = float_of_int (Design.num_cells d) in
+      Gc.compact ();
+      let w0 = Gc.minor_words () in
+      let d' = Formats.Auto.load aux in
+      let per_cell = (Gc.minor_words () -. w0) /. cells in
+      Alcotest.(check int) "cells" (Design.num_cells d) (Design.num_cells d');
+      if per_cell > 100.0 then
+        Alcotest.failf "loading allocated %.1f minor words per cell (> 100)" per_cell)
+
+(* --- numeric tokens: whatever path Scan takes (exact fast path, memo,
+   float_of_string), a token parses to float_of_string's bits. *)
+
+let numeric_token_bits =
+  let edge =
+    [ "0"; "-0"; "0.0"; "-0.0"; "+0"; "1."; ".5"; "-.5"; "1e5"; "1E+05"; "2.5e-3";
+      "9007199254740992"; "9007199254740993"; "-9007199254740993"; "123456789012345678";
+      "1e22"; "1e23"; "0.1e-22"; "1e-23"; "4.9406564584124654e-324";
+      "2.2250738585072009e-308"; "2.2250738585072014e-308"; "1.7976931348623157e308";
+      "0.16666666666666669"; "-0.16666666666666669"; "007"; "1_000"; "0x1p3" ]
+  in
+  QCheck.Test.make ~count:300 ~name:"numeric tokens parse to float_of_string's bits"
+    QCheck.(list_of_size Gen.(1 -- 40) int64)
+    (fun raws ->
+      let finite = List.filter Float.is_finite (List.map Int64.float_of_bits raws) in
+      let printed =
+        List.concat_map
+          (fun f -> [ Printf.sprintf "%.17g" f; Printf.sprintf "%.12g" f; Printf.sprintf "%g" f ])
+          finite
+      in
+      (* Short decimals, as coordinates and pin offsets usually print. *)
+      let short =
+        List.map
+          (fun r -> Printf.sprintf "%.2f" (Int64.to_float (Int64.rem r 100_000_000L) /. 100.0))
+          raws
+      in
+      (* Up to 16 digits around a point: at most 17 bytes, straddling
+         the 2^53 limit of exact digit strings. *)
+      let long =
+        List.map
+          (fun r ->
+            let r = Int64.logand r Int64.max_int in
+            let ds = Int64.to_string (Int64.rem r 10_000_000_000_000_000L) in
+            let k = Int64.to_int (Int64.rem r 7L) mod (String.length ds + 1) in
+            String.sub ds 0 k ^ "." ^ String.sub ds k (String.length ds - k))
+          raws
+      in
+      let printed = printed @ short @ long in
+      (* Every token twice, so the second sighting can come from the memo. *)
+      let toks = edge @ printed @ List.rev printed @ edge in
+      let sc = Formats.Scan.of_string ~name:"nums" (String.concat "\n" toks) in
+      List.for_all
+        (fun tok ->
+          Formats.Scan.next_line sc
+          && Formats.Scan.next_tok sc
+          && Formats.Scan.tok sc = tok
+          && Int64.equal
+               (Int64.bits_of_float (Formats.Scan.tok_float sc))
+               (Int64.bits_of_float (float_of_string tok)))
+        toks)
 
 (* --- the committed golden Bookshelf design *)
 
@@ -318,6 +395,8 @@ let suite =
       (roundtrip_all `Lefdef);
     Alcotest.test_case "pl overlay restores placement bit-exact" `Quick pl_overlay_roundtrip;
     Alcotest.test_case "torture fixtures fail at the recorded line" `Quick torture_cases;
+    Alcotest.test_case "bookshelf load allocation" `Quick bookshelf_load_allocation;
+    QCheck_alcotest.to_alcotest numeric_token_bits;
     Alcotest.test_case "golden_small fixture parses" `Quick golden_small_parses;
     Alcotest.test_case "serialize/mutate/reparse battery" `Slow mutate_reparse_battery;
     Alcotest.test_case "reparsed design reproduces flow metrics" `Slow metrics_identity;
